@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -34,20 +33,6 @@ from .verify import check_equilibrium, grid_nonexistence, sop1_budget_gap
 REPRODUCE_NAMES = ("prop1", "prop2", "iop_ex1", "iop_ex2", "experiment", "sop1_gap")
 
 IOP_EXAMPLE_PRICES = (0.1, 0.4, 0.7, 1.2, 1.7, 2.4)
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    builtin: str | None = None
-    instance: str | None = None
-    tol: float = 1e-8
-    eps: float = 1e-6
-    max_iter: int = 500
-    seed: int = 1
-    out: str | None = None
-    trace: str | None = None
 
 
 def _sig12(obj):
@@ -74,17 +59,17 @@ def _emit(payload: dict, out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _load(config: RunConfig) -> MarketInstance:
-    if (config.builtin is None) == (config.instance is None):
+def _load(builtin: str | None, instance: str | None, seed: int) -> MarketInstance:
+    if (builtin is None) == (instance is None):
         raise click.UsageError("specify exactly one of --builtin or --instance")
-    if config.builtin is not None:
-        if config.builtin not in BUILTIN_NAMES:
+    if builtin is not None:
+        if builtin not in BUILTIN_NAMES:
             raise click.UsageError(
-                f"unknown builtin {config.builtin!r}; choose from {BUILTIN_NAMES}"
+                f"unknown builtin {builtin!r}; choose from {BUILTIN_NAMES}"
             )
-        return builtin_instance(config.builtin, seed=config.seed)
+        return builtin_instance(builtin, seed=seed)
     try:
-        return load_instance(config.instance)
+        return load_instance(instance)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         click.echo(f"error: cannot read instance file: {exc}", err=True)
         sys.exit(2)
@@ -116,128 +101,6 @@ def _parse_types(spec: str, m: int) -> tuple[tuple[int, ...], ...]:
     if t * k > m:
         raise click.UsageError(f"--types {spec} needs {t * k} goods but m={m}")
     return tuple(tuple(range(i * k, (i + 1) * k)) for i in range(t))
-
-
-# --- command bodies (click-independent, return exit codes) ----------------
-
-
-def cmd_validate(config: RunConfig) -> int:
-    inst = _load(config)
-    rep = validate_instance(inst)
-    _emit({"errors": rep.errors, "warnings": rep.warnings, "ok": rep.ok}, config.out)
-    return 0 if rep.ok else 1
-
-
-def cmd_solve(config: RunConfig, lam=None, sop1: bool = False) -> int:
-    inst = _load(config)
-    if sop1 or lam is None:
-        lam_vec = np.zeros(inst.n_agents)
-    else:
-        lam_vec = np.asarray(lam, dtype=float)
-        if lam_vec.shape != (inst.n_agents,):
-            raise click.UsageError(f"--lam must list {inst.n_agents} values")
-    x, duals, stats = solve_bpsop(inst, lam_vec, tol=config.tol)
-    payload = {
-        "status": stats.status,
-        "lambda": lam_vec.tolist(),
-        "prices": duals.p.tolist(),
-        "allocation": x.tolist(),
-        "r": duals.r.tolist(),
-        "objective": duals.objective,
-        "residuals": {
-            "stationarity": stats.stationarity_residual,
-            "feasibility": stats.primal_feasibility_residual,
-            "complementarity": stats.complementarity_residual,
-        },
-        "iterations": stats.iterations,
-    }
-    _emit(payload, config.out)
-    return 0 if stats.success else 1
-
-
-def cmd_fixed_point(config: RunConfig) -> int:
-    inst = _load(config)
-    result = run_fixed_point(
-        inst, eps=config.eps, max_iter=config.max_iter, solver_tol=config.tol
-    )
-    trace = result.trace
-    payload = {
-        "status": trace.status,
-        "iterations": trace.iterations,
-        "final_residual": trace.residuals[-1] if trace.residuals else None,
-        "lambda": result.lam.tolist(),
-        "prices": result.prices.tolist(),
-        "allocation": result.allocation.tolist(),
-        "residuals": {
-            "fixed_point": trace.residuals[-1] if trace.residuals else None,
-            "solver_stationarity": result.solve_stats.stationarity_residual,
-            "solver_feasibility": result.solve_stats.primal_feasibility_residual,
-        },
-    }
-    if config.trace:
-        write_trace_csv(trace, config.trace)
-    _emit(payload, config.out)
-    return 0 if trace.status == "converged" else 1
-
-
-def cmd_check(config: RunConfig, prices, alloc_path: str, tol: float | None) -> int:
-    inst = _load(config)
-    try:
-        p = np.asarray(json.loads(prices), dtype=float)
-    except (ValueError, TypeError):
-        raise click.UsageError(f"--prices expects a JSON list, got {prices!r}")
-    try:
-        doc = json.loads(Path(alloc_path).read_text())
-    except (OSError, ValueError) as exc:
-        click.echo(f"error: cannot read allocation file: {exc}", err=True)
-        sys.exit(2)
-    x = np.asarray(doc["allocation"] if isinstance(doc, dict) else doc, dtype=float)
-    kwargs = {}
-    if tol is not None:
-        kwargs = {"tol_clearing": tol, "tol_budget": tol, "tol_opt": tol}
-    try:
-        rep = check_equilibrium(inst, p, x, **kwargs)
-    except UnboundedDemandError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    payload = {
-        "pass": rep.passed,
-        "clearing_residuals": rep.clearing_residuals.tolist(),
-        "budget_residuals": rep.budget_residuals.tolist(),
-        "optimality_gaps": rep.optimality_gaps.tolist(),
-        "feasibility_violations": rep.feasibility_violations,
-        "tolerances": {
-            "clearing": rep.tol_clearing,
-            "budget": rep.tol_budget,
-            "optimality": rep.tol_opt,
-        },
-    }
-    _emit(payload, config.out)
-    return 0 if rep.passed else 1
-
-
-def cmd_gen(
-    config: RunConfig,
-    n: int,
-    m: int,
-    types: str,
-    w_range: str,
-    u_range: str,
-    cap_range: str | None,
-    out: str,
-) -> int:
-    inst = random_instance(
-        seed=config.seed,
-        n=n,
-        m=m,
-        type_spec=_parse_types(types, m),
-        budget_range=_parse_range(w_range, "--w-range"),
-        utility_range=_parse_range(u_range, "--u-range"),
-        capacity_range=_parse_range(cap_range, "--cap-range") if cap_range else None,
-    )
-    save_instance(inst, out)
-    click.echo(json.dumps({"written": out, "n": n, "m": m}))
-    return 0
 
 
 # --- reproduction pipelines -------------------------------------------------
@@ -336,10 +199,7 @@ def _rows_experiment(seed: int, eps: float = 1e-6, max_iter: int = 100):
                 f"gap {rep.max_gap:.1e}",
             )
         )
-        tsum_dev = max(
-            float(np.max(np.abs(result.allocation[:, list(goods)].sum(axis=1) - 1.0)))
-            for goods in inst.types
-        )
+        tsum_dev = float(np.max(np.abs(result.allocation @ inst.layout.A.T - 1.0)))
         rows.append(
             (
                 "every agent holds exactly one unit per type",
@@ -405,19 +265,6 @@ def _common(f):
     return f
 
 
-def _config(kw) -> RunConfig:
-    return RunConfig(
-        builtin=kw.get("builtin"),
-        instance=kw.get("instance"),
-        tol=kw.get("tol", 1e-8),
-        eps=kw.get("eps", 1e-6),
-        max_iter=kw.get("max_iter", 500),
-        seed=kw.get("seed", 1),
-        out=kw.get("out"),
-        trace=kw.get("trace"),
-    )
-
-
 @click.group()
 def main():
     """Market equilibria for Fisher markets with resource-type constraints."""
@@ -425,9 +272,11 @@ def main():
 
 @main.command()
 @_common
-def validate(**kw):
+def validate(builtin, instance, tol, seed, out):
     """Check instance invariants; exit 0 only if error-free."""
-    sys.exit(cmd_validate(_config(kw)))
+    rep = validate_instance(_load(builtin, instance, seed))
+    _emit({"errors": rep.errors, "warnings": rep.warnings, "ok": rep.ok}, out)
+    sys.exit(0 if rep.ok else 1)
 
 
 @main.command()
@@ -435,10 +284,33 @@ def validate(**kw):
 @click.option("--sop1", is_flag=True, help="solve with zero perturbations")
 @click.option("--lam", "--lambda", "lam", type=str, default=None,
               help="JSON list of budget perturbations")
-def solve(sop1, lam, **kw):
+def solve(builtin, instance, tol, seed, out, sop1, lam):
     """Solve the social program and report allocation and duals."""
     lam_list = json.loads(lam) if lam else None
-    sys.exit(cmd_solve(_config(kw), lam=lam_list, sop1=sop1))
+    inst = _load(builtin, instance, seed)
+    if sop1 or lam_list is None:
+        lam_vec = np.zeros(inst.n_agents)
+    else:
+        lam_vec = np.asarray(lam_list, dtype=float)
+        if lam_vec.shape != (inst.n_agents,):
+            raise click.UsageError(f"--lam must list {inst.n_agents} values")
+    x, duals, stats = solve_bpsop(inst, lam_vec, tol=tol)
+    payload = {
+        "status": stats.status,
+        "lambda": lam_vec.tolist(),
+        "prices": duals.p.tolist(),
+        "allocation": x.tolist(),
+        "r": duals.r.tolist(),
+        "objective": duals.objective,
+        "residuals": {
+            "stationarity": stats.stationarity_residual,
+            "feasibility": stats.primal_feasibility_residual,
+            "complementarity": stats.complementarity_residual,
+        },
+        "iterations": stats.iterations,
+    }
+    _emit(payload, out)
+    sys.exit(0 if stats.success else 1)
 
 
 @main.command("fixed-point")
@@ -448,9 +320,28 @@ def solve(sop1, lam, **kw):
 @click.option("--max-iter", type=int, default=500, show_default=True)
 @click.option("--trace", type=click.Path(), default=None,
               help="write iter/residual/lambda CSV here")
-def fixed_point(**kw):
+def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
     """Iterate the budget perturbations to market-clearing prices."""
-    sys.exit(cmd_fixed_point(_config(kw)))
+    inst = _load(builtin, instance, seed)
+    result = run_fixed_point(inst, eps=eps, max_iter=max_iter, solver_tol=tol)
+    tr = result.trace
+    payload = {
+        "status": tr.status,
+        "iterations": tr.iterations,
+        "final_residual": tr.residuals[-1] if tr.residuals else None,
+        "lambda": result.lam.tolist(),
+        "prices": result.prices.tolist(),
+        "allocation": result.allocation.tolist(),
+        "residuals": {
+            "fixed_point": tr.residuals[-1] if tr.residuals else None,
+            "solver_stationarity": result.solve_stats.stationarity_residual,
+            "solver_feasibility": result.solve_stats.primal_feasibility_residual,
+        },
+    }
+    if trace:
+        write_trace_csv(tr, trace)
+    _emit(payload, out)
+    sys.exit(0 if tr.status == "converged" else 1)
 
 
 @main.command()
@@ -460,9 +351,41 @@ def fixed_point(**kw):
               help="JSON file holding the allocation matrix")
 @click.option("--check-tol", type=float, default=None,
               help="override all three check tolerances")
-def check(prices, alloc, check_tol, **kw):
+def check(builtin, instance, tol, seed, out, prices, alloc, check_tol):
     """Verify a candidate (prices, allocation) pair as an equilibrium."""
-    sys.exit(cmd_check(_config(kw), prices, alloc, check_tol))
+    inst = _load(builtin, instance, seed)
+    try:
+        p = np.asarray(json.loads(prices), dtype=float)
+    except (ValueError, TypeError):
+        raise click.UsageError(f"--prices expects a JSON list, got {prices!r}")
+    try:
+        doc = json.loads(Path(alloc).read_text())
+    except (OSError, ValueError) as exc:
+        click.echo(f"error: cannot read allocation file: {exc}", err=True)
+        sys.exit(2)
+    x = np.asarray(doc["allocation"] if isinstance(doc, dict) else doc, dtype=float)
+    kwargs = {}
+    if check_tol is not None:
+        kwargs = dict(tol_clearing=check_tol, tol_budget=check_tol, tol_opt=check_tol)
+    try:
+        rep = check_equilibrium(inst, p, x, **kwargs)
+    except UnboundedDemandError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    payload = {
+        "pass": rep.passed,
+        "clearing_residuals": rep.clearing_residuals.tolist(),
+        "budget_residuals": rep.budget_residuals.tolist(),
+        "optimality_gaps": rep.optimality_gaps.tolist(),
+        "feasibility_violations": rep.feasibility_violations,
+        "tolerances": {
+            "clearing": rep.tol_clearing,
+            "budget": rep.tol_budget,
+            "optimality": rep.tol_opt,
+        },
+    }
+    _emit(payload, out)
+    sys.exit(0 if rep.passed else 1)
 
 
 @main.command()
@@ -486,7 +409,17 @@ def reproduce(name, seed):
 @click.option("-o", "--out", "out", type=click.Path(), required=True)
 def gen(seed, n, m, types, w_range, u_range, cap_range, out):
     """Write a seeded random instance to a JSON file."""
-    sys.exit(cmd_gen(RunConfig(seed=seed), n, m, types, w_range, u_range, cap_range, out))
+    inst = random_instance(
+        seed=seed,
+        n=n,
+        m=m,
+        type_spec=_parse_types(types, m),
+        budget_range=_parse_range(w_range, "--w-range"),
+        utility_range=_parse_range(u_range, "--u-range"),
+        capacity_range=_parse_range(cap_range, "--cap-range") if cap_range else None,
+    )
+    save_instance(inst, out)
+    click.echo(json.dumps({"written": out, "n": n, "m": m}))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ DEFAULT_MAX_ITER = 500
 # Residual plateaus of 15-25 iterations occur while near-tied agents get
 # reassigned, and such runs still converge; only declare oscillation after
 # a longer window with no relative improvement.
-DEFAULT_STALL_WINDOW = 30
+STALL_WINDOW = 30
 
 
 @dataclass
@@ -62,10 +62,6 @@ class FixedPointResult:
     duals: DualBundle
     solve_stats: SolveStats
 
-    def __iter__(self):
-        # unpack as (lam, prices, allocation, trace)
-        return iter((self.lam, self.prices, self.allocation, self.trace))
-
 
 def residual(lam, duals) -> float:
     """Euclidean distance between lam and the dual sums it should equal."""
@@ -81,15 +77,13 @@ def run(
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
     solver_tol: float = DEFAULT_TOL,
-    solver_max_iter: int = 200,
-    stall_window: int = DEFAULT_STALL_WINDOW,
 ) -> FixedPointResult:
     """Iterate lam <- sum_t r_it over successive solves until self-consistent.
 
     Returns the last solve's perturbations, prices, and allocation together
     with the full trace.  Status ``solver_failure`` propagates a failed
     inner solve (with the iteration index); ``oscillating`` fires when the
-    best residual has not improved by 0.1% within ``stall_window``
+    best residual has not improved by 0.1% within STALL_WINDOW
     iterations while still above eps.
     """
     n = inst.n_agents
@@ -102,9 +96,7 @@ def run(
     lam_solved = lam
     for k in range(max_iter):
         lam_solved = lam
-        x, duals, stats = solve_bpsop(
-            inst, lam, tol=solver_tol, max_iter=solver_max_iter
-        )
+        x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol)
         q = duals.r.sum(axis=1)
         res = float(np.linalg.norm(lam - q))
         trace.iterates.append(lam.copy())
@@ -129,7 +121,7 @@ def run(
         if res < best * 0.999:
             best = res
             best_iter = k
-        if k - best_iter >= stall_window:
+        if k - best_iter >= STALL_WINDOW:
             trace.status = "oscillating"
             break
         lam = q

@@ -96,6 +96,11 @@ class MarketInstance:
         return out
 
     @cached_property
+    def layout(self) -> TypeLayout:
+        """The type-constraint structure, built on first use."""
+        return _build_layout(self)
+
+    @cached_property
     def untyped_goods(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.n_goods) if self.type_of_good[j] == UNTYPED)
 
@@ -113,6 +118,120 @@ class MarketInstance:
 
     def participating_types(self, agent: int) -> tuple[int, ...]:
         return tuple(t for t in range(self.n_types) if self.participation[agent, t])
+
+
+# relative tolerance of the degenerate-tight rule: |capacity - n| <= tol * max(1, n)
+_TIGHT_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class TypeLayout:
+    """Type-constraint structure of one market, shared by the solver and the
+    checks; every array is read-only.
+
+    ``A`` is the (T, m) 0/1 type incidence: ``x @ A.T`` gives each agent's
+    type sums and ``r @ A`` spreads type duals over goods.  A type is
+    degenerate-tight when every agent participates in it and its capacity
+    equals n (relative tolerance 1e-9): each of its constraints then holds
+    with equality at every feasible point.
+
+    The solver keeps one row per participating (agent, type) pair, listed
+    type-major: a slack row for each pair of a non-tight type, and an
+    equality row for each pair of a tight type except the last agent's,
+    which the capacity equalities imply.  ``*_entries`` list the goods of
+    each row as (row, agent, good) arrays, goods ascending within a row.
+    """
+
+    A: np.ndarray
+    capacity: np.ndarray  # (T,) total capacity of each type's goods
+    participants: np.ndarray  # (T,) number of participating agents
+    tight: tuple[int, ...]
+    slack_agent: np.ndarray  # (K,)
+    slack_type: np.ndarray  # (K,)
+    slack_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # the Newton-block entries (agent, good, good) each slack row adds to:
+    # their number per row, and their flat positions, row by row, in the
+    # (n, m + n_slots, m + n_slots) stack of blocks
+    block_entries: tuple[np.ndarray, np.ndarray]
+    eq_agent: np.ndarray  # (Q,)
+    eq_type: np.ndarray  # (Q,)
+    eq_slot: np.ndarray  # (Q,) position among its agent's equality rows
+    eq_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n_slots: int  # most equality rows held by one agent
+    pad: tuple[np.ndarray, np.ndarray]  # (agent, slot) of unused slots
+
+
+def _expand(row_type: np.ndarray, item_type: np.ndarray, n_types: int, *fields):
+    """Hand each row the items of its type.
+
+    ``item_type`` is sorted; returns the row of every output item followed
+    by ``fields`` gathered per item, rows in order and items in their
+    given order within a row.
+    """
+    count = np.bincount(item_type, minlength=n_types)
+    first = np.cumsum(count) - count
+    per_row = count[row_type]
+    row = np.repeat(np.arange(len(row_type)), per_row)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    item = first[row_type][row] + offset
+    return (row,) + tuple(f[item] for f in fields)
+
+
+def _build_layout(inst: MarketInstance) -> TypeLayout:
+    n, m, T = inst.n_agents, inst.n_goods, inst.n_types
+    inc = np.zeros((T, m), dtype=bool)
+    for t, goods in enumerate(inst.types):
+        inc[t, [j for j in goods if 0 <= j < m]] = True
+    part = inst.participation.T
+    capacity = np.where(inc, inst.capacities, 0.0).sum(axis=1)
+    participants = part.sum(axis=1)
+    tight = (participants == n) & (
+        np.abs(capacity - participants) <= _TIGHT_RTOL * np.maximum(1, participants)
+    )
+
+    slack_type, slack_agent = np.nonzero(part & ~tight[:, None])
+    eq_type, eq_agent = np.nonzero(part & tight[:, None] & (np.arange(n) < n - 1))
+    # every agent takes part in every tight type, so an equality row's slot
+    # is the rank of its type among the tight types
+    eq_slot = np.searchsorted(np.flatnonzero(tight), eq_type)
+    counts = np.bincount(eq_agent, minlength=n)
+    n_slots = int(counts.max(initial=0))
+    pad = np.nonzero(np.arange(n_slots)[None, :] >= counts[:, None])
+
+    type_of, good_of = np.nonzero(inc)  # the goods of each type, type-major
+    k, pair_b = _expand(type_of, type_of, T, good_of)  # pairs of goods in a type
+    row, good = _expand(slack_type, type_of, T, good_of)
+    slack_entries = (row, slack_agent[row], good)
+    row, a, b = _expand(slack_type, type_of[k], T, good_of[k], pair_b)
+    dim = m + n_slots
+    block_entries = (
+        np.bincount(row, minlength=len(slack_type)),
+        (slack_agent[row] * dim + a) * dim + b,
+    )
+    row, good = _expand(eq_type, type_of, T, good_of)
+    eq_entries = (row, eq_agent[row], good)
+
+    A = inc.astype(float)
+    arrays = (A, capacity, participants, slack_agent, slack_type, eq_agent,
+              eq_type, eq_slot, *slack_entries, *block_entries, *eq_entries, *pad)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return TypeLayout(
+        A=A,
+        capacity=capacity,
+        participants=participants,
+        tight=tuple(int(t) for t in np.flatnonzero(tight)),
+        slack_agent=slack_agent,
+        slack_type=slack_type,
+        slack_entries=slack_entries,
+        block_entries=block_entries,
+        eq_agent=eq_agent,
+        eq_type=eq_type,
+        eq_slot=eq_slot,
+        eq_entries=eq_entries,
+        n_slots=n_slots,
+        pad=pad,
+    )
 
 
 @dataclass
@@ -139,12 +258,14 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     values, and agents that value goods of types they ignore.
     """
     rep = ValidationReport()
-    n, m = inst.n_agents, inst.n_goods
+    m = inst.n_goods
 
     seen: set[int] = set()
+    out_of_range: set[int] = set()
     for t, goods in enumerate(inst.types):
         for j in goods:
             if not 0 <= j < m:
+                out_of_range.add(t)
                 rep.errors.append(
                     f"type {t + 1} references good {j + 1} outside 1..{m}"
                 )
@@ -153,14 +274,16 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
             else:
                 seen.add(j)
 
-    for i in range(n):
-        if inst.budgets[i] <= 0:
+    positive = inst.utilities > 0
+    bad_budget = inst.budgets <= 0
+    values_nothing = ~positive.any(axis=1)
+    for i in np.flatnonzero(bad_budget | values_nothing):
+        if bad_budget[i]:
             rep.errors.append(f"budget of agent {i + 1} is not positive")
-        if not np.any(inst.utilities[i] > 0):
+        if values_nothing[i]:
             rep.errors.append(f"agent {i + 1} has no positively valued good")
-    for j in range(m):
-        if inst.capacities[j] <= 0:
-            rep.errors.append(f"capacity of good {j + 1} is not positive")
+    for j in np.flatnonzero(inst.capacities <= 0):
+        rep.errors.append(f"capacity of good {j + 1} is not positive")
     if np.any(inst.utilities < 0):
         i, j = np.argwhere(inst.utilities < 0)[0]
         rep.errors.append(f"utility of agent {i + 1} for good {j + 1} is negative")
@@ -173,17 +296,17 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
 
     # Per-type clearing feasibility: total capacity of a type's goods must be
     # coverable by its participating agents at one unit each.
-    for t, goods in enumerate(inst.types):
-        if any(not 0 <= j < m for j in goods):
+    layout = inst.layout
+    for t in range(inst.n_types):
+        if t in out_of_range:
             continue
-        cap_sum = float(sum(inst.capacities[j] for j in goods))
-        n_part = int(inst.participation[:, t].sum())
+        cap_sum, n_part = layout.capacity[t], layout.participants[t]
         if cap_sum > n_part + 1e-9:
             rep.errors.append(
                 f"type {t + 1} capacity {cap_sum:g} exceeds its "
                 f"{n_part} participating agents; clearing infeasible"
             )
-        elif abs(cap_sum - n_part) <= 1e-9 and n_part == n:
+        elif t in layout.tight:
             rep.warnings.append(
                 f"degenerate-tight: type {t + 1} capacity equals participant count"
             )
@@ -193,19 +316,15 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     elif np.any(inst.utilities == 0):
         rep.warnings.append("existence-condition: zero utility entries")
 
-    for j in range(m):
-        if not np.any(inst.utilities[:, j] > 0):
-            rep.warnings.append(f"good {j + 1} valued by no agent")
+    for j in np.flatnonzero(~positive.any(axis=0)):
+        rep.warnings.append(f"good {j + 1} valued by no agent")
 
-    for i in range(n):
-        for t, goods in enumerate(inst.types):
-            if not inst.participation[i, t] and any(
-                0 <= j < m and inst.utilities[i, j] > 0 for j in goods
-            ):
-                rep.warnings.append(
-                    f"agent {i + 1} ignores type {t + 1} but values its goods; "
-                    "purchases are unbounded"
-                )
+    values_type = positive @ layout.A.T > 0
+    for i, t in np.argwhere(values_type & ~inst.participation):
+        rep.warnings.append(
+            f"agent {i + 1} ignores type {t + 1} but values its goods; "
+            "purchases are unbounded"
+        )
 
     return rep
 

@@ -40,8 +40,6 @@ from .instances import MarketInstance, validate_instance
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
-_TIGHT_ATOL = 1e-9
-
 
 class InfeasibleInstanceError(ValueError):
     """A type's capacity exceeds what its participating agents may hold."""
@@ -83,7 +81,10 @@ class SolveStats:
     stationarity_residual: float
     primal_feasibility_residual: float
     complementarity_residual: float
-    status: str  # converged | degenerate_tight | max_iter | infeasible
+    # converged | degenerate_tight, or why the solve stopped short:
+    # diverged (residuals grew 1e4-fold over the best iterate), singular
+    # (a Newton block stayed singular after regularization) or max_iter
+    status: str
     tight_types: tuple[int, ...] = ()
 
     @property
@@ -138,72 +139,27 @@ def solve_bpsop(
     sbar = inst.capacities
     c = inst.budgets + lam
 
-    # --- constraint structure -------------------------------------------
-    tight: list[int] = []
-    for t, goods in enumerate(inst.types):
-        n_part = int(inst.participation[:, t].sum())
-        cap_sum = float(sum(sbar[j] for j in goods))
-        if n_part == n and abs(cap_sum - n_part) <= _TIGHT_ATOL * max(1.0, n_part):
-            tight.append(t)
-    tight_set = set(tight)
-
-    ineq: list[tuple[int, np.ndarray]] = []  # (agent, goods) with slack
-    eq: list[tuple[int, np.ndarray]] = []  # (agent, goods) hard equality
-    for t, goods in enumerate(inst.types):
-        goods_arr = np.array(goods, dtype=int)
-        for i in range(n):
-            if not inst.participation[i, t]:
-                continue
-            if t in tight_set:
-                if i < n - 1:  # last agent's row is implied; drop it
-                    eq.append((i, goods_arr))
-            else:
-                ineq.append((i, goods_arr))
-    ineq_types = [
-        t
-        for t, goods in enumerate(inst.types)
-        for i in range(n)
-        if inst.participation[i, t] and t not in tight_set
-    ]
-    eq_types = [
-        t
-        for t, goods in enumerate(inst.types)
-        for i in range(n - 1)
-        if inst.participation[i, t] and t in tight_set
-    ]
-    K, Q = len(ineq), len(eq)
-
-    # flat index arrays for scatter/gather over the pair constraints
-    def _flatten(pairs):
-        ia, ig, ip = [], [], []
-        for k, (i, goods) in enumerate(pairs):
-            ia.extend([i] * len(goods))
-            ig.extend(goods)
-            ip.extend([k] * len(goods))
-        return (np.array(ia, int), np.array(ig, int), np.array(ip, int))
-
-    q_ia, q_ig, q_ip = _flatten(ineq)
-    e_ia, e_ig, e_ip = _flatten(eq)
-    ineq_agent = np.array([i for i, _ in ineq], int)
-    eq_agent = np.array([i for i, _ in eq], int)
-    eq_pos = np.zeros(Q, int)  # row slot of each equality within its agent block
-    counts = np.zeros(n, int)
-    for qi, (i, _) in enumerate(eq):
-        eq_pos[qi] = counts[i]
-        counts[i] += 1
-    qmax = int(counts.max()) if Q else 0
-    dim = m + qmax
+    layout = inst.layout
+    K, Q = len(layout.slack_agent), len(layout.eq_agent)
+    q_ip, q_ia, q_ig = layout.slack_entries
+    e_ip, e_ia, e_ig = layout.eq_entries
+    b_count, b_index = layout.block_entries
+    eq_agent, eq_row = layout.eq_agent, m + layout.eq_slot
+    dim = m + layout.n_slots
 
     # --- initial interior point -----------------------------------------
+    # pull slack rows that start nearly full toward the center of their box
     x = np.tile(sbar / n, (n, 1))
-    for i, goods in ineq:
-        k = len(goods)
-        slack = 1.0 - x[i, goods].sum()
-        center = 1.0 / (k + 1)
-        target = min(0.01, 0.5 * center)
-        if slack < target and center > slack:
-            gamma = min(1.0, (target - slack) / (center - slack))
-            x[i, goods] = (1 - gamma) * x[i, goods] + gamma * center
+    slack = 1.0 - np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K)
+    center = 1.0 / (layout.A.sum(axis=1)[layout.slack_type] + 1)
+    target = np.minimum(0.01, 0.5 * center)
+    push = (slack < target) & (center > slack)
+    gamma = np.zeros(K)
+    gamma[push] = np.minimum(
+        1.0, (target - slack)[push] / (center - slack)[push]
+    )
+    step = gamma[q_ip]
+    x[q_ia, q_ig] = (1 - step) * x[q_ia, q_ig] + step * center[q_ip]
 
     yhat = np.einsum("ij,ij->i", U, x)
     grad_scale = (c / yhat)[:, None] * U
@@ -211,14 +167,10 @@ def solve_bpsop(
     z = grad_scale + delta0
     p = np.zeros(m)
     rho = np.zeros(Q)
-    if K:
-        xi = np.maximum(
-            1.0 - np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K), 0.005
-        )
-        r = np.full(K, delta0)
-    else:
-        xi = np.zeros(0)
-        r = np.zeros(0)
+    xi = np.maximum(
+        1.0 - np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K), 0.005
+    )
+    r = np.full(K, delta0)
 
     reg = 1e-11
     n_comp = n * m + K
@@ -229,24 +181,15 @@ def solve_bpsop(
     best_state = None
 
     def _residuals():
+        # types are disjoint, so each (agent, good) carries at most one dual
         rsum = np.zeros((n, m))
-        if K:
-            np.add.at(rsum, (q_ia, q_ig), r[q_ip])
-        if Q:
-            np.add.at(rsum, (e_ia, e_ig), rho[e_ip])
+        rsum[q_ia, q_ig] = r[q_ip]
+        rsum[e_ia, e_ig] = rho[e_ip]
         g = -(c / yhat)[:, None] * U
         r_dual = g + p[None, :] + rsum - z
         r_cap = x.sum(axis=0) - sbar
-        r_ineq = (
-            np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K) + xi - 1.0
-            if K
-            else np.zeros(0)
-        )
-        r_eq = (
-            np.bincount(e_ip, weights=x[e_ia, e_ig], minlength=Q) - 1.0
-            if Q
-            else np.zeros(0)
-        )
+        r_ineq = np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K) + xi - 1.0
+        r_eq = np.bincount(e_ip, weights=x[e_ia, e_ig], minlength=Q) - 1.0
         return r_dual, r_cap, r_ineq, r_eq
 
     for it in range(1, max_iter + 1):
@@ -258,11 +201,11 @@ def solve_bpsop(
         xir = xi * r
         mu = (xz.sum() + xir.sum()) / n_comp
         stat = float(np.max(np.abs(r_dual)))
-        pfeas = float(np.max(np.abs(r_cap)))
-        if K:
-            pfeas = max(pfeas, float(np.max(np.abs(r_ineq))))
-        if Q:
-            pfeas = max(pfeas, float(np.max(np.abs(r_eq))))
+        pfeas = max(
+            float(np.max(np.abs(r_cap))),
+            float(np.max(np.abs(r_ineq), initial=0.0)),
+            float(np.max(np.abs(r_eq), initial=0.0)),
+        )
         comp = float(max(xz.max(initial=0.0), xir.max(initial=0.0)))
         metric = max(stat, pfeas, comp)
         if metric <= best_metric:
@@ -275,7 +218,8 @@ def solve_bpsop(
             status = "converged"
             break
         if it > 5 and metric > 1e4 * best_metric:
-            break  # diverging; fall back to the best iterate seen
+            status = "diverged"  # fall back to the best iterate seen
+            break
         min_prod = float(min(xz.min(initial=np.inf), xir.min(initial=np.inf)))
 
         # Newton matrix blocks, one saddle system per agent.  Barrier
@@ -286,17 +230,13 @@ def solve_bpsop(
         Kb[:, :m, :m] = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
         diag = np.arange(m)
         Kb[:, diag, diag] += np.minimum(z / x, 1e12) + reg
-        for k, (i, goods) in enumerate(ineq):
-            Kb[i, goods[:, None], goods[None, :]] += min(r[k] / xi[k], 1e12)
+        Kb.reshape(-1)[b_index] += np.repeat(np.minimum(r / xi, 1e12), b_count)
         scale = np.maximum(1.0, np.abs(Kb[:, :m, :m]).max(axis=(1, 2)))
-        for qi, (i, goods) in enumerate(eq):
-            row = m + eq_pos[qi]
-            Kb[i, row, goods] = 1.0
-            Kb[i, goods, row] = 1.0
-            Kb[i, row, row] = -reg
-        for i in range(n):
-            for pad in range(m + counts[i], dim):
-                Kb[i, pad, pad] = 1.0
+        Kb[e_ia, eq_row[e_ip], e_ig] = 1.0
+        Kb[e_ia, e_ig, eq_row[e_ip]] = 1.0
+        Kb[eq_agent, eq_row, eq_row] = -reg
+        pad_agent, pad_slot = layout.pad
+        Kb[pad_agent, m + pad_slot, m + pad_slot] = 1.0
         try:
             Kinv = np.linalg.inv(Kb)
         except np.linalg.LinAlgError:
@@ -304,13 +244,13 @@ def solve_bpsop(
             try:
                 Kinv = np.linalg.inv(Kb)
             except np.linalg.LinAlgError:
+                status = "singular"
                 break
         P = Kinv[:, :m, :m]
         S = P.sum(axis=0)
 
-        rhs_eq = np.zeros((n, qmax)) if qmax else np.zeros((n, 0))
-        if Q:
-            rhs_eq[eq_agent, eq_pos] = -r_eq
+        rhs_eq = np.zeros((n, layout.n_slots))
+        rhs_eq[eq_agent, layout.eq_slot] = -r_eq
 
         def _solve_structured(rhs, rhs_cap):
             # [K_i  E_i^T][sol_i]   [rhs_i]      E_i^T dp lands on the x rows
@@ -327,10 +267,7 @@ def solve_bpsop(
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
-            if K:
-                np.subtract.at(
-                    b, (q_ia, q_ig), ((gamma_xi + r * r_ineq) / xi)[q_ip]
-                )
+            b[q_ia, q_ig] -= ((gamma_xi + r * r_ineq) / xi)[q_ip]
             rhs = np.concatenate([b, rhs_eq], axis=1)
             sol, dp = _solve_structured(rhs, -r_cap)
             # iterative refinement; the blocks are badly conditioned near
@@ -348,16 +285,10 @@ def solve_bpsop(
                 sol = sol + dsol
                 dp = dp + ddp
             dx = sol[:, :m]
-            drho = sol[eq_agent, m + eq_pos] if Q else np.zeros(0)
+            drho = sol[eq_agent, eq_row]
             dz = (gamma_x - z * dx) / x
-            if K:
-                dxi = -r_ineq - np.bincount(
-                    q_ip, weights=dx[q_ia, q_ig], minlength=K
-                )
-                dr = (gamma_xi - r * dxi) / xi
-            else:
-                dxi = np.zeros(0)
-                dr = np.zeros(0)
+            dxi = -r_ineq - np.bincount(q_ip, weights=dx[q_ia, q_ig], minlength=K)
+            dr = (gamma_xi - r * dxi) / xi
             return dx, dz, dxi, dr, dp, drho
 
         def _max_step(v, dv):
@@ -429,22 +360,16 @@ def solve_bpsop(
     objective = float(c @ np.log(yhat))
 
     r_full = np.zeros((n, T))
-    for k, t in enumerate(ineq_types):
-        r_full[ineq_agent[k], t] = r[k]
-    for qi, t in enumerate(eq_types):
-        r_full[eq_agent[qi], t] = rho[qi]
+    r_full[layout.slack_agent, layout.slack_type] = r
+    r_full[eq_agent, layout.eq_type] = rho
     r_raw = r_full.copy()
+    tight = list(layout.tight)
     shift = np.zeros(T)
-    p_out = p.copy()
-    for t in tight:
-        delta = float(r_full[:, t].min())
-        r_full[:, t] -= delta
-        for j in inst.types[t]:
-            p_out[j] += delta
-        shift[t] = delta
+    shift[tight] = r_full[:, tight].min(axis=0)
+    r_full[:, tight] -= shift[tight]
 
     duals = DualBundle(
-        p=p_out,
+        p=p + shift @ layout.A,
         r=r_full,
         s=-z,
         objective=objective,
@@ -472,39 +397,33 @@ def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResidua
     agent's aggregate utility is nonpositive (the objective gradient is
     then undefined).
     """
-    n, m = inst.n_agents, inst.n_goods
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     U = inst.utilities
+    A = inst.layout.A
     c = inst.budgets + lam
     yhat = np.einsum("ij,ij->i", U, x)
     if np.any(yhat <= 0.0):
         raise ZeroUtilityError(int(np.argmin(yhat)))
 
     # a type's dual only exists for participating agents
-    r_eff = np.where(inst.participation, duals.r, 0.0) if inst.n_types else duals.r
-    rsum = np.zeros((n, m))
-    type_sums = np.zeros((n, inst.n_types))
-    for t, goods in enumerate(inst.types):
-        goods = list(goods)
-        rsum[:, goods] += r_eff[:, t][:, None]
-        type_sums[:, t] = x[:, goods].sum(axis=1)
+    r_eff = np.where(inst.participation, duals.r, 0.0)
+    type_sums = x @ A.T
 
-    margin = (c / yhat)[:, None] * U - duals.p[None, :] - rsum
+    margin = (c / yhat)[:, None] * U - duals.p[None, :] - r_eff @ A
     stationarity = float(np.max(np.abs(margin - duals.s)))
     comp_x = float(np.max(np.abs(x * margin)))
-    comp_r = 0.0
-    if inst.n_types:
-        slack = np.where(inst.participation, 1.0 - type_sums, 0.0)
-        comp_r = float(np.max(np.abs(r_eff * slack)))
-    feasibility = float(np.max(np.abs(x.sum(axis=0) - inst.capacities)))
-    if inst.n_types:
-        viol = np.where(inst.participation, type_sums - 1.0, 0.0)
-        feasibility = max(feasibility, float(np.max(np.maximum(viol, 0.0))))
-    feasibility = max(feasibility, float(np.max(np.maximum(-x, 0.0))))
+    slack = np.where(inst.participation, 1.0 - type_sums, 0.0)
+    comp_r = float(np.max(np.abs(r_eff * slack), initial=0.0))
+    viol = np.where(inst.participation, type_sums - 1.0, 0.0)
+    feasibility = max(
+        float(np.max(np.abs(x.sum(axis=0) - inst.capacities))),
+        float(np.max(viol, initial=0.0)),
+        float(np.max(np.maximum(-x, 0.0))),
+    )
     dual_sign = max(
         float(np.max(np.maximum(duals.s, 0.0))),
-        float(np.max(np.maximum(-r_eff, 0.0))) if inst.n_types else 0.0,
+        float(np.max(-r_eff, initial=0.0)),
     )
     return KKTResiduals(
         stationarity=stationarity,

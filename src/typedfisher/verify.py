@@ -77,13 +77,9 @@ def check_equilibrium(
     if np.any(x < -tol_clearing):
         i, j = np.argwhere(x < -tol_clearing)[0]
         violations.append(f"negative allocation x[{i + 1}][{j + 1}] = {x[i, j]:g}")
-    for t, goods in enumerate(inst.types):
-        sums = x[:, list(goods)].sum(axis=1)
-        for i in range(inst.n_agents):
-            if inst.participation[i, t] and sums[i] > 1.0 + tol_clearing:
-                violations.append(
-                    f"agent {i + 1} holds {sums[i]:g} units of type {t + 1}"
-                )
+    sums = x @ inst.layout.A.T
+    for t, i in np.argwhere(inst.participation.T & (sums.T > 1.0 + tol_clearing)):
+        violations.append(f"agent {i + 1} holds {sums[i, t]:g} units of type {t + 1}")
     if np.any(p < -1e-9):
         violations.append(f"negative price {p.min():g}")
 
@@ -181,28 +177,22 @@ def kkt_crosscheck(
         )
 
     U = inst.utilities
+    A = inst.layout.A
     yhat = np.einsum("ij,ij->i", U, x)
     y = yhat / (inst.budgets + lam)
-    r_eff = np.where(inst.participation, duals.r, 0.0) if inst.n_types else duals.r
-    r_tilde = y[:, None] * r_eff
+    r_tilde = y[:, None] * np.where(inst.participation, duals.r, 0.0)
 
-    rsum = np.zeros((inst.n_agents, inst.n_goods))
-    type_sums = np.zeros((inst.n_agents, inst.n_types))
-    for t, goods in enumerate(inst.types):
-        goods = list(goods)
-        rsum[:, goods] += r_tilde[:, t][:, None]
-        type_sums[:, t] = x[:, goods].sum(axis=1)
-
-    margin = U - y[:, None] * duals.p[None, :] - rsum
+    margin = U - y[:, None] * duals.p[None, :] - r_tilde @ A
     stationarity = float(np.max(np.maximum(margin, 0.0)))
-    comp = float(np.max(np.abs(x * margin)))
-    if inst.n_types:
-        slack = np.where(inst.participation, 1.0 - type_sums, 0.0)
-        comp = max(comp, float(np.max(np.abs(r_tilde * slack))))
+    slack = np.where(inst.participation, 1.0 - x @ A.T, 0.0)
+    comp = max(
+        float(np.max(np.abs(x * margin))),
+        float(np.max(np.abs(r_tilde * slack), initial=0.0)),
+    )
     budget_residual = float(np.max(np.abs(x @ duals.p - inst.budgets)))
     sign = max(
         float(np.max(np.maximum(-y, 0.0))),
-        float(np.max(np.maximum(-r_tilde, 0.0))) if inst.n_types else 0.0,
+        float(np.max(-r_tilde, initial=0.0)),
     )
     worst = max(stationarity, comp, budget_residual, sign)
     return CrossCheckReport(
@@ -229,9 +219,6 @@ class GridScanResult:
     def nonexistence_margin_ok(self) -> bool:
         # claim non-existence only with clear margin over the grid pitch
         return self.min_residual >= 10.0 * self.step
-
-    def __iter__(self):
-        return iter((self.min_residual, self.argmin_price))
 
 
 def grid_nonexistence(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from typedfisher import (
+    BUILTIN_NAMES,
     MarketInstance,
     builtin_instance,
     instance_from_dict,
@@ -147,6 +148,109 @@ def test_nonparticipant_valuing_typed_goods_warns():
     )
     rep = validate_instance(inst)
     assert any("unbounded" in w for w in rep.warnings)
+
+
+def test_validation_messages_keep_agent_then_good_order():
+    inst = MarketInstance(
+        utilities=[[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]],
+        budgets=[-1.0, 1.0, 0.0, 1.0],
+        capacities=[1.0, -2.0, 0.0],
+        types=((0,), (1, 2)),
+        participation=[[True, True], [False, False], [True, True], [True, False]],
+    )
+    rep = validate_instance(inst)
+    assert rep.errors == [
+        "budget of agent 1 is not positive",
+        "agent 1 has no positively valued good",
+        "budget of agent 3 is not positive",
+        "agent 3 has no positively valued good",
+        "capacity of good 2 is not positive",
+        "capacity of good 3 is not positive",
+    ]
+    unbounded = "but values its goods; purchases are unbounded"
+    assert rep.warnings == [
+        "no-untyped-good",
+        "good 2 valued by no agent",
+        f"agent 2 ignores type 1 {unbounded}",
+        f"agent 2 ignores type 2 {unbounded}",
+        f"agent 4 ignores type 2 {unbounded}",
+    ]
+
+
+# --- type-constraint layout -----------------------------------------------------
+
+
+def _pair_rows(inst):
+    """Loop reference for the layout: tight types, then the slack and the
+    equality (agent, type, goods) rows in type-major order."""
+    n = inst.n_agents
+    tight = [
+        t for t, goods in enumerate(inst.types)
+        if inst.participation[:, t].all()
+        and abs(sum(inst.capacities[j] for j in goods) - n) <= 1e-9 * n
+    ]
+    slack, eq = [], []
+    for t, goods in enumerate(inst.types):
+        for i in range(n):
+            if not inst.participation[i, t]:
+                continue
+            if t not in tight:
+                slack.append((i, t, goods))
+            elif i < n - 1:
+                eq.append((i, t, goods))
+    return tight, slack, eq
+
+
+def test_layout_matches_pair_loops():
+    rng = np.random.default_rng(3)
+    mixed = MarketInstance(  # type 1 tight, types 2 and 3 slack and partial
+        utilities=rng.uniform(0.1, 1.0, (5, 8)),
+        budgets=rng.uniform(1.0, 5.0, 5),
+        capacities=[2.0, 2.0, 1.0, 3.0, 0.5, 1.5, 1.0, 2.0],
+        types=((0, 1, 2), (4,), (5, 6)),
+        participation=np.column_stack([np.ones(5, bool), rng.random((5, 2)) < 0.6]),
+    )
+    untyped = random_instance(seed=2, n=4, m=3)
+    for inst in [builtin_instance(name) for name in BUILTIN_NAMES] + [mixed, untyped]:
+        layout = inst.layout
+        tight, slack, eq = _pair_rows(inst)
+        assert layout.tight == tuple(tight)
+        for t, goods in enumerate(inst.types):
+            assert np.flatnonzero(layout.A[t]).tolist() == list(goods)
+        assert layout.A.sum() == sum(len(goods) for goods in inst.types)
+        assert list(zip(layout.slack_agent, layout.slack_type)) == [
+            (i, t) for i, t, _ in slack
+        ]
+        assert list(zip(layout.eq_agent, layout.eq_type)) == [(i, t) for i, t, _ in eq]
+        for rows, entries in ((slack, layout.slack_entries), (eq, layout.eq_entries)):
+            assert list(zip(*entries)) == [
+                (k, i, j) for k, (i, _, goods) in enumerate(rows) for j in goods
+            ]
+        dim = inst.n_goods + layout.n_slots
+        count, index = layout.block_entries
+        blocks = [[(i, a, b) for a in goods for b in goods] for i, _, goods in slack]
+        assert count.tolist() == [len(entries) for entries in blocks]
+        assert index.tolist() == [
+            (i * dim + a) * dim + b for entries in blocks for i, a, b in entries
+        ]
+        counts = [0] * inst.n_agents
+        slots = []
+        for i, _, _ in eq:
+            slots.append(counts[i])
+            counts[i] += 1
+        assert layout.eq_slot.tolist() == slots
+        assert layout.n_slots == max(counts)
+        assert list(zip(*layout.pad)) == [
+            (i, s) for i in range(inst.n_agents) for s in range(counts[i], layout.n_slots)
+        ]
+    assert mixed.layout.tight == (0,) and len(mixed.layout.eq_agent) == 4
+
+
+def test_layout_is_cached_and_read_only():
+    inst = builtin_instance("experiment")
+    assert inst.layout is inst.layout
+    with pytest.raises(ValueError):
+        inst.layout.A[0, 0] = 0.0
 
 
 # --- random instances ----------------------------------------------------------

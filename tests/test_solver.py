@@ -8,8 +8,10 @@ from typedfisher import (
     MarketInstance,
     builtin_instance,
     kkt_residuals,
+    random_instance,
     solve_bpsop,
     solve_sop1,
+    validate_instance,
 )
 
 from helpers import finite_floats, refine_grid_objective, small_markets
@@ -65,6 +67,50 @@ def test_degenerate_tight_status_and_duals():
     assert np.allclose(x[:, [0, 1]].sum(axis=1), 1.0, atol=1e-9)
     # raw duals and shift reproduce the returned ones
     assert np.allclose(duals.r_raw[:, 0] - duals.tight_shift[0], duals.r[:, 0])
+
+
+def test_validation_warns_the_solver_tight_types():
+    base = builtin_instance("experiment")
+    caps = base.capacities.copy()
+    caps[0] -= 1e-8  # within the relative tolerance, so type 1 stays tight
+    inst = MarketInstance(base.utilities, base.budgets, caps, base.types)
+    warned = tuple(
+        int(w.split()[2]) - 1
+        for w in validate_instance(inst).warnings
+        if w.startswith("degenerate-tight")
+    )
+    _, _, stats = solve_sop1(inst)
+    assert warned == stats.tight_types == (0, 1, 2)
+
+
+def test_partial_participation():
+    # agent 2 ignores the type; agent 1's cap binds on good 1
+    inst = MarketInstance(
+        utilities=[[4.0, 1.0], [1.0, 4.0]],
+        budgets=[2.0, 1.0],
+        capacities=[1.0, 1.0],
+        types=((0,),),
+        participation=[[True], [False]],
+    )
+    lam = np.zeros(2)
+    x, duals, stats = solve_bpsop(inst, lam)
+    assert stats.status == "converged"
+    assert kkt_residuals(inst, lam, x, duals).max_residual <= 1e-6
+    assert duals.r[1, 0] == 0.0
+    assert duals.r[0, 0] > 0.1
+    assert duals.objective == pytest.approx(refine_grid_objective(inst, lam), abs=1e-4)
+
+
+def test_divergence_is_reported_as_such():
+    # the absolute stopping test stalls on this slack market and the
+    # divergence guard ends the solve long before the iteration limit
+    inst = random_instance(
+        9, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0)
+    )
+    _, _, stats = solve_sop1(inst)
+    assert stats.status == "diverged"
+    assert stats.iterations == 26
+    assert not stats.success
 
 
 def test_summed_complementarity_identity():
