@@ -257,12 +257,14 @@ def _common(f):
                      help=f"builtin instance, one of {', '.join(BUILTIN_NAMES)}")(f)
     f = click.option("--instance", type=click.Path(), default=None,
                      help="instance JSON file")(f)
-    f = click.option("--tol", type=float, default=1e-8, show_default=True,
-                     help="solver tolerance")(f)
     f = click.option("--seed", type=int, default=1, show_default=True)(f)
     f = click.option("--out", type=click.Path(), default=None,
                      help="also write the JSON result here")(f)
     return f
+
+
+_solver_tol = click.option("--tol", type=float, default=1e-8, show_default=True,
+                           help="solver tolerance")
 
 
 @click.group()
@@ -272,7 +274,7 @@ def main():
 
 @main.command()
 @_common
-def validate(builtin, instance, tol, seed, out):
+def validate(builtin, instance, seed, out):
     """Check instance invariants; exit 0 only if error-free."""
     rep = validate_instance(_load(builtin, instance, seed))
     _emit({"errors": rep.errors, "warnings": rep.warnings, "ok": rep.ok}, out)
@@ -281,6 +283,7 @@ def validate(builtin, instance, tol, seed, out):
 
 @main.command()
 @_common
+@_solver_tol
 @click.option("--sop1", is_flag=True, help="solve with zero perturbations")
 @click.option("--lam", "--lambda", "lam", type=str, default=None,
               help="JSON list of budget perturbations")
@@ -315,6 +318,7 @@ def solve(builtin, instance, tol, seed, out, sop1, lam):
 
 @main.command("fixed-point")
 @_common
+@_solver_tol
 @click.option("--eps", type=float, default=1e-6, show_default=True,
               help="fixed-point tolerance")
 @click.option("--max-iter", type=int, default=500, show_default=True)
@@ -351,7 +355,7 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
               help="JSON file holding the allocation matrix")
 @click.option("--check-tol", type=float, default=None,
               help="override all three check tolerances")
-def check(builtin, instance, tol, seed, out, prices, alloc, check_tol):
+def check(builtin, instance, seed, out, prices, alloc, check_tol):
     """Verify a candidate (prices, allocation) pair as an equilibrium."""
     inst = _load(builtin, instance, seed)
     try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import Frontier, VirtualProduct, build_frontier, untyped_rate
+from .frontier import VirtualProduct, build_frontier, untyped_rate
 from .instances import MarketInstance
 
 
@@ -84,7 +84,7 @@ def _check_prices(p, m: int) -> np.ndarray:
 
 def agent_products(
     inst: MarketInstance, agent: int, p: np.ndarray
-) -> tuple[list[VirtualProduct], list[Frontier]]:
+) -> list[VirtualProduct]:
     """All products available to one agent, in deterministic buy order.
 
     Sorted by (slope, type rank, high-endpoint good); unbounded products
@@ -92,12 +92,10 @@ def agent_products(
     increasing, so the global order respects each frontier's own order.
     """
     products: list[VirtualProduct] = []
-    frontiers: list[Frontier] = []
     for t in inst.participating_types(agent):
         fr = build_frontier(
             inst.utilities[agent], p, inst.types[t], agent=agent, type_id=t
         )
-        frontiers.append(fr)
         products.extend(fr.products)
     for j in inst.unbounded_goods(agent):
         pr = untyped_rate(inst.utilities[agent, j], p[j], good=j)
@@ -107,7 +105,7 @@ def agent_products(
     products.sort(
         key=lambda pr: (pr.slope, rank if pr.type_id is None else pr.type_id, pr.hi)
     )
-    return products, frontiers
+    return products
 
 
 def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
@@ -120,7 +118,7 @@ def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
         raise IndexError(f"agent index {agent} outside 0..{inst.n_agents - 1}")
     p = _check_prices(p, inst.n_goods)
 
-    products, _ = agent_products(inst, agent, p)
+    products = agent_products(inst, agent, p)
     for pr in products:
         if pr.unbounded and pr.delta_p == 0.0:
             raise UnboundedDemandError(agent, pr.hi)

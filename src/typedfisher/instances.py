@@ -88,10 +88,8 @@ class MarketInstance:
     def type_of_good(self) -> np.ndarray:
         """(m,) array mapping each good to its type index, UNTYPED if none."""
         out = np.full(self.n_goods, UNTYPED, dtype=int)
-        for t, goods in enumerate(self.types):
-            for j in goods:
-                if 0 <= j < self.n_goods:
-                    out[j] = t
+        t, j = np.nonzero(self.layout.A)
+        out[j] = t
         out.setflags(write=False)
         return out
 
@@ -130,16 +128,15 @@ class TypeLayout:
     checks; every array is read-only.
 
     ``A`` is the (T, m) 0/1 type incidence: ``x @ A.T`` gives each agent's
-    type sums and ``r @ A`` spreads type duals over goods.  A type is
-    degenerate-tight when every agent participates in it and its capacity
-    equals n (relative tolerance 1e-9): each of its constraints then holds
-    with equality at every feasible point.
+    type sums and ``R @ A`` spreads an (n, T) array of type duals over
+    goods.  A type is degenerate-tight when every agent participates in it
+    and its capacity equals n (relative tolerance 1e-9): each of its
+    constraints then holds with equality at every feasible point.
 
-    The solver keeps one row per participating (agent, type) pair, listed
-    type-major: a slack row for each pair of a non-tight type, and an
-    equality row for each pair of a tight type except the last agent's,
-    which the capacity equalities imply.  ``*_entries`` list the goods of
-    each row as (row, agent, good) arrays, goods ascending within a row.
+    The constraints are the participating (agent, type) pairs, listed
+    type-major in two sets: the slack pairs, one per participating pair of
+    a non-tight type, and the equality pairs, one per pair of a tight type
+    except the last agent's, which the capacity equalities imply.
     """
 
     A: np.ndarray
@@ -148,33 +145,8 @@ class TypeLayout:
     tight: tuple[int, ...]
     slack_agent: np.ndarray  # (K,)
     slack_type: np.ndarray  # (K,)
-    slack_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    # the Newton-block entries (agent, good, good) each slack row adds to:
-    # their number per row, and their flat positions, row by row, in the
-    # (n, m + n_slots, m + n_slots) stack of blocks
-    block_entries: tuple[np.ndarray, np.ndarray]
     eq_agent: np.ndarray  # (Q,)
     eq_type: np.ndarray  # (Q,)
-    eq_slot: np.ndarray  # (Q,) position among its agent's equality rows
-    eq_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    n_slots: int  # most equality rows held by one agent
-    pad: tuple[np.ndarray, np.ndarray]  # (agent, slot) of unused slots
-
-
-def _expand(row_type: np.ndarray, item_type: np.ndarray, n_types: int, *fields):
-    """Hand each row the items of its type.
-
-    ``item_type`` is sorted; returns the row of every output item followed
-    by ``fields`` gathered per item, rows in order and items in their
-    given order within a row.
-    """
-    count = np.bincount(item_type, minlength=n_types)
-    first = np.cumsum(count) - count
-    per_row = count[row_type]
-    row = np.repeat(np.arange(len(row_type)), per_row)
-    offset = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    item = first[row_type][row] + offset
-    return (row,) + tuple(f[item] for f in fields)
 
 
 def _build_layout(inst: MarketInstance) -> TypeLayout:
@@ -191,30 +163,9 @@ def _build_layout(inst: MarketInstance) -> TypeLayout:
 
     slack_type, slack_agent = np.nonzero(part & ~tight[:, None])
     eq_type, eq_agent = np.nonzero(part & tight[:, None] & (np.arange(n) < n - 1))
-    # every agent takes part in every tight type, so an equality row's slot
-    # is the rank of its type among the tight types
-    eq_slot = np.searchsorted(np.flatnonzero(tight), eq_type)
-    counts = np.bincount(eq_agent, minlength=n)
-    n_slots = int(counts.max(initial=0))
-    pad = np.nonzero(np.arange(n_slots)[None, :] >= counts[:, None])
-
-    type_of, good_of = np.nonzero(inc)  # the goods of each type, type-major
-    k, pair_b = _expand(type_of, type_of, T, good_of)  # pairs of goods in a type
-    row, good = _expand(slack_type, type_of, T, good_of)
-    slack_entries = (row, slack_agent[row], good)
-    row, a, b = _expand(slack_type, type_of[k], T, good_of[k], pair_b)
-    dim = m + n_slots
-    block_entries = (
-        np.bincount(row, minlength=len(slack_type)),
-        (slack_agent[row] * dim + a) * dim + b,
-    )
-    row, good = _expand(eq_type, type_of, T, good_of)
-    eq_entries = (row, eq_agent[row], good)
 
     A = inc.astype(float)
-    arrays = (A, capacity, participants, slack_agent, slack_type, eq_agent,
-              eq_type, eq_slot, *slack_entries, *block_entries, *eq_entries, *pad)
-    for arr in arrays:
+    for arr in (A, capacity, participants, slack_agent, slack_type, eq_agent, eq_type):
         arr.setflags(write=False)
     return TypeLayout(
         A=A,
@@ -223,14 +174,8 @@ def _build_layout(inst: MarketInstance) -> TypeLayout:
         tight=tuple(int(t) for t in np.flatnonzero(tight)),
         slack_agent=slack_agent,
         slack_type=slack_type,
-        slack_entries=slack_entries,
-        block_entries=block_entries,
         eq_agent=eq_agent,
         eq_type=eq_type,
-        eq_slot=eq_slot,
-        eq_entries=eq_entries,
-        n_slots=n_slots,
-        pad=pad,
     )
 
 

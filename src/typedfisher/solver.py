@@ -140,26 +140,47 @@ def solve_bpsop(
     c = inst.budgets + lam
 
     layout = inst.layout
-    K, Q = len(layout.slack_agent), len(layout.eq_agent)
-    q_ip, q_ia, q_ig = layout.slack_entries
-    e_ip, e_ia, e_ig = layout.eq_entries
-    b_count, b_index = layout.block_entries
-    eq_agent, eq_row = layout.eq_agent, m + layout.eq_slot
-    dim = m + layout.n_slots
+    A = layout.A
+    slack_agent, slack_type = layout.slack_agent, layout.slack_type
+    eq_agent, eq_type = layout.eq_agent, layout.eq_type
+    K, Q = len(slack_agent), len(eq_agent)
+    # Newton blocks: the m goods, then one slot per tight type.  Every agent
+    # takes part in every tight type, so each agent but the last holds one
+    # equality row per tight type, in the slot of that type's rank; the
+    # last agent's slots are padding.
+    tight = list(layout.tight)
+    n_slots = len(tight)
+    eq_slot = np.searchsorted(tight, eq_type)
+    slots = np.arange(m, m + n_slots)
+    dim = m + n_slots
+    # the (good, good) pairs that share a slack type, where slack rows enter
+    A_slack = np.delete(A, tight, axis=0)
+    ta, tb = np.nonzero(A_slack.T @ A_slack)
+
+    def by_pair(v, w=0.0):
+        """(n, T) array of slack-row values v and equality-row values w."""
+        out = np.zeros((n, T))
+        out[slack_agent, slack_type] = v
+        out[eq_agent, eq_type] = w
+        return out
+
+    def row_sums(v):
+        """Sums of v over the goods of each slack row."""
+        return (v @ A.T)[slack_agent, slack_type]
 
     # --- initial interior point -----------------------------------------
     # pull slack rows that start nearly full toward the center of their box
     x = np.tile(sbar / n, (n, 1))
-    slack = 1.0 - np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K)
-    center = 1.0 / (layout.A.sum(axis=1)[layout.slack_type] + 1)
+    slack = 1.0 - row_sums(x)
+    center = 1.0 / (A.sum(axis=1)[slack_type] + 1)
     target = np.minimum(0.01, 0.5 * center)
     push = (slack < target) & (center > slack)
     gamma = np.zeros(K)
     gamma[push] = np.minimum(
         1.0, (target - slack)[push] / (center - slack)[push]
     )
-    step = gamma[q_ip]
-    x[q_ia, q_ig] = (1 - step) * x[q_ia, q_ig] + step * center[q_ip]
+    step = by_pair(gamma) @ A
+    x = (1 - step) * x + step * (by_pair(center) @ A)
 
     yhat = np.einsum("ij,ij->i", U, x)
     grad_scale = (c / yhat)[:, None] * U
@@ -167,9 +188,7 @@ def solve_bpsop(
     z = grad_scale + delta0
     p = np.zeros(m)
     rho = np.zeros(Q)
-    xi = np.maximum(
-        1.0 - np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K), 0.005
-    )
+    xi = np.maximum(1.0 - row_sums(x), 0.005)
     r = np.full(K, delta0)
 
     reg = 1e-11
@@ -182,14 +201,13 @@ def solve_bpsop(
 
     def _residuals():
         # types are disjoint, so each (agent, good) carries at most one dual
-        rsum = np.zeros((n, m))
-        rsum[q_ia, q_ig] = r[q_ip]
-        rsum[e_ia, e_ig] = rho[e_ip]
+        rsum = by_pair(r, rho) @ A
         g = -(c / yhat)[:, None] * U
         r_dual = g + p[None, :] + rsum - z
         r_cap = x.sum(axis=0) - sbar
-        r_ineq = np.bincount(q_ip, weights=x[q_ia, q_ig], minlength=K) + xi - 1.0
-        r_eq = np.bincount(e_ip, weights=x[e_ia, e_ig], minlength=Q) - 1.0
+        type_sums = x @ A.T
+        r_ineq = type_sums[slack_agent, slack_type] + xi - 1.0
+        r_eq = type_sums[eq_agent, eq_type] - 1.0
         return r_dual, r_cap, r_ineq, r_eq
 
     for it in range(1, max_iter + 1):
@@ -230,13 +248,12 @@ def solve_bpsop(
         Kb[:, :m, :m] = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
         diag = np.arange(m)
         Kb[:, diag, diag] += np.minimum(z / x, 1e12) + reg
-        Kb.reshape(-1)[b_index] += np.repeat(np.minimum(r / xi, 1e12), b_count)
+        Kb[:, ta, tb] += (by_pair(np.minimum(r / xi, 1e12)) @ A)[:, ta]
         scale = np.maximum(1.0, np.abs(Kb[:, :m, :m]).max(axis=(1, 2)))
-        Kb[e_ia, eq_row[e_ip], e_ig] = 1.0
-        Kb[e_ia, e_ig, eq_row[e_ip]] = 1.0
-        Kb[eq_agent, eq_row, eq_row] = -reg
-        pad_agent, pad_slot = layout.pad
-        Kb[pad_agent, m + pad_slot, m + pad_slot] = 1.0
+        Kb[:-1, m:, :m] = A[tight]
+        Kb[:-1, :m, m:] = A[tight].T
+        Kb[:-1, slots, slots] = -reg
+        Kb[-1, slots, slots] = 1.0
         try:
             Kinv = np.linalg.inv(Kb)
         except np.linalg.LinAlgError:
@@ -249,8 +266,8 @@ def solve_bpsop(
         P = Kinv[:, :m, :m]
         S = P.sum(axis=0)
 
-        rhs_eq = np.zeros((n, layout.n_slots))
-        rhs_eq[eq_agent, layout.eq_slot] = -r_eq
+        rhs_eq = np.zeros((n, n_slots))
+        rhs_eq[eq_agent, eq_slot] = -r_eq
 
         def _solve_structured(rhs, rhs_cap):
             # [K_i  E_i^T][sol_i]   [rhs_i]      E_i^T dp lands on the x rows
@@ -267,7 +284,7 @@ def solve_bpsop(
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
-            b[q_ia, q_ig] -= ((gamma_xi + r * r_ineq) / xi)[q_ip]
+            b -= by_pair((gamma_xi + r * r_ineq) / xi) @ A
             rhs = np.concatenate([b, rhs_eq], axis=1)
             sol, dp = _solve_structured(rhs, -r_cap)
             # iterative refinement; the blocks are badly conditioned near
@@ -285,9 +302,9 @@ def solve_bpsop(
                 sol = sol + dsol
                 dp = dp + ddp
             dx = sol[:, :m]
-            drho = sol[eq_agent, eq_row]
+            drho = sol[eq_agent, m + eq_slot]
             dz = (gamma_x - z * dx) / x
-            dxi = -r_ineq - np.bincount(q_ip, weights=dx[q_ia, q_ig], minlength=K)
+            dxi = -r_ineq - row_sums(dx)
             dr = (gamma_xi - r * dxi) / xi
             return dx, dz, dxi, dr, dp, drho
 
@@ -353,23 +370,18 @@ def solve_bpsop(
 
     if status != "converged" and best_state is not None:
         x, z, xi, r, p, rho, stat, pfeas, comp = best_state
-        if stat <= tol and pfeas <= tol and comp <= tol:
-            status = "converged"
 
     yhat = np.einsum("ij,ij->i", U, x)
     objective = float(c @ np.log(yhat))
 
-    r_full = np.zeros((n, T))
-    r_full[layout.slack_agent, layout.slack_type] = r
-    r_full[eq_agent, layout.eq_type] = rho
+    r_full = by_pair(r, rho)
     r_raw = r_full.copy()
-    tight = list(layout.tight)
     shift = np.zeros(T)
     shift[tight] = r_full[:, tight].min(axis=0)
     r_full[:, tight] -= shift[tight]
 
     duals = DualBundle(
-        p=p + shift @ layout.A,
+        p=p + shift @ A,
         r=r_full,
         s=-z,
         objective=objective,

@@ -62,6 +62,15 @@ def test_validate_requires_exactly_one_source(runner):
     )
 
 
+def test_tol_only_on_commands_that_solve(runner):
+    for command, has_tol in (
+        ("validate", False), ("check", False), ("solve", True), ("fixed-point", True)
+    ):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert ("--tol " in result.output) == has_tol, command
+
+
 def test_solve_sop1_exposes_type_duals(runner):
     result = runner.invoke(main, ["solve", "--builtin", "prop2", "--sop1"])
     assert result.exit_code == 0

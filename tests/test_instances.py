@@ -182,7 +182,7 @@ def test_validation_messages_keep_agent_then_good_order():
 
 def _pair_rows(inst):
     """Loop reference for the layout: tight types, then the slack and the
-    equality (agent, type, goods) rows in type-major order."""
+    equality (agent, type) pairs in type-major order."""
     n = inst.n_agents
     tight = [
         t for t, goods in enumerate(inst.types)
@@ -190,14 +190,14 @@ def _pair_rows(inst):
         and abs(sum(inst.capacities[j] for j in goods) - n) <= 1e-9 * n
     ]
     slack, eq = [], []
-    for t, goods in enumerate(inst.types):
+    for t in range(inst.n_types):
         for i in range(n):
             if not inst.participation[i, t]:
                 continue
             if t not in tight:
-                slack.append((i, t, goods))
+                slack.append((i, t))
             elif i < n - 1:
-                eq.append((i, t, goods))
+                eq.append((i, t))
     return tight, slack, eq
 
 
@@ -218,31 +218,8 @@ def test_layout_matches_pair_loops():
         for t, goods in enumerate(inst.types):
             assert np.flatnonzero(layout.A[t]).tolist() == list(goods)
         assert layout.A.sum() == sum(len(goods) for goods in inst.types)
-        assert list(zip(layout.slack_agent, layout.slack_type)) == [
-            (i, t) for i, t, _ in slack
-        ]
-        assert list(zip(layout.eq_agent, layout.eq_type)) == [(i, t) for i, t, _ in eq]
-        for rows, entries in ((slack, layout.slack_entries), (eq, layout.eq_entries)):
-            assert list(zip(*entries)) == [
-                (k, i, j) for k, (i, _, goods) in enumerate(rows) for j in goods
-            ]
-        dim = inst.n_goods + layout.n_slots
-        count, index = layout.block_entries
-        blocks = [[(i, a, b) for a in goods for b in goods] for i, _, goods in slack]
-        assert count.tolist() == [len(entries) for entries in blocks]
-        assert index.tolist() == [
-            (i * dim + a) * dim + b for entries in blocks for i, a, b in entries
-        ]
-        counts = [0] * inst.n_agents
-        slots = []
-        for i, _, _ in eq:
-            slots.append(counts[i])
-            counts[i] += 1
-        assert layout.eq_slot.tolist() == slots
-        assert layout.n_slots == max(counts)
-        assert list(zip(*layout.pad)) == [
-            (i, s) for i in range(inst.n_agents) for s in range(counts[i], layout.n_slots)
-        ]
+        assert list(zip(layout.slack_agent, layout.slack_type)) == slack
+        assert list(zip(layout.eq_agent, layout.eq_type)) == eq
     assert mixed.layout.tight == (0,) and len(mixed.layout.eq_agent) == 4
 
 

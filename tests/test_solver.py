@@ -7,6 +7,7 @@ from typedfisher import (
     InfeasibleInstanceError,
     MarketInstance,
     builtin_instance,
+    fixedpoint,
     kkt_residuals,
     random_instance,
     solve_bpsop,
@@ -99,6 +100,26 @@ def test_partial_participation():
     assert duals.r[1, 0] == 0.0
     assert duals.r[0, 0] > 0.1
     assert duals.objective == pytest.approx(refine_grid_objective(inst, lam), abs=1e-4)
+
+
+def test_tight_type_beside_partially_joined_slack_type():
+    # type 1 is tight, so every agent but the last holds an equality row
+    # and the last agent's slot is padding; agents 2 and 5 ignore type 2
+    rng = np.random.default_rng(5)
+    inst = MarketInstance(
+        utilities=rng.uniform(0.1, 1.0, (6, 6)),
+        budgets=rng.uniform(1.0, 5.0, 6),
+        capacities=[2.0, 4.0, 0.8, 1.2, 0.5, 3.0],
+        types=((0, 1), (2, 3, 4)),
+        participation=np.column_stack([np.ones(6, bool), ~np.isin(np.arange(6), [1, 4])]),
+    )
+    lam = rng.uniform(0.0, 1.0, 6)
+    x, duals, stats = solve_bpsop(inst, lam)
+    assert stats.status == "degenerate_tight"
+    assert stats.tight_types == (0,)
+    assert kkt_residuals(inst, lam, x, duals).max_residual <= 1e-6
+    assert np.all(duals.r[[1, 4], 1] == 0.0)
+    assert fixedpoint.run(inst).trace.status == "converged"
 
 
 def test_divergence_is_reported_as_such():
