@@ -75,11 +75,21 @@ def _load(builtin: str | None, instance: str | None, seed: int) -> MarketInstanc
         sys.exit(2)
 
 
+def _require_valid(inst: MarketInstance) -> None:
+    """Exit 1 with the validation errors of an instance that cannot be solved."""
+    errors = validate_instance(inst).errors
+    if errors:
+        click.echo("\n".join(f"error: {err}" for err in errors), err=True)
+        sys.exit(1)
+
+
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise click.UsageError(f"{flag} expects 'lo,hi'")
+    if not 0 < lo <= hi:
+        raise click.UsageError(f"{flag} expects 0 < lo <= hi, got {text!r}")
     return lo, hi
 
 
@@ -138,7 +148,7 @@ def _rows_iop_example(name: str):
         rows.append(
             ("cap-free rate theta_5 = 0.34", abs(theta5 - 0.34) <= 1e-12, f"{theta5:g}")
         )
-    return rows, d
+    return rows
 
 
 def _rows_prop2():
@@ -172,7 +182,7 @@ def _rows_prop1(p_max: float = 30.0, step: float = 0.05):
             f"{scan.nonexistence_margin_ok})",
         )
     ]
-    return rows, scan
+    return rows
 
 
 def _rows_experiment(seed: int, eps: float = 1e-6, max_iter: int = 100):
@@ -207,7 +217,7 @@ def _rows_experiment(seed: int, eps: float = 1e-6, max_iter: int = 100):
                 f"max deviation {tsum_dev:.1e}",
             )
         )
-    return rows, result
+    return rows
 
 
 def _rows_sop1_gap(seed: int):
@@ -228,25 +238,17 @@ def _rows_sop1_gap(seed: int):
     return rows
 
 
-def cmd_reproduce(name: str, seed: int = 1) -> int:
+def _rows(name: str, seed: int):
+    """(label, passed, detail) rows of one reproduction."""
     if name in ("iop_ex1", "iop_ex2"):
-        rows, _ = _rows_iop_example(name)
-    elif name == "prop2":
-        rows = _rows_prop2()
-    elif name == "prop1":
-        rows, _ = _rows_prop1()
-    elif name == "experiment":
-        rows, _ = _rows_experiment(seed)
-    elif name == "sop1_gap":
-        rows = _rows_sop1_gap(seed)
-    else:
-        raise click.UsageError(f"unknown reproduction {name!r}; choose from {REPRODUCE_NAMES}")
-    width = max(len(r[0]) for r in rows)
-    all_ok = True
-    for label, ok, detail in rows:
-        all_ok &= ok
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {label:<{width}}  {detail}")
-    return 0 if all_ok else 1
+        return _rows_iop_example(name)
+    if name == "prop2":
+        return _rows_prop2()
+    if name == "prop1":
+        return _rows_prop1()
+    if name == "experiment":
+        return _rows_experiment(seed)
+    return _rows_sop1_gap(seed)
 
 
 # --- click wiring -----------------------------------------------------------
@@ -289,14 +291,19 @@ def validate(builtin, instance, seed, out):
               help="JSON list of budget perturbations")
 def solve(builtin, instance, tol, seed, out, sop1, lam):
     """Solve the social program and report allocation and duals."""
-    lam_list = json.loads(lam) if lam else None
     inst = _load(builtin, instance, seed)
-    if sop1 or lam_list is None:
-        lam_vec = np.zeros(inst.n_agents)
-    else:
-        lam_vec = np.asarray(lam_list, dtype=float)
-        if lam_vec.shape != (inst.n_agents,):
-            raise click.UsageError(f"--lam must list {inst.n_agents} values")
+    lam_vec = np.zeros(inst.n_agents)
+    if lam and not sop1:
+        try:
+            lam_vec = np.asarray(json.loads(lam), dtype=float)
+        except (ValueError, TypeError):
+            raise click.UsageError(f"--lam expects a JSON list, got {lam!r}")
+        valid = np.all(np.isfinite(lam_vec)) and np.all(lam_vec >= 0)
+        if lam_vec.shape != (inst.n_agents,) or not valid:
+            raise click.UsageError(
+                f"--lam must list {inst.n_agents} finite nonnegative values"
+            )
+    _require_valid(inst)
     x, duals, stats = solve_bpsop(inst, lam_vec, tol=tol)
     payload = {
         "status": stats.status,
@@ -327,6 +334,7 @@ def solve(builtin, instance, tol, seed, out, sop1, lam):
 def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
     """Iterate the budget perturbations to market-clearing prices."""
     inst = _load(builtin, instance, seed)
+    _require_valid(inst)
     result = run_fixed_point(inst, eps=eps, max_iter=max_iter, solver_tol=tol)
     tr = result.trace
     payload = {
@@ -364,10 +372,11 @@ def check(builtin, instance, seed, out, prices, alloc, check_tol):
         raise click.UsageError(f"--prices expects a JSON list, got {prices!r}")
     try:
         doc = json.loads(Path(alloc).read_text())
-    except (OSError, ValueError) as exc:
-        click.echo(f"error: cannot read allocation file: {exc}", err=True)
-        sys.exit(2)
-    x = np.asarray(doc["allocation"] if isinstance(doc, dict) else doc, dtype=float)
+        x = np.asarray(doc["allocation"] if isinstance(doc, dict) else doc, dtype=float)
+    except KeyError:
+        raise click.UsageError(f'--alloc file {alloc} has no "allocation" key')
+    except (OSError, ValueError, TypeError) as exc:
+        raise click.UsageError(f"cannot read an allocation matrix from {alloc}: {exc}")
     kwargs = {}
     if check_tol is not None:
         kwargs = dict(tol_clearing=check_tol, tol_budget=check_tol, tol_opt=check_tol)
@@ -376,6 +385,8 @@ def check(builtin, instance, seed, out, prices, alloc, check_tol):
     except UnboundedDemandError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    except ValueError as exc:  # prices or allocation of the wrong shape or sign
+        raise click.UsageError(str(exc))
     payload = {
         "pass": rep.passed,
         "clearing_residuals": rep.clearing_residuals.tolist(),
@@ -393,11 +404,21 @@ def check(builtin, instance, seed, out, prices, alloc, check_tol):
 
 
 @main.command()
-@click.argument("name", type=click.Choice(REPRODUCE_NAMES))
+@click.argument("names", nargs=-1, type=click.Choice(REPRODUCE_NAMES))
 @click.option("--seed", type=int, default=1, show_default=True)
-def reproduce(name, seed):
-    """Re-derive a documented result and print a pass/fail table."""
-    sys.exit(cmd_reproduce(name, seed=seed))
+def reproduce(names, seed):
+    """Re-derive documented results (all when no NAME is given) and print
+    a pass/fail table for each; exit with the worst code."""
+    worst = 0
+    for name in names or REPRODUCE_NAMES:
+        if len(names) != 1:
+            click.echo(f"--- {name} ---")
+        rows = _rows(name, seed)
+        width = max(len(r[0]) for r in rows)
+        for label, ok, detail in rows:
+            worst = max(worst, 0 if ok else 1)
+            click.echo(f"{'PASS' if ok else 'FAIL'}  {label:<{width}}  {detail}")
+    sys.exit(worst)
 
 
 @main.command()
@@ -413,15 +434,18 @@ def reproduce(name, seed):
 @click.option("-o", "--out", "out", type=click.Path(), required=True)
 def gen(seed, n, m, types, w_range, u_range, cap_range, out):
     """Write a seeded random instance to a JSON file."""
-    inst = random_instance(
-        seed=seed,
-        n=n,
-        m=m,
-        type_spec=_parse_types(types, m),
-        budget_range=_parse_range(w_range, "--w-range"),
-        utility_range=_parse_range(u_range, "--u-range"),
-        capacity_range=_parse_range(cap_range, "--cap-range") if cap_range else None,
-    )
+    try:
+        inst = random_instance(
+            seed=seed,
+            n=n,
+            m=m,
+            type_spec=_parse_types(types, m),
+            budget_range=_parse_range(w_range, "--w-range"),
+            utility_range=_parse_range(u_range, "--u-range"),
+            capacity_range=_parse_range(cap_range, "--cap-range") if cap_range else None,
+        )
+    except ValueError as exc:  # sizes or ranges the generator refuses
+        raise click.UsageError(str(exc))
     save_instance(inst, out)
     click.echo(json.dumps({"written": out, "n": n, "m": m}))
 

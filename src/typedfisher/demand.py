@@ -56,19 +56,7 @@ class DemandResult:
     utility: float
     alpha_star: float            # slope of the last product bought, 0 if none
     budget_exhausted: bool
-    tight_types: frozenset[int]
     ledger: tuple[Purchase, ...] = ()
-
-
-@dataclass
-class ExcessDemand:
-    """Aggregate demand minus capacity, per good."""
-
-    f: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.f))) if self.f.size else 0.0
 
 
 def _check_prices(p, m: int) -> np.ndarray:
@@ -93,10 +81,9 @@ def agent_products(
     """
     products: list[VirtualProduct] = []
     for t in inst.participating_types(agent):
-        fr = build_frontier(
-            inst.utilities[agent], p, inst.types[t], agent=agent, type_id=t
+        products.extend(
+            build_frontier(inst.utilities[agent], p, inst.types[t], type_id=t)
         )
-        products.extend(fr.products)
     for j in inst.unbounded_goods(agent):
         pr = untyped_rate(inst.utilities[agent, j], p[j], good=j)
         if pr is not None:
@@ -124,62 +111,47 @@ def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
             raise UnboundedDemandError(agent, pr.hi)
 
     x = np.zeros(inst.n_goods)
-    budget = float(inst.budgets[agent])
+    w = float(inst.budgets[agent])
+    budget = w
     ledger: list[Purchase] = []
     for pr in products:
-        if pr.unbounded:
-            if budget <= 0.0:
-                break
-            units = budget / pr.delta_p
-            x[pr.hi] += units
-            ledger.append(Purchase(pr.slope, pr.type_id, pr.lo, pr.hi, units, budget))
-            budget = 0.0
-            break
-        if pr.delta_p <= budget:
+        if not pr.unbounded and pr.delta_p <= budget:
             # full unit: move this type's position from lo to hi
             if pr.lo is not None:
                 x[pr.lo] -= 1.0
             x[pr.hi] += 1.0
             budget -= pr.delta_p
             ledger.append(Purchase(pr.slope, pr.type_id, pr.lo, pr.hi, 1.0, pr.delta_p))
-        else:
-            if budget > 0.0:
-                frac = budget / pr.delta_p
-                if pr.lo is not None:
-                    x[pr.lo] -= frac
-                x[pr.hi] += frac
-                ledger.append(
-                    Purchase(pr.slope, pr.type_id, pr.lo, pr.hi, frac, budget)
-                )
-                budget = 0.0
-            break
+            continue
+        # the rest of the budget buys a fraction of a bounded product, or
+        # any quantity of an unbounded one (whose lo is None)
+        if budget > 0.0:
+            frac = budget / pr.delta_p
+            if pr.lo is not None:
+                x[pr.lo] -= frac
+            x[pr.hi] += frac
+            ledger.append(Purchase(pr.slope, pr.type_id, pr.lo, pr.hi, frac, budget))
+            budget = 0.0
+        break
 
     x = np.maximum(x, 0.0)  # clip float dust from the +-1 bookkeeping
-    spend = float(inst.budgets[agent]) - budget
-    w = float(inst.budgets[agent])
-    tight = frozenset(
-        t
-        for t in inst.participating_types(agent)
-        if sum(x[j] for j in inst.types[t]) >= 1.0 - 1e-9
-    )
     return DemandResult(
         x=x,
-        spend=spend,
+        spend=w - budget,
         utility=float(inst.utilities[agent] @ x),
         alpha_star=ledger[-1].slope if ledger else 0.0,
         budget_exhausted=budget <= 1e-12 * max(1.0, w),
-        tight_types=tight,
         ledger=tuple(ledger),
     )
 
 
-def demand_all(inst: MarketInstance, p) -> tuple[np.ndarray, ExcessDemand]:
+def demand_all(inst: MarketInstance, p) -> tuple[np.ndarray, np.ndarray]:
     """Stack per-agent demands; excess demand is column sums minus capacity."""
     p = _check_prices(p, inst.n_goods)
     X = np.zeros((inst.n_agents, inst.n_goods))
     for i in range(inst.n_agents):
         X[i] = demand(inst, i, p).x
-    return X, ExcessDemand(f=X.sum(axis=0) - inst.capacities)
+    return X, X.sum(axis=0) - inst.capacities
 
 
 # --- independent oracle ------------------------------------------------------
@@ -217,13 +189,7 @@ def brute_force_demand(
         x_active = _grid_search(p, u, w, active, type_rows, inst, agent, grid_step)
 
     x = np.zeros(inst.n_goods)
-    for idx, j in enumerate(active):
-        x[j] = x_active[idx]
-    tight = frozenset(
-        t
-        for t in inst.participating_types(agent)
-        if sum(x[j] for j in inst.types[t]) >= 1.0 - 1e-9
-    )
+    x[active] = x_active
     spend = float(p @ x)
     return DemandResult(
         x=x,
@@ -231,7 +197,6 @@ def brute_force_demand(
         utility=float(u @ x),
         alpha_star=float("nan"),
         budget_exhausted=spend >= w - 1e-9 * max(1.0, w),
-        tight_types=tight,
     )
 
 

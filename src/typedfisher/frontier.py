@@ -39,46 +39,14 @@ class VirtualProduct:
     unbounded: bool = False
 
 
-@dataclass(frozen=True)
-class Frontier:
-    """Slope-ascending virtual products of one (agent, type) pair."""
-
-    type_id: int
-    products: tuple[VirtualProduct, ...]
-    dominated: frozenset[int]
-
-    @property
-    def total_utility(self) -> float:
-        return sum(pr.delta_u for pr in self.products)
-
-    @property
-    def total_price(self) -> float:
-        return sum(pr.delta_p for pr in self.products)
-
-    def cost_at(self, utility: float) -> float | None:
-        """Minimum spend to reach ``utility`` within this type, None if
-        the target exceeds the frontier's top vertex."""
-        if utility <= 0:
-            return 0.0
-        cost = 0.0
-        remaining = utility
-        for pr in self.products:
-            if remaining <= pr.delta_u:
-                return cost + pr.slope * remaining
-            cost += pr.delta_p
-            remaining -= pr.delta_u
-        return None if remaining > 1e-12 * max(1.0, utility) else cost
-
-
 def build_frontier(
     u_row: Sequence[float] | np.ndarray,
     p: Sequence[float] | np.ndarray,
     type_goods: Iterable[int],
-    agent: int = 0,
     type_id: int = 0,
-) -> Frontier:
-    """Lower hull of one type's (utility, price) points, from the origin
-    to the highest-utility vertex.
+) -> tuple[VirtualProduct, ...]:
+    """Slope-ascending products along the lower hull of one type's
+    (utility, price) points, from the origin to the highest-utility vertex.
 
     Zero-utility goods are dropped up front (they are never purchased).
     Among equal-utility points only the cheapest survives; among
@@ -91,7 +59,7 @@ def build_frontier(
     goods = sorted(int(j) for j in type_goods)
     pts = [(float(u_row[j]), float(p[j]), j) for j in goods if u_row[j] > 0.0]
     if not pts:
-        return Frontier(type_id=type_id, products=(), dominated=frozenset())
+        return ()
 
     # Deduplicate: per utility keep the cheapest (lowest index on a price
     # tie); per price keep the highest utility.
@@ -104,7 +72,6 @@ def build_frontier(
         if pt[1] not in by_p:
             by_p[pt[1]] = pt
     points = sorted(by_p.values())
-    dominated = {j for _, _, j in pts} - {j for _, _, j in points}
 
     # Monotone chain from the origin, utility ascending.  Keep strictly
     # increasing slopes; cross-multiplied comparison avoids division.
@@ -115,28 +82,21 @@ def build_frontier(
             bu, bp, _ = hull[-1]
             # pop b unless slope(a->b) < slope(a->c)
             if (bu - au) * (q - ap) - (bp - ap) * (u - au) <= 0.0:
-                dominated.add(hull.pop()[2])
+                hull.pop()
             else:
                 break
         hull.append((u, q, j))
 
-    products = []
-    for k in range(1, len(hull)):
-        lu, lp, lj = hull[k - 1]
-        hu, hp, hj = hull[k]
-        du, dp = hu - lu, hp - lp
-        products.append(
-            VirtualProduct(
-                type_id=type_id,
-                lo=lj,
-                hi=hj,
-                delta_u=du,
-                delta_p=dp,
-                slope=dp / du,
-            )
+    return tuple(
+        VirtualProduct(
+            type_id=type_id,
+            lo=lj,
+            hi=hj,
+            delta_u=hu - lu,
+            delta_p=hp - lp,
+            slope=(hp - lp) / (hu - lu),
         )
-    return Frontier(
-        type_id=type_id, products=tuple(products), dominated=frozenset(dominated)
+        for (lu, lp, lj), (hu, hp, hj) in zip(hull, hull[1:])
     )
 
 

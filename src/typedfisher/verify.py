@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import UnboundedDemandError, demand
+from .demand import UnboundedDemandError, _check_prices, demand
 from .instances import MarketInstance
-from .solver import DEFAULT_TOL, DualBundle, solve_sop1
+from .solver import DualBundle, solve_sop1
+
+FIXED_POINT_EPS = 1e-5  # kkt_crosscheck's limit on ||lam - sum_t r_it||
+MAX_GRID_POINTS = 10_000_000  # largest grid grid_nonexistence scans
 
 
 @dataclass
@@ -59,10 +62,11 @@ def check_equilibrium(
 
     Optimality gaps compare each agent's achieved utility with the exact
     greedy demand utility at p; a gap within tol_opt certifies the bundle
-    optimal (slightly negative gaps are float noise).  Unbounded demand
-    at p propagates as UnboundedDemandError.
+    optimal (slightly negative gaps are float noise).  Prices must pass
+    the demand oracle's own check (length, finite, nonnegative), else
+    ValueError.  Unbounded demand at p propagates as UnboundedDemandError.
     """
-    p = np.asarray(p, dtype=float)
+    p = _check_prices(p, inst.n_goods)
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n_agents, inst.n_goods):
         raise ValueError(f"allocation must have shape ({inst.n_agents}, {inst.n_goods})")
@@ -80,8 +84,6 @@ def check_equilibrium(
     sums = x @ inst.layout.A.T
     for t, i in np.argwhere(inst.participation.T & (sums.T > 1.0 + tol_clearing)):
         violations.append(f"agent {i + 1} holds {sums[i, t]:g} units of type {t + 1}")
-    if np.any(p < -1e-9):
-        violations.append(f"negative price {p.min():g}")
 
     passed = (
         not violations
@@ -112,12 +114,10 @@ class BudgetGapReport:
     max_identity_residual: float
 
 
-def sop1_budget_gap(
-    inst: MarketInstance, tol: float = 1e-6, solver_tol: float = DEFAULT_TOL
-) -> BudgetGapReport:
+def sop1_budget_gap(inst: MarketInstance, tol: float = 1e-6) -> BudgetGapReport:
     """Solve the unperturbed program and audit the per-agent identity
     w_i - sum_j p_j x_ij = sum_t r_it implied by its optimality system."""
-    x, duals, stats = solve_sop1(inst, tol=solver_tol)
+    x, duals, stats = solve_sop1(inst)
     if not stats.success:
         raise RuntimeError(f"social program solve failed with status {stats.status}")
     gaps = inst.budgets - x @ duals.p
@@ -156,7 +156,6 @@ def kkt_crosscheck(
     x,
     duals: DualBundle,
     tol: float = 1e-6,
-    fp_eps: float = 1e-5,
 ) -> CrossCheckReport:
     """Verify that scaled social duals solve each agent's own problem.
 
@@ -164,16 +163,17 @@ def kkt_crosscheck(
     r~_it = y_i r_it turn the social stationarity system into each
     individual problem's system; this check rebuilds those duals and
     measures every residual.  Refuses (NotAtFixedPointError) when
-    ||lam - sum_t r_it|| > fp_eps, since the construction is only valid
+    ||lam - sum_t r_it|| > FIXED_POINT_EPS, since the construction is only valid
     at a fixed point.
     """
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     q = duals.r.sum(axis=1)
     drift = float(np.linalg.norm(lam - q))
-    if drift > fp_eps:
+    if drift > FIXED_POINT_EPS:
         raise NotAtFixedPointError(
-            f"perturbations are {drift:g} from the dual sums (limit {fp_eps:g})"
+            f"perturbations are {drift:g} from the dual sums "
+            f"(limit {FIXED_POINT_EPS:g})"
         )
 
     U = inst.utilities
@@ -225,7 +225,6 @@ def grid_nonexistence(
     inst: MarketInstance,
     p_max: float,
     step: float,
-    max_points: int = 10_000_000,
     record_below: float | None = None,
 ) -> GridScanResult:
     """Scan the price grid {0, step, ..., p_max}^m for near-equilibria.
@@ -245,9 +244,9 @@ def grid_nonexistence(
     if step <= 0 or p_max <= 0:
         raise ValueError("p_max and step must be positive")
     axis = np.arange(0.0, p_max + step / 2, step)
-    if len(axis) ** m > max_points:
+    if len(axis) ** m > MAX_GRID_POINTS:
         raise ValueError(
-            f"grid too large ({len(axis) ** m:.3g} points > {max_points:g})"
+            f"grid too large ({len(axis) ** m:.3g} points > {MAX_GRID_POINTS:g})"
         )
 
     best = np.inf

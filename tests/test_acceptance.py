@@ -226,7 +226,7 @@ def test_criterion_9_invariant_suite():
         fr = build_frontier(
             rng.uniform(0.01, 50.0, k), rng.uniform(0.0, 50.0, k), range(k)
         )
-        sl = [pr.slope for pr in fr.products]
+        sl = [pr.slope for pr in fr]
         if not all(b > a for a, b in zip(sl, sl[1:])):
             failures.append("hull slope monotonicity")
             break

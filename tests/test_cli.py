@@ -195,6 +195,65 @@ def test_reproduce_unknown_name(runner):
     assert runner.invoke(main, ["reproduce", "nonsense"]).exit_code == 2
 
 
+def test_reproduce_several_names(runner):
+    result = runner.invoke(main, ["reproduce", "iop_ex1", "iop_ex2"])
+    assert result.exit_code == 0
+    assert "--- iop_ex1 ---" in result.output
+    assert "--- iop_ex2 ---" in result.output
+    assert result.output.index("--- iop_ex1 ---") < result.output.index("--- iop_ex2 ---")
+    assert "FAIL" not in result.output
+    assert result.output.count("PASS") == 5  # 2 rows for iop_ex1, 3 for iop_ex2
+
+
+# files named by '@key' in the arguments below; each is written as JSON
+BAD_INPUT_FILES = {
+    "overlap": {
+        "n": 1, "m": 2, "utilities": [[1.0, 2.0]], "budgets": [1.0],
+        "capacities": [0.5, 0.5], "types": [[0, 1], [1]],
+    },
+    "overcap": {  # type capacity 3.5 for 2 agents
+        "n": 2, "m": 3, "utilities": [[1.0, 2.0, 1.0], [2.0, 1.0, 1.0]],
+        "budgets": [1.0, 1.0], "capacities": [2.0, 1.5, 1.0], "types": [[0, 1]],
+    },
+    "alloc": {"allocation": [[1, 0, 1], [0, 1, 0], [0, 1, 0]]},
+    "wrong_shape": [[1, 0], [0, 1]],
+    "no_key": {"alloc": [[1, 0, 1], [0, 1, 0], [0, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "args, code, cause",
+    [
+        (["solve", "--instance", "@overlap"], 1, "types overlap at good 2"),
+        (["solve", "--instance", "@overcap"], 1, "type 1 capacity 3.5 exceeds"),
+        (["fixed-point", "--instance", "@overcap"], 1, "type 1 capacity 3.5 exceeds"),
+        (["solve", "--builtin", "prop2", "--lam", "[1,2"], 2, "--lam expects a JSON list"),
+        (["solve", "--builtin", "prop2", "--lam", "[-1,0,0]"], 2, "finite nonnegative"),
+        (["check", "--builtin", "prop2", "--prices", "[-1,10,9]", "--alloc", "@alloc"],
+         2, "negative price -1"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10]", "--alloc", "@alloc"],
+         2, "price vector must have length 3"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@wrong_shape"],
+         2, "allocation must have shape (3, 3)"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@no_key"],
+         2, 'no "allocation" key'),
+        (["gen", "-n", "2", "-m", "2", "--w-range", "0,1", "-o", "@out"],
+         2, "--w-range expects 0 < lo <= hi"),
+    ],
+)
+def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):
+    for key, doc in BAD_INPUT_FILES.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    args = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert cause in result.output
+    if code == 2:
+        assert "Error: " in result.output
+
+
 def test_numbers_rounded_to_twelve_digits(runner):
     result = runner.invoke(main, ["solve", "--builtin", "prop2", "--sop1"])
     doc = json.loads(result.output)

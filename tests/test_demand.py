@@ -77,7 +77,7 @@ def test_three_buyer_demands_clear_at_both_price_vectors():
     inst = builtin_instance("prop2")
     for p in ([11.0, 10.0, 9.0], [10.0, 10.0, 10.0]):
         X, excess = demand_all(inst, p)
-        assert np.allclose(excess.f, 0.0, atol=1e-12), p
+        assert np.allclose(excess, 0.0, atol=1e-12), p
     d = demand(inst, 0, [11.0, 10.0, 9.0])
     assert np.allclose(d.x, [1.0, 0.0, 1.0], atol=1e-12)
     assert d.spend == pytest.approx(20.0, abs=1e-12)
@@ -86,7 +86,7 @@ def test_three_buyer_demands_clear_at_both_price_vectors():
 def test_two_buyer_market_undersells_at_high_price():
     inst = builtin_instance("prop1")
     _, excess = demand_all(inst, [12.0, 1.0])
-    assert excess.f[0] < 0
+    assert excess[0] < 0
 
 
 def test_unbounded_free_good_raises():

@@ -12,14 +12,30 @@ EX_UTILS = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def slopes(fr):
-    return [pr.slope for pr in fr.products]
+    return [pr.slope for pr in fr]
+
+
+def cost_at(fr, utility):
+    """Minimum spend to reach ``utility`` along a frontier, None if the
+    target exceeds the frontier's top vertex."""
+    if utility <= 0:
+        return 0.0
+    cost = 0.0
+    remaining = utility
+    for pr in fr:
+        if remaining <= pr.delta_u:
+            return cost + pr.slope * remaining
+        cost += pr.delta_p
+        remaining -= pr.delta_u
+    return None if remaining > 1e-12 * max(1.0, utility) else cost
 
 
 def test_worked_example_type_one():
     fr = build_frontier(EX_UTILS, EX_PRICES, (0, 2, 4))
     assert np.allclose(slopes(fr), [0.1, 0.3, 0.5], atol=1e-12)
-    assert [pr.hi for pr in fr.products] == [0, 2, 4]
-    assert fr.products[0].lo is None
+    assert [pr.hi for pr in fr] == [0, 2, 4]
+    assert fr[0].lo is None
+    assert isinstance(fr, tuple)
 
 
 def test_worked_example_type_two():
@@ -29,40 +45,38 @@ def test_worked_example_type_two():
 
 def test_single_free_good():
     fr = build_frontier([7.0], [0.0], (0,))
-    assert len(fr.products) == 1
-    assert fr.products[0].slope == 0.0
-    assert fr.products[0].delta_p == 0.0
+    assert len(fr) == 1
+    assert fr[0].slope == 0.0
+    assert fr[0].delta_p == 0.0
 
 
 def test_dominated_good_dropped():
     # three-buyer market, buyer 1 at prices (11, 10, 9): good 2 gives 1 util
     # for 10 money while good 1 gives 100 for 11, so good 2 never sells
     fr = build_frontier([100.0, 1.0, 2.0], [11.0, 10.0, 9.0], (0, 1))
-    assert [pr.hi for pr in fr.products] == [0]
-    assert fr.dominated == {1}
+    assert [pr.hi for pr in fr] == [0]
 
 
 def test_equal_price_keeps_higher_utility():
     fr = build_frontier([100.0, 1.0], [10.0, 10.0], (0, 1))
-    assert [pr.hi for pr in fr.products] == [0]
+    assert [pr.hi for pr in fr] == [0]
 
 
 def test_equal_utility_keeps_cheaper():
     fr = build_frontier([5.0, 5.0], [3.0, 2.0], (0, 1))
-    assert [pr.hi for pr in fr.products] == [1]
+    assert [pr.hi for pr in fr] == [1]
 
 
 def test_collinear_points_merge():
     # (1,1), (2,2), (3,3) lie on one ray from the origin
     fr = build_frontier([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], (0, 1, 2))
-    assert len(fr.products) == 1
-    assert fr.products[0].hi == 2
-    assert fr.dominated == {0, 1}
+    assert len(fr) == 1
+    assert fr[0].hi == 2
 
 
 def test_all_zero_utility_gives_empty_frontier():
     fr = build_frontier([0.0, 0.0], [1.0, 2.0], (0, 1))
-    assert fr.products == ()
+    assert fr == ()
 
 
 def test_untyped_rate_worked_example():
@@ -113,8 +127,8 @@ def test_frontier_ends_at_max_utility_vertex(pts):
     umax = float(u.max())
     # cheapest price among the max-utility goods (dedup rule)
     pend = min(p[j] for j in range(len(u)) if u[j] == umax)
-    assert fr.total_utility == pytest.approx(umax, rel=1e-12)
-    assert fr.total_price == pytest.approx(pend, rel=1e-12, abs=1e-12)
+    assert sum(pr.delta_u for pr in fr) == pytest.approx(umax, rel=1e-12)
+    assert sum(pr.delta_p for pr in fr) == pytest.approx(pend, rel=1e-12, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=200)
@@ -122,7 +136,7 @@ def test_frontier_ends_at_max_utility_vertex(pts):
 def test_vertices_are_input_points(pts):
     u, p = pts
     fr = build_frontier(u, p, range(len(u)))
-    for pr in fr.products:
+    for pr in fr:
         assert 0 <= pr.hi < len(u)
         assert pr.delta_u > 0
         assert pr.delta_p >= 0
@@ -135,7 +149,7 @@ def test_feasible_mixtures_lie_on_or_above_frontier(pts, data):
     u, p = pts
     k = len(u)
     fr = build_frontier(u, p, range(k))
-    assume(fr.products)
+    assume(fr)
     weights = np.array(
         data.draw(
             st.lists(finite_floats(0.0, 1.0), min_size=k, max_size=k),
@@ -147,6 +161,6 @@ def test_feasible_mixtures_lie_on_or_above_frontier(pts, data):
         weights = weights / total
     util = float(u @ weights)
     cost = float(p @ weights)
-    floor = fr.cost_at(util)
+    floor = cost_at(fr, util)
     assert floor is not None
     assert cost >= floor - 1e-9 * max(1.0, cost)

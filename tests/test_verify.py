@@ -6,6 +6,7 @@ from typedfisher import (
     UnboundedDemandError,
     builtin_instance,
     check_equilibrium,
+    demand,
     existence_condition,
     grid_nonexistence,
     kkt_crosscheck,
@@ -17,6 +18,16 @@ from typedfisher.fixedpoint import run
 from typedfisher.verify import NotAtFixedPointError
 
 PROP2_ALLOC = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_check_equilibrium_checks_prices_like_demand():
+    inst = builtin_instance("prop2")
+    for p in ([11.0, 10.0], [-1.0, 10.0, 9.0]):
+        with pytest.raises(ValueError) as want:
+            demand(inst, 0, p)
+        with pytest.raises(ValueError) as got:
+            check_equilibrium(inst, p, PROP2_ALLOC)
+        assert str(got.value) == str(want.value)
 
 
 def test_cited_equilibria_pass_exactly():
@@ -131,6 +142,36 @@ def test_grid_scan_two_buyer_market_has_gap():
     inst = builtin_instance("prop1")
     scan = grid_nonexistence(inst, p_max=30.0, step=0.5)
     assert scan.min_residual >= 0.1
+    # the full result, as an exact target for any faster scan
+    assert scan.min_residual == pytest.approx(0.16666666666666674, abs=1e-12)
+    assert scan.argmin_price.tolist() == [15.0, 0.0]
+    assert (scan.points_evaluated, scan.points_skipped) == (3721, 0)
+    # the argmin is unique: nothing else comes within 1e-12 of the minimum
+    below = grid_nonexistence(
+        inst, p_max=30.0, step=0.5, record_below=scan.min_residual + 1e-12
+    )
+    assert [q.tolist() for q in below.near_clearing] == [[15.0, 0.0]]
+
+
+def test_grid_scan_three_buyer_market_pinned():
+    inst = builtin_instance("prop2")
+    scan = grid_nonexistence(inst, p_max=12.0, step=1.0, record_below=1e-9)
+    # nine grid prices clear exactly; the argmin is the first of them in
+    # lexicographic order, which pins the tie-break
+    assert scan.min_residual == 0.0
+    assert scan.argmin_price.tolist() == [8.0, 10.0, 12.0]
+    assert (scan.points_evaluated, scan.points_skipped) == (2028, 169)
+    assert [q.tolist() for q in scan.near_clearing] == [
+        [8.0, 10.0, 12.0],
+        [9.0, 10.0, 11.0],
+        [10.0, 9.0, 12.0],
+        [10.0, 10.0, 10.0],
+        [11.0, 9.0, 11.0],
+        [11.0, 10.0, 9.0],
+        [12.0, 8.0, 12.0],
+        [12.0, 9.0, 10.0],
+        [12.0, 10.0, 8.0],
+    ]
 
 
 def test_grid_scan_guards():
@@ -174,5 +215,5 @@ def test_prop2_grid_residual_zero_at_cited_prices():
     for p in ([11.0, 10.0, 9.0], [10.0, 10.0, 10.0]):
         X, excess = demand_all(inst, p)
         spends = X @ np.asarray(p)
-        assert excess.max_abs <= 1e-12
+        assert np.max(np.abs(excess)) <= 1e-12
         assert np.allclose(spends, inst.budgets, atol=1e-12)
