@@ -178,8 +178,8 @@ def _rows_prop1(p_max: float = 30.0, step: float = 0.05):
             f"no price in [0,{p_max:g}]^2 comes near clearing (min residual >= 0.1)",
             scan.min_residual >= 0.1,
             f"min residual {scan.min_residual:.4g} at p = {scan.argmin_price.tolist()} "
-            f"({scan.points_evaluated} grid points; margin>=10*step: "
-            f"{scan.nonexistence_margin_ok})",
+            f"({scan.points_evaluated} grid points; "
+            f"margin {scan.min_residual:.4g} / step {step:g})",
         )
     ]
     return rows
@@ -291,9 +291,11 @@ def validate(builtin, instance, seed, out):
               help="JSON list of budget perturbations")
 def solve(builtin, instance, tol, seed, out, sop1, lam):
     """Solve the social program and report allocation and duals."""
+    if sop1 and lam is not None:
+        raise click.UsageError("--sop1 solves with zero perturbations; drop --lam")
     inst = _load(builtin, instance, seed)
     lam_vec = np.zeros(inst.n_agents)
-    if lam and not sop1:
+    if lam is not None:
         try:
             lam_vec = np.asarray(json.loads(lam), dtype=float)
         except (ValueError, TypeError):

@@ -9,15 +9,13 @@ budget remains.  A partially bought segment leaves the agent mixed
 between its two endpoint goods; everything bought earlier sits at a
 frontier vertex.
 
-``brute_force_demand`` is an independent oracle for tests: it either
-enumerates the basic feasible points of the demand polytope exactly, or
-sweeps a dense grid when a step is given.  It shares no code path with
-the greedy beyond instance plumbing.
+``demand_prices`` runs the same greedy for one agent at many price rows
+at once, with the same float operations in the same order, so each row
+equals the scalar ``demand`` exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +57,12 @@ class DemandResult:
     ledger: tuple[Purchase, ...] = ()
 
 
-def _check_prices(p, m: int) -> np.ndarray:
+def _check_prices(p, m: int, ndim: int = 1) -> np.ndarray:
+    """A price vector (``ndim=1``) or a stack of price rows (``ndim=2``)."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (m,):
-        raise ValueError(f"price vector must have length {m}")
+    if p.ndim != ndim or p.shape[-1:] != (m,):
+        what = "price vector" if ndim == 1 else "each price row"
+        raise ValueError(f"{what} must have length {m}")
     if not np.all(np.isfinite(p)):
         raise ValueError("prices must be finite")
     if np.any(p < -1e-9):
@@ -154,122 +154,117 @@ def demand_all(inst: MarketInstance, p) -> tuple[np.ndarray, np.ndarray]:
     return X, X.sum(axis=0) - inst.capacities
 
 
-# --- independent oracle ------------------------------------------------------
+# float overflow gives inf silently, as Python float arithmetic does in demand
+@np.errstate(over="ignore", invalid="ignore")
+def demand_prices(
+    inst: MarketInstance, agent: int, P
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``demand`` of one agent at every row of the (K, m) price array ``P``.
 
-
-def brute_force_demand(
-    inst: MarketInstance, agent: int, p, grid_step: float | None = None
-) -> DemandResult:
-    """Reference demand by enumeration, for testing the greedy oracle.
-
-    With ``grid_step=None`` every basic feasible point of the LP
-    (budget row, participating type rows, nonnegativity) is enumerated
-    and the best kept; the optimum of a bounded LP sits at one of them.
-    With a positive ``grid_step`` a dense grid over the feasible box is
-    swept instead.  Intended for small m; raises on larger problems.
+    Returns ``(X, spend, unbounded)``: ``X[k]`` and ``spend[k]`` are ``==``
+    to ``demand(inst, agent, P[k])``'s ``x`` and ``spend``, and
+    ``unbounded[k]`` is True exactly where that call raises
+    UnboundedDemandError (``X[k]`` and ``spend[k]`` are zero there).  Each
+    step of the scalar path runs as a masked array operation over the rows,
+    with the same float operations in the same order.
     """
-    p = _check_prices(p, inst.n_goods)
+    if not 0 <= agent < inst.n_agents:
+        raise IndexError(f"agent index {agent} outside 0..{inst.n_agents - 1}")
+    P = _check_prices(P, inst.n_goods, ndim=2)
+    K = len(P)
     u = inst.utilities[agent]
-    w = float(inst.budgets[agent])
 
-    active = [j for j in range(inst.n_goods) if u[j] > 0.0]
-    for j in inst.unbounded_goods(agent):
-        if u[j] > 0.0 and p[j] == 0.0:
-            raise UnboundedDemandError(agent, j)
-
-    type_rows: list[list[int]] = []
+    # product slots, one column each, in any order: lexsort below puts
+    # every row in agent_products' (slope, type rank, hi) order
+    slots = []
     for t in inst.participating_types(agent):
-        goods = [j for j in inst.types[t] if j in active]
-        if goods:
-            type_rows.append(goods)
-
-    if grid_step is None:
-        x_active = _vertex_enumeration(p, u, w, active, type_rows)
-    else:
-        x_active = _grid_search(p, u, w, active, type_rows, inst, agent, grid_step)
-
-    x = np.zeros(inst.n_goods)
-    x[active] = x_active
-    spend = float(p @ x)
-    return DemandResult(
-        x=x,
-        spend=spend,
-        utility=float(u @ x),
-        alpha_star=float("nan"),
-        budget_exhausted=spend >= w - 1e-9 * max(1.0, w),
+        hu, hp, hj, size = _hulls(u, P, inst.types[t])
+        dp = np.diff(hp, axis=1)
+        ok = np.arange(1, hu.shape[1]) < size[:, None]
+        slope = np.divide(dp, np.diff(hu, axis=1), out=np.zeros_like(dp), where=ok)
+        slots.append((slope, np.full(dp.shape, t), hj[:, :-1], hj[:, 1:], dp, ok))
+    free = [j for j in inst.unbounded_goods(agent) if u[j] > 0.0]
+    shape = (K, len(free))
+    slots.append((
+        P[:, free] / u[free], np.full(shape, inst.n_types), np.full(shape, -1),
+        np.broadcast_to(np.array(free, dtype=int), shape), P[:, free],
+        np.ones(shape, dtype=bool),
+    ))
+    slope, rank, lo, hi, cost, valid = (np.concatenate(c, axis=1) for c in zip(*slots))
+    order = np.lexsort((hi, rank, slope, ~valid), axis=1)
+    rank, lo, hi, cost, valid = (
+        np.take_along_axis(a, order, axis=1) for a in (rank, lo, hi, cost, valid)
     )
+    capped = rank < inst.n_types
+    unbounded = np.any(P[:, free] == 0.0, axis=1)
+
+    rows = np.arange(K)
+    X = np.zeros((K, inst.n_goods))
+    w = float(inst.budgets[agent])
+    budget = np.full(K, w)
+    active = ~unbounded
+    for s in range(order.shape[1]):
+        active &= valid[:, s]
+        full = active & capped[:, s] & (cost[:, s] <= budget)
+        part = active & ~full & (budget > 0.0)
+        r = rows[full]
+        _move(X, r, lo[r, s], hi[r, s], np.ones(len(r)))
+        budget[r] -= cost[r, s]
+        r = rows[part]
+        _move(X, r, lo[r, s], hi[r, s], budget[r] / cost[r, s])
+        budget[r] = 0.0
+        active = full
+
+    X = np.maximum(X, 0.0)  # clip float dust, as the scalar path does
+    return X, w - budget, unbounded
 
 
-def _vertex_enumeration(p, u, w, active, type_rows) -> np.ndarray:
-    k = len(active)
-    if k == 0:
-        return np.zeros(0)
-    if k > 6:
-        raise ValueError(f"dimension too large for vertex enumeration ({k} goods)")
-    col = {j: idx for idx, j in enumerate(active)}
-
-    rows = [(np.array([p[j] for j in active]), w)]  # budget
-    for goods in type_rows:
-        a = np.zeros(k)
-        for j in goods:
-            a[col[j]] = 1.0
-        rows.append((a, 1.0))
-    for idx in range(k):
-        a = np.zeros(k)
-        a[idx] = -1.0
-        rows.append((a, 0.0))
-
-    A = np.array([r[0] for r in rows])
-    b = np.array([r[1] for r in rows])
-    scale = max(1.0, w, float(np.max(np.abs(A))))
-    feas_tol = 1e-9 * scale
-
-    best_val = 0.0
-    best_x = np.zeros(k)  # origin is always feasible
-    uvec = np.array([u[j] for j in active])
-    for combo in itertools.combinations(range(len(rows)), k):
-        M = A[list(combo)]
-        try:
-            x = np.linalg.solve(M, b[list(combo)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.any(A @ x > b + feas_tol):
-            continue
-        val = float(uvec @ x)
-        if val > best_val:
-            best_val = val
-            best_x = x
-    return np.maximum(best_x, 0.0)
+def _move(X, r, lo, hi, units) -> None:
+    """Shift ``units`` of row r's position from good lo (-1: none) to hi."""
+    has_lo = lo >= 0
+    X[r[has_lo], lo[has_lo]] -= units[has_lo]
+    X[r, hi] += units
 
 
-def _grid_search(p, u, w, active, type_rows, inst, agent, step) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("grid_step must be positive")
-    k = len(active)
-    if k == 0:
-        return np.zeros(0)
-    unbounded = set(inst.unbounded_goods(agent))
-    axes = []
-    total = 1
-    for j in active:
-        hi = w / p[j] if j in unbounded else 1.0
-        axis = np.arange(0.0, hi + step / 2, step)
-        total *= len(axis)
-        if total > 10_000_000:
-            raise ValueError("grid too large; reduce dimensions or enlarge step")
-        axes.append(axis)
-    grids = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
+def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
+    """``build_frontier``'s hull vertices for one type at every price row.
 
-    pvec = np.array([p[j] for j in active])
-    mask = X @ pvec <= w + 1e-12 * max(1.0, w)
-    col = {j: idx for idx, j in enumerate(active)}
-    for goods in type_rows:
-        mask &= X[:, [col[j] for j in goods]].sum(axis=1) <= 1.0 + 1e-12
-    X = X[mask]
-    if X.shape[0] == 0:
-        return np.zeros(k)
-    uvec = np.array([u[j] for j in active])
-    return X[int(np.argmax(X @ uvec))]
+    Returns utilities, prices and goods of the vertices as (K, D + 1)
+    arrays, the origin first (good -1), and each row's vertex count.  D is
+    the number of distinct positive utilities in the type; they keep their
+    order at every price, so the per-utility dedup is an argmin over fixed
+    groups of goods and the chain visits the levels in a fixed order.
+    """
+    goods = [j for j in sorted(int(j) for j in type_goods) if u[j] > 0.0]
+    levels = sorted({float(u[j]) for j in goods})
+    K, D = len(P), len(levels)
+    # per utility the cheapest good, lowest index on a price tie
+    good = np.empty((K, D), dtype=int)
+    for g, level in enumerate(levels):
+        group = np.array([j for j in goods if u[j] == level])
+        good[:, g] = group[np.argmin(P[:, group], axis=1)]
+    price = np.take_along_axis(P, good, axis=1)
+    # per price the highest utility: a level goes when a higher one costs the same
+    dropped = np.triu(price[:, :, None] == price[:, None, :], k=1).any(axis=2)
+
+    rows = np.arange(K)
+    hu = np.zeros((K, D + 1))
+    hp = np.zeros((K, D + 1))
+    hj = np.full((K, D + 1), -1)
+    size = np.ones(K, dtype=int)
+    for g, level in enumerate(levels):
+        q = price[:, g]
+        pop = ~dropped[:, g] & (size >= 2)
+        while pop.any():
+            a, b = np.maximum(size - 2, 0), size - 1
+            au, ap = hu[rows, a], hp[rows, a]
+            bu, bp = hu[rows, b], hp[rows, b]
+            pop &= (bu - au) * (q - ap) - (bp - ap) * (level - au) <= 0.0
+            size -= pop
+            pop &= size >= 2
+        r = rows[~dropped[:, g]]
+        hu[r, size[r]] = level
+        hp[r, size[r]] = q[r]
+        hj[r, size[r]] = good[r, g]
+        size[r] += 1
+    return hu, hp, hj, size

@@ -13,17 +13,17 @@ grid scan used to certify non-existence on small markets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import UnboundedDemandError, _check_prices, demand
+from .demand import _check_prices, demand, demand_prices
 from .instances import MarketInstance
 from .solver import DualBundle, solve_sop1
 
 FIXED_POINT_EPS = 1e-5  # kkt_crosscheck's limit on ||lam - sum_t r_it||
 MAX_GRID_POINTS = 10_000_000  # largest grid grid_nonexistence scans
+SCAN_CHUNK = 65_536  # grid prices per demand_prices call
 
 
 @dataclass
@@ -215,11 +215,6 @@ class GridScanResult:
     step: float
     near_clearing: list = field(default_factory=list)  # prices under record_below
 
-    @property
-    def nonexistence_margin_ok(self) -> bool:
-        # claim non-existence only with clear margin over the grid pitch
-        return self.min_residual >= 10.0 * self.step
-
 
 def grid_nonexistence(
     inst: MarketInstance,
@@ -235,8 +230,9 @@ def grid_nonexistence(
     bounds how close any grid price comes to clearing the market.  Grid
     points whose demand is unbounded (free valued cap-free goods on the
     zero faces) are skipped and counted.  With ``record_below`` set, every
-    grid price whose residual falls below it is kept (up to 1000), which
-    is how non-uniqueness shows up in a scan.
+    grid price whose residual falls below it is kept (up to 1000, in
+    lexicographic order), which is how non-uniqueness shows up in a scan.
+    Demand comes from ``demand_prices``, SCAN_CHUNK grid prices at a time.
     """
     m = inst.n_goods
     if m > 3:
@@ -244,37 +240,37 @@ def grid_nonexistence(
     if step <= 0 or p_max <= 0:
         raise ValueError("p_max and step must be positive")
     axis = np.arange(0.0, p_max + step / 2, step)
-    if len(axis) ** m > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid too large ({len(axis) ** m:.3g} points > {MAX_GRID_POINTS:g})"
-        )
+    size = len(axis) ** m
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"grid too large ({size:.3g} points > {MAX_GRID_POINTS:g})")
 
     best = np.inf
     argmin = None
     evaluated = skipped = 0
     near: list[np.ndarray] = []
-    for combo in itertools.product(axis, repeat=m):
-        p = np.array(combo)
-        try:
-            spends = np.empty(inst.n_agents)
-            total = np.zeros(m)
-            for i in range(inst.n_agents):
-                d = demand(inst, i, p)
-                spends[i] = d.spend
-                total += d.x
-        except UnboundedDemandError:
-            skipped += 1
-            continue
-        evaluated += 1
-        res = max(
-            float(np.max(np.abs(total - inst.capacities))),
-            float(np.max(np.abs(spends - inst.budgets))),
+    for start in range(0, size, SCAN_CHUNK):
+        # flat indices in itertools.product order: the last coordinate runs fastest
+        flat = np.arange(start, min(start + SCAN_CHUNK, size))
+        P = axis[np.stack(np.unravel_index(flat, (len(axis),) * m), axis=1)]
+        total = np.zeros((len(P), m))
+        spends = np.empty((len(P), inst.n_agents))
+        skip = np.zeros(len(P), dtype=bool)
+        for i in range(inst.n_agents):
+            X, spends[:, i], unbounded = demand_prices(inst, i, P)
+            total += X
+            skip |= unbounded
+        P = P[~skip]
+        res = np.maximum(
+            np.max(np.abs(total[~skip] - inst.capacities), axis=1),
+            np.max(np.abs(spends[~skip] - inst.budgets), axis=1),
         )
-        if res < best:
-            best = res
-            argmin = p
-        if record_below is not None and res <= record_below and len(near) < 1000:
-            near.append(p)
+        evaluated += len(P)
+        skipped += int(skip.sum())
+        if len(P) and res.min() < best:
+            k = int(np.argmin(res))
+            best, argmin = float(res[k]), P[k].copy()
+        if record_below is not None:
+            near.extend(P[res <= record_below][: 1000 - len(near)])
     return GridScanResult(
         min_residual=best,
         argmin_price=argmin,

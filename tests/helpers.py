@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
-from typedfisher import MarketInstance
+from typedfisher import DemandResult, MarketInstance, UnboundedDemandError
+from typedfisher.demand import _check_prices
 
 
 def finite_floats(lo, hi):
@@ -141,3 +144,121 @@ def random_feasible_market(rng, n=None, m=None, allow_types=True):
     for j in range(used, m):
         caps[j] = rng.uniform(0.1, 2.0 * n)
     return MarketInstance(utilities=u, budgets=w, capacities=caps, types=tuple(types))
+
+
+def brute_force_demand(
+    inst: MarketInstance, agent: int, p, grid_step: float | None = None
+) -> DemandResult:
+    """Reference demand by enumeration, for testing the greedy oracle.
+
+    With ``grid_step=None`` every basic feasible point of the LP
+    (budget row, participating type rows, nonnegativity) is enumerated
+    and the best kept; the optimum of a bounded LP sits at one of them.
+    With a positive ``grid_step`` a dense grid over the feasible box is
+    swept instead.  Intended for small m; raises on larger problems.
+    """
+    p = _check_prices(p, inst.n_goods)
+    u = inst.utilities[agent]
+    w = float(inst.budgets[agent])
+
+    active = [j for j in range(inst.n_goods) if u[j] > 0.0]
+    for j in inst.unbounded_goods(agent):
+        if u[j] > 0.0 and p[j] == 0.0:
+            raise UnboundedDemandError(agent, j)
+
+    type_rows: list[list[int]] = []
+    for t in inst.participating_types(agent):
+        goods = [j for j in inst.types[t] if j in active]
+        if goods:
+            type_rows.append(goods)
+
+    if grid_step is None:
+        x_active = _vertex_enumeration(p, u, w, active, type_rows)
+    else:
+        x_active = _grid_search(p, u, w, active, type_rows, inst, agent, grid_step)
+
+    x = np.zeros(inst.n_goods)
+    x[active] = x_active
+    spend = float(p @ x)
+    return DemandResult(
+        x=x,
+        spend=spend,
+        utility=float(u @ x),
+        alpha_star=float("nan"),
+        budget_exhausted=spend >= w - 1e-9 * max(1.0, w),
+    )
+
+
+def _vertex_enumeration(p, u, w, active, type_rows) -> np.ndarray:
+    k = len(active)
+    if k == 0:
+        return np.zeros(0)
+    if k > 6:
+        raise ValueError(f"dimension too large for vertex enumeration ({k} goods)")
+    col = {j: idx for idx, j in enumerate(active)}
+
+    rows = [(np.array([p[j] for j in active]), w)]  # budget
+    for goods in type_rows:
+        a = np.zeros(k)
+        for j in goods:
+            a[col[j]] = 1.0
+        rows.append((a, 1.0))
+    for idx in range(k):
+        a = np.zeros(k)
+        a[idx] = -1.0
+        rows.append((a, 0.0))
+
+    A = np.array([r[0] for r in rows])
+    b = np.array([r[1] for r in rows])
+    scale = max(1.0, w, float(np.max(np.abs(A))))
+    feas_tol = 1e-9 * scale
+
+    best_val = 0.0
+    best_x = np.zeros(k)  # origin is always feasible
+    uvec = np.array([u[j] for j in active])
+    for combo in itertools.combinations(range(len(rows)), k):
+        M = A[list(combo)]
+        try:
+            x = np.linalg.solve(M, b[list(combo)])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.any(A @ x > b + feas_tol):
+            continue
+        val = float(uvec @ x)
+        if val > best_val:
+            best_val = val
+            best_x = x
+    return np.maximum(best_x, 0.0)
+
+
+def _grid_search(p, u, w, active, type_rows, inst, agent, step) -> np.ndarray:
+    if step <= 0:
+        raise ValueError("grid_step must be positive")
+    k = len(active)
+    if k == 0:
+        return np.zeros(0)
+    unbounded = set(inst.unbounded_goods(agent))
+    axes = []
+    total = 1
+    for j in active:
+        hi = w / p[j] if j in unbounded else 1.0
+        axis = np.arange(0.0, hi + step / 2, step)
+        total *= len(axis)
+        if total > 10_000_000:
+            raise ValueError("grid too large; reduce dimensions or enlarge step")
+        axes.append(axis)
+    grids = np.meshgrid(*axes, indexing="ij")
+    X = np.stack([g.ravel() for g in grids], axis=1)
+
+    pvec = np.array([p[j] for j in active])
+    mask = X @ pvec <= w + 1e-12 * max(1.0, w)
+    col = {j: idx for idx, j in enumerate(active)}
+    for goods in type_rows:
+        mask &= X[:, [col[j] for j in goods]].sum(axis=1) <= 1.0 + 1e-12
+    X = X[mask]
+    if X.shape[0] == 0:
+        return np.zeros(k)
+    uvec = np.array([u[j] for j in active])
+    return X[int(np.argmax(X @ uvec))]

@@ -9,7 +9,6 @@ import pytest
 
 from typedfisher import (
     MarketInstance,
-    brute_force_demand,
     build_frontier,
     builtin_instance,
     check_equilibrium,
@@ -22,7 +21,7 @@ from typedfisher import (
 from typedfisher.cli import IOP_EXAMPLE_PRICES
 from typedfisher.fixedpoint import run as run_fixed_point
 
-from helpers import random_feasible_market, refine_grid_objective
+from helpers import brute_force_demand, random_feasible_market, refine_grid_objective
 
 
 def report(criterion: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -112,6 +111,11 @@ def test_criterion_4_nonexistence_grid_scan():
         time.monotonic() - t0,
         120.0,
     )
+    # the full result, over several scan chunks; the argmin is grid point
+    # 297 of the axis, printed 14.85
+    assert scan.min_residual == 0.16329966329966328
+    assert scan.argmin_price.tolist() == [297 * 0.05, 0.0]
+    assert (scan.points_evaluated, scan.points_skipped) == (361201, 0)
 
 
 def test_criterion_5_experiment_fixed_point(experiment_fixed_point):

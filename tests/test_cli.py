@@ -239,6 +239,7 @@ BAD_INPUT_FILES = {
          2, 'no "allocation" key'),
         (["gen", "-n", "2", "-m", "2", "--w-range", "0,1", "-o", "@out"],
          2, "--w-range expects 0 < lo <= hi"),
+        (["solve", "--builtin", "prop2", "--sop1", "--lam", "[1,0,0]"], 2, "drop --lam"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):

@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from typedfisher import (
     MarketInstance,
     UnboundedDemandError,
-    brute_force_demand,
     builtin_instance,
     demand,
     demand_all,
+    demand_prices,
 )
 
-from helpers import finite_floats, price_vectors, small_markets
+from helpers import (
+    brute_force_demand,
+    finite_floats,
+    price_vectors,
+    random_feasible_market,
+    small_markets,
+)
 
 EX_PRICES = np.array([0.1, 0.4, 0.7, 1.2, 1.7, 2.4])
 
@@ -226,3 +232,142 @@ def test_demand_all_propagates_agent_index():
     with pytest.raises(UnboundedDemandError) as err:
         demand_all(inst, [1.0, 1.0, 0.0])
     assert err.value.agent == 0
+
+
+# --- batched oracle agreement -------------------------------------------------
+
+
+def assert_rows_match_scalar(inst, agent, P):
+    """Each row of demand_prices equals the scalar oracle exactly."""
+    X, spend, unbounded = demand_prices(inst, agent, P)
+    assert X.shape == (len(P), inst.n_goods)
+    for k, p in enumerate(P):
+        try:
+            d = demand(inst, agent, p)
+        except UnboundedDemandError:
+            assert unbounded[k], (agent, p)
+            continue
+        assert not unbounded[k], (agent, p)
+        assert np.array_equal(X[k], d.x), (agent, p, X[k], d.x)
+        assert spend[k] == d.spend, (agent, p)
+    return X, spend, unbounded
+
+
+def price_rows(rng, m, K=8):
+    """Uniform, integer (ties, zeros), zero-heavy or rounded price rows."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.uniform(0.0, 20.0, (K, m))
+    if kind == 1:
+        return rng.integers(0, 4, (K, m)).astype(float)
+    if kind == 2:
+        return np.where(rng.random((K, m)) < 0.5, 0.0, rng.uniform(0.0, 5.0, (K, m)))
+    return np.round(rng.uniform(0.0, 3.0, (K, m)), 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_markets(max_n=2, max_m=5), st.data())
+def test_batched_demand_matches_scalar(inst, data):
+    part = data.draw(
+        st.lists(st.booleans(), min_size=inst.n_agents * inst.n_types,
+                 max_size=inst.n_agents * inst.n_types),
+        label="participation",
+    )
+    inst = MarketInstance(
+        utilities=inst.utilities, budgets=inst.budgets, capacities=inst.capacities,
+        types=inst.types,
+        participation=np.reshape(part, (inst.n_agents, inst.n_types)),
+    )
+    pool = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.integers(0, 5).map(float), finite_floats(0.0, 20.0)),
+                 min_size=1, max_size=4),
+        label="price pool",
+    )
+    rows = data.draw(
+        st.lists(st.lists(st.sampled_from(pool), min_size=inst.n_goods, max_size=inst.n_goods),
+                 min_size=1, max_size=8),
+        label="prices",
+    )
+    for agent in range(inst.n_agents):
+        assert_rows_match_scalar(inst, agent, np.array(rows))
+
+
+def test_batched_demand_matches_scalar_on_seeded_markets():
+    rng = np.random.default_rng(7)
+    unbounded = 0
+    for _ in range(300):
+        inst = random_feasible_market(rng, m=int(rng.integers(1, 7)))
+        u = inst.utilities.copy()
+        if rng.random() < 0.3:  # zero and repeated utilities
+            u[rng.random(u.shape) < 0.3] = 0.0
+            u = np.where(rng.random(u.shape) < 0.5, np.round(u), u)
+        part = rng.random((inst.n_agents, inst.n_types)) < 0.7
+        inst = MarketInstance(u, inst.budgets, inst.capacities, inst.types, part)
+        P = price_rows(rng, inst.n_goods)
+        for agent in range(inst.n_agents):
+            unbounded += int(assert_rows_match_scalar(inst, agent, P)[2].sum())
+    assert unbounded > 0
+
+
+def one_agent(u, types=((0, 1, 2),), budget=1.5, participation=None):
+    m = len(u)
+    return MarketInstance(
+        utilities=[u], budgets=[budget], capacities=np.full(m, 0.5),
+        types=types, participation=participation,
+    )
+
+
+@pytest.mark.parametrize(
+    "inst, P, expect",
+    [
+        # equal utilities in one type: the cheaper good, the lower index on a tie
+        (one_agent([2.0, 2.0, 1.0]), [[3.0, 1.0, 9.0], [1.0, 3.0, 9.0], [1.0, 1.0, 9.0]],
+         [[0, 1, 0], [1, 0, 0], [1, 0, 0]]),
+        # equal prices: only the higher utility survives
+        (one_agent([1.0, 3.0, 2.0]), [[1.0, 1.0, 1.0], [0.0, 0.0, 9.0]],
+         [[0, 1, 0], [0, 1, 0]]),
+        # collinear hull points merge into one segment from the origin
+        (one_agent([1.0, 2.0, 3.0]), [[1.0, 2.0, 3.0]], [[0, 0, 0.5]]),
+        # agent ignores the type: every valued good is cap-free
+        (one_agent([1.0, 3.0, 2.0], participation=[[False]]),
+         [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]], [[0, 1.5, 0], None]),
+        # untyped good 2 absorbs the budget left after the type
+        (one_agent([1.0, 2.0, 1.0], types=((0, 1),)), [[1.0, 1.0, 0.5], [1.0, 1.0, 0.0]],
+         [[0, 1, 1], None]),
+        # nothing is valued: nothing is bought, even at price zero
+        (one_agent([0.0, 0.0, 0.0]), [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+         [[0, 0, 0], [0, 0, 0]]),
+        # equal slopes in two types: the lower type rank buys first, whatever hi is
+        (one_agent([1.0, 1.0], types=((1,), (0,))), [[1.0, 1.0]], [[0.5, 1]]),
+    ],
+    ids=["equal-utility", "equal-price", "collinear", "partial-participation",
+         "untyped-good", "nothing-valued", "slope-tie-across-types"],
+)
+def test_batched_demand_edge_cases(inst, P, expect):
+    X, spend, unbounded = assert_rows_match_scalar(inst, 0, np.array(P))
+    for k, row in enumerate(expect):
+        assert unbounded[k] == (row is None)
+        if row is not None:
+            assert np.array_equal(X[k], row), (P[k], X[k])
+
+
+def test_batched_demand_keeps_scalar_order_on_rounded_slope_tie():
+    # both hull segments of the type round to the same slope, so the scalar
+    # sort falls through to hi and buys the upper segment first; the clip
+    # then zeroes good 1's -0.57
+    inst = one_agent([44.73684210526316, 1.736842105263158], types=((0, 1),), budget=5.0)
+    X, _, _ = assert_rows_match_scalar(inst, 0, np.array([[9.090909090909092, 0.35294117647058826]]))
+    assert X[0, 1] == 0.0
+
+
+def test_batched_demand_checks_prices_like_demand():
+    inst = builtin_instance("prop2")
+    for bad, msg in (([1.0, 1.0, 1.0], "length 3"), ([[1.0, 1.0]], "length 3"),
+                     ([[-1.0, 1.0, 1.0]], "negative price"),
+                     ([[np.inf, 1.0, 1.0]], "finite")):
+        with pytest.raises(ValueError, match=msg):
+            demand_prices(inst, 0, bad)
+    with pytest.raises(IndexError):
+        demand_prices(inst, 3, [[1.0, 1.0, 1.0]])
+    X, spend, unbounded = demand_prices(inst, 0, np.zeros((0, 3)))
+    assert X.shape == (0, 3) and spend.shape == unbounded.shape == (0,)

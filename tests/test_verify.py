@@ -14,6 +14,7 @@ from typedfisher import (
     solve_sop1,
     sop1_budget_gap,
 )
+from typedfisher import verify
 from typedfisher.fixedpoint import run
 from typedfisher.verify import NotAtFixedPointError
 
@@ -172,6 +173,20 @@ def test_grid_scan_three_buyer_market_pinned():
         [12.0, 9.0, 10.0],
         [12.0, 10.0, 8.0],
     ]
+
+
+@pytest.mark.parametrize("chunk", [7, 500])
+def test_grid_scan_result_does_not_depend_on_chunk(monkeypatch, chunk):
+    inst = builtin_instance("prop2")
+    whole = grid_nonexistence(inst, p_max=12.0, step=1.0, record_below=20.0)
+    monkeypatch.setattr(verify, "SCAN_CHUNK", chunk)
+    split = grid_nonexistence(inst, p_max=12.0, step=1.0, record_below=20.0)
+    # the first of the nine tied minima, and the first 1000 recorded prices
+    assert split.argmin_price.tolist() == whole.argmin_price.tolist() == [8.0, 10.0, 12.0]
+    assert split.min_residual == whole.min_residual
+    assert (split.points_evaluated, split.points_skipped) == (2028, 169)
+    assert len(whole.near_clearing) == 1000
+    assert [q.tolist() for q in split.near_clearing] == [q.tolist() for q in whole.near_clearing]
 
 
 def test_grid_scan_guards():
