@@ -259,7 +259,13 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
             a, b = np.maximum(size - 2, 0), size - 1
             au, ap = hu[rows, a], hp[rows, a]
             bu, bp = hu[rows, b], hp[rows, b]
-            pop &= (bu - au) * (q - ap) - (bp - ap) * (level - au) <= 0.0
+            # build_frontier's test; rows with a single vertex divide by
+            # zero here but are already out of ``pop``, and an overflowing
+            # slope is inf, as in the scalar path
+            with np.errstate(all="ignore"):
+                pop &= ((bu - au) * (q - ap) - (bp - ap) * (level - au) <= 0.0) | (
+                    (q - bp) / (level - bu) <= (bp - ap) / (bu - au)
+                )
             size -= pop
             pop &= size >= 2
         r = rows[~dropped[:, g]]

@@ -74,14 +74,18 @@ def build_frontier(
     points = sorted(by_p.values())
 
     # Monotone chain from the origin, utility ascending.  Keep strictly
-    # increasing slopes; cross-multiplied comparison avoids division.
+    # increasing slopes: b stays only when slope(a->b) < slope(a->c) by the
+    # cross-multiplied test and the slopes the products carry, computed as
+    # below, also increase (two segments can round to one slope).
     hull: list[tuple[float, float, int | None]] = [(0.0, 0.0, None)]
     for u, q, j in points:
         while len(hull) >= 2:
             au, ap, _ = hull[-2]
             bu, bp, _ = hull[-1]
-            # pop b unless slope(a->b) < slope(a->c)
-            if (bu - au) * (q - ap) - (bp - ap) * (u - au) <= 0.0:
+            if (
+                (bu - au) * (q - ap) - (bp - ap) * (u - au) <= 0.0
+                or (q - bp) / (u - bu) <= (bp - ap) / (bu - au)
+            ):
                 hull.pop()
             else:
                 break

@@ -14,8 +14,12 @@ and complementary slackness to the requested tolerance.
 
 The Newton systems decouple: the objective Hessian is block diagonal per
 agent (rank one per block) and every type row touches a single agent, so
-each step solves n small saddle systems plus one m-by-m Schur system for
-the capacity duals.
+each step solves one block per agent plus one m-by-m Schur system for the
+capacity duals.  Without tight types (below), agent i's block is its
+barrier diagonal plus one rank-one term per slack type it joins plus
+beta_i u_i u_i^T; ``structured_newton`` factors it as LDL^T by rank-one
+updates, kept as O(m) numbers per agent.  With tight types the blocks are
+saddle systems with equality rows, and ``dense_newton`` inverts them.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -39,6 +43,8 @@ from .instances import MarketInstance, validate_instance
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+# primal diagonal regularization of the Newton blocks
+_REG = 1e-11
 
 
 class InfeasibleInstanceError(ValueError):
@@ -83,9 +89,14 @@ class SolveStats:
     complementarity_residual: float
     # converged | degenerate_tight, or why the solve stopped short:
     # diverged (residuals grew 1e4-fold over the best iterate), singular
-    # (a Newton block stayed singular after regularization) or max_iter
+    # (a dense Newton block of a market with tight types stayed singular
+    # after regularization) or max_iter
     status: str
     tight_types: tuple[int, ...] = ()
+    # largest infinity-norm residual of a Newton direction's linear system
+    # over the solve, as refinement last measured it; an accurate step
+    # keeps it near rounding level
+    direction_residual: float = 0.0
 
     @property
     def success(self) -> bool:
@@ -144,18 +155,11 @@ def solve_bpsop(
     slack_agent, slack_type = layout.slack_agent, layout.slack_type
     eq_agent, eq_type = layout.eq_agent, layout.eq_type
     K, Q = len(slack_agent), len(eq_agent)
-    # Newton blocks: the m goods, then one slot per tight type.  Every agent
-    # takes part in every tight type, so each agent but the last holds one
-    # equality row per tight type, in the slot of that type's rank; the
-    # last agent's slots are padding.
+    # equality rows sit in the Newton blocks after the m goods, one slot
+    # per tight type (see dense_newton)
     tight = list(layout.tight)
     n_slots = len(tight)
     eq_slot = np.searchsorted(tight, eq_type)
-    slots = np.arange(m, m + n_slots)
-    dim = m + n_slots
-    # the (good, good) pairs that share a slack type, where slack rows enter
-    A_slack = np.delete(A, tight, axis=0)
-    ta, tb = np.nonzero(A_slack.T @ A_slack)
 
     def by_pair(v, w=0.0):
         """(n, T) array of slack-row values v and equality-row values w."""
@@ -191,13 +195,16 @@ def solve_bpsop(
     xi = np.maximum(1.0 - row_sums(x), 0.005)
     r = np.full(K, delta0)
 
-    reg = 1e-11
     n_comp = n * m + K
     stat = pfeas = comp = np.inf
     it = 0
     status = "max_iter"
+    direction_residual = 0.0
     best_metric = np.inf
     best_state = None
+
+    # one Newton system per iterate; its structure is set up once
+    newton = dense_newton(U, A, tight) if tight else structured_newton(U, A)
 
     def _residuals():
         # types are disjoint, so each (agent, good) carries at most one dual
@@ -240,65 +247,39 @@ def solve_bpsop(
             break
         min_prod = float(min(xz.min(initial=np.inf), xir.min(initial=np.inf)))
 
-        # Newton matrix blocks, one saddle system per agent.  Barrier
-        # diagonals are clamped so degenerate actives cannot overflow the
-        # factorization; refinement below recovers the lost accuracy.
+        # Barrier diagonals are clamped so degenerate actives cannot
+        # overflow the factorization; refinement below recovers the lost
+        # accuracy.
         beta = c / yhat**2
-        Kb = np.zeros((n, dim, dim))
-        Kb[:, :m, :m] = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
-        diag = np.arange(m)
-        Kb[:, diag, diag] += np.minimum(z / x, 1e12) + reg
-        Kb[:, ta, tb] += (by_pair(np.minimum(r / xi, 1e12)) @ A)[:, ta]
-        scale = np.maximum(1.0, np.abs(Kb[:, :m, :m]).max(axis=(1, 2)))
-        Kb[:-1, m:, :m] = A[tight]
-        Kb[:-1, :m, m:] = A[tight].T
-        Kb[:-1, slots, slots] = -reg
-        Kb[-1, slots, slots] = 1.0
+        d = np.minimum(z / x, 1e12) + _REG
+        gamma = by_pair(np.minimum(r / xi, 1e12))
+        solve = apply = None  # let the last iterate's system go first
         try:
-            Kinv = np.linalg.inv(Kb)
+            solve, apply = newton(beta, d, gamma)
         except np.linalg.LinAlgError:
-            Kb[:, diag, diag] += 1e-8 * scale[:, None]
-            try:
-                Kinv = np.linalg.inv(Kb)
-            except np.linalg.LinAlgError:
-                status = "singular"
-                break
-        P = Kinv[:, :m, :m]
-        S = P.sum(axis=0)
+            status = "singular"
+            break
 
         rhs_eq = np.zeros((n, n_slots))
         rhs_eq[eq_agent, eq_slot] = -r_eq
-
-        def _solve_structured(rhs, rhs_cap):
-            # [K_i  E_i^T][sol_i]   [rhs_i]      E_i^T dp lands on the x rows
-            # [E    0    ][ dp  ] = [rhs_cap]
-            sol0 = np.einsum("nab,nb->na", Kinv, rhs)
-            dp = np.linalg.solve(S, sol0[:, :m].sum(axis=0) - rhs_cap)
-            sol = sol0 - np.einsum("nab,b->na", Kinv[:, :, :m], dp)
-            return sol, dp
-
-        def _kkt_apply(sol, dp):
-            out = np.einsum("nab,nb->na", Kb, sol)
-            out[:, :m] += dp[None, :]
-            return out, sol[:, :m].sum(axis=0)
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
             b -= by_pair((gamma_xi + r * r_ineq) / xi) @ A
             rhs = np.concatenate([b, rhs_eq], axis=1)
-            sol, dp = _solve_structured(rhs, -r_cap)
+            sol, dp = solve(rhs, -r_cap)
             # iterative refinement; the blocks are badly conditioned near
             # degenerate optima
             err = np.inf
             for _ in range(3):
-                lhs, cap = _kkt_apply(sol, dp)
+                lhs, cap = apply(sol, dp)
                 res_a = rhs - lhs
                 res_c = -r_cap - cap
                 new_err = max(float(np.abs(res_a).max()), float(np.abs(res_c).max()))
                 if not np.isfinite(new_err) or new_err >= 0.5 * err:
                     break
                 err = new_err
-                dsol, ddp = _solve_structured(res_a, res_c)
+                dsol, ddp = solve(res_a, res_c)
                 sol = sol + dsol
                 dp = dp + ddp
             dx = sol[:, :m]
@@ -306,7 +287,7 @@ def solve_bpsop(
             dz = (gamma_x - z * dx) / x
             dxi = -r_ineq - row_sums(dx)
             dr = (gamma_xi - r * dxi) / xi
-            return dx, dz, dxi, dr, dp, drho
+            return (dx, dz, dxi, dr, dp, drho), err
 
         def _max_step(v, dv):
             neg = dv < 0
@@ -315,7 +296,7 @@ def solve_bpsop(
             return float(np.min(-v[neg] / dv[neg]))
 
         # predictor
-        dxa, dza, dxia, dra, _, _ = _direction(-xz, -xir)
+        (dxa, dza, dxia, dra, _, _), err_a = _direction(-xz, -xir)
         alpha_aff = min(
             1.0,
             _max_step(x.ravel(), dxa.ravel()),
@@ -334,9 +315,10 @@ def solve_bpsop(
             sigma = max(sigma, 0.9)  # hold mu while other residuals catch up
 
         # corrector with centering
-        dx, dz, dxi, dr, dp, drho = _direction(
+        (dx, dz, dxi, dr, dp, drho), err_c = _direction(
             sigma * mu - xz - dxa * dza, sigma * mu - xir - dxia * dra
         )
+        direction_residual = max(direction_residual, err_a, err_c)
         tau = 0.99 if mu > 1e-8 * max(1.0, comp) else 0.999
         tau = min(0.9995, max(tau, 1.0 - mu))
         alpha = min(
@@ -397,8 +379,216 @@ def solve_bpsop(
         complementarity_residual=comp,
         status=status,
         tight_types=tuple(tight),
+        direction_residual=direction_residual,
     )
     return x, duals, stats
+
+
+def dense_newton(U, A, tight):
+    """The Newton systems of a market, by batched dense block inverses.
+
+    Returns ``factor(beta, d, gamma)``, which builds the system of one
+    iterate.  Agent i's block is K_i = diag(d_i) + sum_t gamma_it a_t a_t^T
+    + beta_i u_i u_i^T over the goods, where a_t is row t of the type
+    incidence ``A``, followed by one slot per tight type.  Every agent
+    takes part in every tight type, so each agent but the last holds one
+    equality row per tight type, in the slot of that type's rank; the last
+    agent's slots are padding.  The capacity rows couple the blocks.
+
+    ``factor`` returns ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves
+    the system for per-agent right-hand sides ``rhs`` (n, m + slots) and
+    capacity right-hand side ``rhs_cap`` (m,), and
+    ``apply(sol, dp) -> (lhs, cap)``, its product.  It raises
+    ``np.linalg.LinAlgError`` when a block stays singular after
+    regularization.  The only path for markets with tight types, and the
+    reference for ``structured_newton``.
+    """
+    n, m = U.shape
+    n_slots = len(tight)
+    dim = m + n_slots
+    slots = np.arange(m, dim)
+    diag = np.arange(m)
+    E = A[list(tight)]
+    # the (good, good) pairs that share a slack type, where slack rows enter
+    A_slack = np.delete(A, tight, axis=0)
+    ta, tb = np.nonzero(A_slack.T @ A_slack)
+
+    def factor(beta, d, gamma):
+        Kb = np.zeros((n, dim, dim))
+        Kb[:, :m, :m] = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
+        Kb[:, diag, diag] += d
+        Kb[:, ta, tb] += (gamma @ A)[:, ta]
+        Kb[:-1, m:, :m] = E
+        Kb[:-1, :m, m:] = E.T
+        Kb[:-1, slots, slots] = -_REG
+        Kb[-1, slots, slots] = 1.0
+        try:
+            Kinv = np.linalg.inv(Kb)
+        except np.linalg.LinAlgError:
+            scale = np.maximum(1.0, np.abs(Kb[:, :m, :m]).max(axis=(1, 2)))
+            Kb[:, diag, diag] += 1e-8 * scale[:, None]
+            Kinv = np.linalg.inv(Kb)
+        S = Kinv[:, :m, :m].sum(axis=0)
+
+        def solve(rhs, rhs_cap):
+            # [K_i  E_i^T][sol_i]   [rhs_i]      E_i^T dp lands on the x rows
+            # [E    0    ][ dp  ] = [rhs_cap]
+            sol0 = np.einsum("nab,nb->na", Kinv, rhs)
+            dp = np.linalg.solve(S, sol0[:, :m].sum(axis=0) - rhs_cap)
+            sol = sol0 - np.einsum("nab,b->na", Kinv[:, :, :m], dp)
+            return sol, dp
+
+        def apply(sol, dp):
+            out = np.einsum("nab,nb->na", Kb, sol)
+            out[:, :m] += dp[None, :]
+            return out, sol[:, :m].sum(axis=0)
+
+        return solve, apply
+
+    return factor
+
+
+def structured_newton(U, A):
+    """The Newton systems of a market without tight types, by an LDL^T
+    factor of every block kept as O(m) numbers per agent.
+
+    Returns ``factor(beta, d, gamma)`` with the same arguments and returns
+    as ``dense_newton``'s.  Agent i's block K_i = diag(d_i)
+    + sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T is factored by positive
+    rank-one updates (method C1 of Gill, Golub, Murray & Saunders, Math.
+    Comp. 1974), which stay accurate where a Sherman-Morrison inverse of
+    the same matrix does not.  Starting from diag(d_i), the disjoint type
+    terms give a unit lower triangular factor L_T that couples each good
+    only with the earlier goods of its type, and beta_i u_i u_i^T then
+    gives one more, L_u, over all goods:
+
+        K_i = L_T L_u D_i L_u^T L_T^T.
+
+    An update of a diagonal c by weight alpha along v gives the factor
+    I + strictly-lower(v b^T), with the update weight before good j,
+    alpha_j = alpha / (1 + alpha sum_{k<j} v_k^2 / c_k), and
+    b_j = v_j alpha_j / (c_j + alpha_j v_j^2).  A triangular solve with it
+    is a running sum that each good scales by alpha_{j+1} / alpha_j, so it
+    takes the closed form
+
+        (L^{-1} y)_j   = y_j - v_j alpha_j sum_{k<j} v_k y_k / c_k
+        (L^{-T} y)_j   = y_j - (v_j / c_j) sum_{k>j} alpha_k v_k y_k,
+
+    a product with a fixed 0/1 triangular matrix.  Those products cost
+    O(m^2) per agent but run as one matrix product over all agents, which
+    is faster than O(m) running sums over the goods up to about a hundred
+    goods.  Nothing of size n x m x m is formed.  The capacity Schur matrix
+    sum_i K_i^{-1} is summed from the same quantities.
+    """
+    n, m = U.shape
+    # earlier[k, j] = 1 when good k comes before good j; in_type keeps the
+    # pairs within one type (types are disjoint)
+    same_type = A.T @ A
+    in_type = np.triu(same_type, 1)
+    earlier = np.triu(np.ones((m, m)), 1)
+    chain, gap = _type_chains(A)
+
+    def factor(beta, d, gamma):
+        # L_T: each type's update along a_t from diag(d)
+        dinv = 1.0 / d
+        g = gamma @ A
+        aT = g / (1.0 + g * (dinv @ in_type))
+        dT = d + aT
+
+        def type_solve(v):
+            """L_T^{-1} v."""
+            return v - aT * ((v * dinv) @ in_type)
+
+        def type_solve_t(v):
+            """L_T^{-T} v."""
+            return v - dinv * ((aT * v) @ in_type.T)
+
+        # L_u: beta u u^T = L_T (beta w w^T) L_T^T with w = L_T^{-1} u, an
+        # update of diag(dT)
+        w = type_solve(U)
+        wd = w / dT
+        cum = (w * wd) @ earlier
+        aw = w * (beta[:, None] / (1.0 + beta[:, None] * cum))
+        D = dT + aw * w
+
+        def solve_block(v):
+            """K_i^{-1} v_i for every agent, through the factors."""
+            y = type_solve(v)
+            y = (y - aw * ((wd * y) @ earlier)) / D
+            y -= wd * ((aw * y) @ earlier.T)
+            return type_solve_t(y)
+
+        # S = sum_i K_i^{-1}.  Off the diagonal, with
+        # M_i = K_i - beta_i u_i u_i^T,
+        # M_i^{-1} = diag(1 / d_i) - sum_t coef_it (a_t / d_i)(a_t / d_i)^T,
+        # coef_it the type update weight after its last good, and
+        # K_i^{-1} = M_i^{-1} - omega_i h_i h_i^T with h_i = M_i^{-1} u_i and
+        # omega_i = beta_i / (1 + beta_i u_i . h_i), the last weight of L_u
+        coef = g / (1.0 + g * (dinv @ same_type))
+        omega = beta / (1.0 + beta * (cum[:, -1] + w[:, -1] * wd[:, -1]))
+        h = type_solve_t(wd) * np.sqrt(omega)[:, None]
+        S = -(same_type * ((dinv * coef).T @ dinv) + h.T @ h)
+        # On the diagonal those terms cancel where d is tiny, so it is summed
+        # from the factors instead: (K_i^{-1})_kk = sum_j G_jk^2 / D_j with
+        # G = (L_T L_u)^{-1}.  Column k of L_T^{-1} is 1 at k and -aT_j / d_k
+        # at the later goods j of k's type; L_u^{-1} turns it into
+        # x_j - aw_j sig_j, where sig_j = sum_{l<j} wd_l x_l is constant
+        # between those goods.
+        tail = aw * aw / D
+        sig = wd
+        diag = 1.0 / D
+        for i in range(gap.shape[0]):
+            diag += sig * sig * (tail @ gap[i])
+            nxt = chain[:, i + 1]
+            has = nxt < m
+            if not has.any():
+                break
+            j = np.where(has, nxt, 0)
+            x = -aT[:, j] * dinv
+            step = x - aw[:, j] * sig
+            diag += np.where(has, step * step / D[:, j], 0.0)
+            sig = sig + np.where(has, wd[:, j] * x, 0.0)
+        S[np.diag_indices(m)] = diag.sum(axis=0)
+
+        def solve(rhs, rhs_cap):
+            sol0 = solve_block(rhs)
+            dp = np.linalg.solve(S, sol0.sum(axis=0) - rhs_cap)
+            return sol0 - solve_block(np.broadcast_to(dp, (n, m))), dp
+
+        def apply(sol, dp):
+            lhs = (
+                d * sol
+                + (gamma * (sol @ A.T)) @ A
+                + (beta * np.einsum("ij,ij->i", U, sol))[:, None] * U
+                + dp
+            )
+            return lhs, sol.sum(axis=0)
+
+        return solve, apply
+
+    return factor
+
+
+def _type_chains(A):
+    """For every good k, the goods of its type from k on, and the gaps.
+
+    ``chain[k, i]`` is the good i places after k in k's type (k itself at
+    i = 0; an untyped good is its own type) or m past the type's last good.
+    ``gap[i, j, k]`` is 1 when good j lies strictly between ``chain[k, i]``
+    and ``chain[k, i + 1]``.
+    """
+    m = A.shape[1]
+    size = int(A.sum(axis=1).max(initial=1))
+    chain = np.full((m, size + 1), m)
+    chain[:, 0] = np.arange(m)
+    for row in A:
+        goods = np.flatnonzero(row)
+        for p, k in enumerate(goods):
+            chain[k, 1 : len(goods) - p] = goods[p + 1 :]
+    j = np.arange(m)[None, :, None]
+    lo, hi = chain.T[:-1, None, :], chain.T[1:, None, :]
+    gap = ((j > lo) & (j < hi) & (lo < m)).astype(float)
+    return chain, gap
 
 
 def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResiduals:

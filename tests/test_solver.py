@@ -126,12 +126,33 @@ def test_divergence_is_reported_as_such():
     # the absolute stopping test stalls on this slack market and the
     # divergence guard ends the solve long before the iteration limit
     inst = random_instance(
-        9, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0)
+        4, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0)
     )
     _, _, stats = solve_sop1(inst)
     assert stats.status == "diverged"
-    assert stats.iterations == 26
+    assert stats.iterations == 17
     assert not stats.success
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        random_instance(
+            9, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0)
+        ),
+        random_instance(
+            1, 200, 60, [tuple(range(3 * t, 3 * t + 3)) for t in range(18)],
+            capacity_range=(10.0, 60.0),
+        ),
+    ],
+    ids=["tall_g9", "wide_g1"],
+)
+def test_slack_markets_that_diverged_with_dense_blocks_converge(inst):
+    # the batched dense inverses lost the Newton direction's accuracy near
+    # the optimum of these markets, and the solves ended diverged
+    x, duals, stats = solve_sop1(inst)
+    assert stats.status == "converged"
+    assert kkt_residuals(inst, np.zeros(inst.n_agents), x, duals).max_residual <= 1e-6
 
 
 def test_summed_complementarity_identity():
