@@ -289,18 +289,12 @@ def solve_bpsop(
             dr = (gamma_xi - r * dxi) / xi
             return (dx, dz, dxi, dr, dp, drho), err
 
-        def _max_step(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            return float(np.min(-v[neg] / dv[neg]))
-
         # predictor
         (dxa, dza, dxia, dra, _, _), err_a = _direction(-xz, -xir)
         alpha_aff = min(
             1.0,
-            _max_step(x.ravel(), dxa.ravel()),
-            _max_step(z.ravel(), dza.ravel()),
+            _max_step(x, dxa),
+            _max_step(z, dza),
             _max_step(xi, dxia),
             _max_step(r, dra),
         )
@@ -323,23 +317,18 @@ def solve_bpsop(
         tau = min(0.9995, max(tau, 1.0 - mu))
         alpha = min(
             1.0,
-            tau * _max_step(x.ravel(), dx.ravel()),
-            tau * _max_step(z.ravel(), dz.ravel()),
+            tau * _max_step(x, dx),
+            tau * _max_step(z, dz),
             tau * _max_step(xi, dxi),
             tau * _max_step(r, dr),
         )
         # stay inside a wide central-path neighborhood: no complementarity
         # product may collapse far below the average
         for _ in range(50):
-            xn = x + alpha * dx
-            zn = z + alpha * dz
-            xin = xi + alpha * dxi
-            rn = r + alpha * dr
-            pn = (xn * zn).sum() + (xin * rn).sum()
-            mn = pn / n_comp
-            low = min(
-                (xn * zn).min(initial=np.inf), (xin * rn).min(initial=np.inf)
-            )
+            xzn = (x + alpha * dx) * (z + alpha * dz)
+            xirn = (xi + alpha * dxi) * (r + alpha * dr)
+            mn = (xzn.sum() + xirn.sum()) / n_comp
+            low = min(xzn.min(initial=np.inf), xirn.min(initial=np.inf))
             if low >= 1e-4 * mn or alpha <= 1e-8:
                 break
             alpha *= 0.75
@@ -382,6 +371,13 @@ def solve_bpsop(
         direction_residual=direction_residual,
     )
     return x, duals, stats
+
+
+def _max_step(v, dv):
+    """The largest step s with v + s dv >= 0, or 1 when no entry of dv < 0."""
+    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
+    step = ratio.min(initial=np.inf)
+    return float(step) if step < np.inf else 1.0
 
 
 def dense_newton(U, A, tight):
