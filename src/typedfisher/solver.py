@@ -20,6 +20,9 @@ barrier diagonal plus one rank-one term per slack type it joins plus
 beta_i u_i u_i^T; ``structured_newton`` factors it as LDL^T by rank-one
 updates, kept as O(m) numbers per agent.  With tight types the blocks are
 saddle systems with equality rows, and ``dense_newton`` inverts them.
+Either way ``refined_solve`` refines each direction in working precision
+only until its componentwise backward error is at the rounding level of
+one block row, so an accurate first solve is not repeated.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -45,6 +48,8 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 # primal diagonal regularization of the Newton blocks
 _REG = 1e-11
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class InfeasibleInstanceError(ValueError):
@@ -94,8 +99,9 @@ class SolveStats:
     status: str
     tight_types: tuple[int, ...] = ()
     # largest infinity-norm residual of a Newton direction's linear system
-    # over the solve, as refinement last measured it; an accurate step
-    # keeps it near rounding level
+    # over the solve, measured on the direction that refinement returned;
+    # refinement stops once the direction is backward stable, so an accurate
+    # step keeps it near rounding level
     direction_residual: float = 0.0
 
     @property
@@ -267,21 +273,9 @@ def solve_bpsop(
             b = -r_dual + gamma_x / x
             b -= by_pair((gamma_xi + r * r_ineq) / xi) @ A
             rhs = np.concatenate([b, rhs_eq], axis=1)
-            sol, dp = solve(rhs, -r_cap)
-            # iterative refinement; the blocks are badly conditioned near
-            # degenerate optima
-            err = np.inf
-            for _ in range(3):
-                lhs, cap = apply(sol, dp)
-                res_a = rhs - lhs
-                res_c = -r_cap - cap
-                new_err = max(float(np.abs(res_a).max()), float(np.abs(res_c).max()))
-                if not np.isfinite(new_err) or new_err >= 0.5 * err:
-                    break
-                err = new_err
-                dsol, ddp = solve(res_a, res_c)
-                sol = sol + dsol
-                dp = dp + ddp
+            # the blocks are badly conditioned near degenerate optima;
+            # refinement ends once the direction is backward stable
+            sol, dp, err = refined_solve(solve, apply, rhs, -r_cap)
             dx = sol[:, :m]
             drho = sol[eq_agent, m + eq_slot]
             dz = (gamma_x - z * dx) / x
@@ -378,6 +372,53 @@ def _max_step(v, dv):
     ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
     step = ratio.min(initial=np.inf)
     return float(step) if step < np.inf else 1.0
+
+
+def refined_solve(solve, apply, rhs, rhs_cap):
+    """Solve one Newton system, refined until it is backward stable.
+
+    ``solve`` and ``apply`` are those of a ``factor`` of ``dense_newton``
+    or ``structured_newton``.  After every solve the componentwise backward
+    error of the block system (Oettli & Prager 1964; the stopping rule of
+    LAPACK's xGERFS)
+
+        omega = max_k |res|_k / (|K| |sol| + |rhs|)_k,
+
+    over the agent rows and the capacity rows, is measured.  Refinement
+    stops once omega is within (row length + 1) eps, the rounding bound of
+    one block row's product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 12.1-12.2), once the infinity norm of the
+    residual no longer halves, or after 3 refinement steps.  |K| |sol| is
+    taken as ``apply(|sol|, |dp|)``: every block entry is >= 0 except the
+    -_REG slots of ``dense_newton``, so it is at most the true product and
+    the test errs on the safe side.
+
+    Returns ``(sol, dp, residual)``, the residual's infinity norm as last
+    measured (inf when it is not finite).
+    """
+    stable = (rhs.shape[1] + 1) * _EPS
+    rhs_abs, rhs_cap_abs = np.abs(rhs), np.abs(rhs_cap)
+    sol, dp = solve(rhs, rhs_cap)
+    err = np.inf
+    for refined in range(4):
+        lhs, cap = apply(sol, dp)
+        lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp))
+        res, res_cap = rhs - lhs, rhs_cap - cap
+        res_abs, res_cap_abs = np.abs(res), np.abs(res_cap)
+        # a row that is zero throughout (a padding slot) has no error
+        omega = max(
+            (res_abs / np.maximum(lhs_abs + rhs_abs, _TINY)).max(),
+            (res_cap_abs / np.maximum(cap_abs + rhs_cap_abs, _TINY)).max(),
+        )
+        new_err = max(float(res_abs.max()), float(res_cap_abs.max()))
+        halved = new_err < 0.5 * err
+        err = new_err if np.isfinite(new_err) else np.inf
+        if omega <= stable or not halved or refined == 3:
+            break
+        dsol, ddp = solve(res, res_cap)
+        sol = sol + dsol
+        dp = dp + ddp
+    return sol, dp, err
 
 
 def dense_newton(U, A, tight):

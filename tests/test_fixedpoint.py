@@ -118,11 +118,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert final == pytest.approx(res.trace.iterates[-1].tolist(), rel=1e-10)
 
 
+# prices of the experiment's seed-1 fixed point, pinned so that a change to
+# the solver that moves the fixed point shows
+EXPERIMENT_PRICES = [
+    1.5921300088629295, 3.36162019647148, 1.8404834451665613,
+    4.1332886203388615, 1.234005562638265, 2.8227453816547547,
+]
+
+
 def test_experiment_converges_fast():
     inst = builtin_instance("experiment")
     res = run(inst, eps=1e-6, max_iter=100)
     assert res.trace.status == "converged"
-    assert res.trace.iterations <= 100
+    assert res.trace.iterations == 32
+    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 393
+    assert np.abs(res.prices - EXPERIMENT_PRICES).max() <= 1e-9
     assert res.trace.residuals[-1] <= 1e-6 < res.trace.residuals[0]
     # strictly positive residual at every pre-convergence iterate
     assert all(r > 1e-6 for r in res.trace.residuals[:-1])

@@ -3,12 +3,14 @@
 Markets without tight types take ``structured_newton``; ``dense_newton``
 stays as the reference.  Both are handed the same iterates, captured from
 real solves, and full solves are repeated with the dense path swapped in.
+The refinement that both paths share is checked on every direction of
+those solves.
 """
 
 import numpy as np
 import pytest
 
-from typedfisher import MarketInstance, kkt_residuals, solve_sop1, solver
+from typedfisher import MarketInstance, kkt_residuals, random_instance, solve_sop1, solver
 
 EPS = np.finfo(float).eps
 
@@ -40,6 +42,10 @@ MARKETS = {
     "wide_scales_sparse": slack_market(5, 50, 7, ((1, 2), (4, 5, 6)), 3.0, participation=0.4),
     "tall": slack_market(6, 300, 6, ((0, 1), (2, 3)), 2.0),
 }
+
+
+# a market with three degenerate-tight types, solved by dense_newton
+TIGHT = random_instance(1, 40, 7, ((0, 1), (2, 3), (4, 5)))
 
 
 def dense_as_structured(U, A):
@@ -133,3 +139,66 @@ def test_direction_residual_is_reported():
     inst = MARKETS["interleaved_types"]
     _, _, stats = solve_sop1(inst)
     assert 0.0 < stats.direction_residual <= 1e-8
+
+
+def backward_error_bound(rhs):
+    """The refinement's stop: (row length + 1) eps for the block width."""
+    return (rhs.shape[1] + 1) * EPS
+
+
+def componentwise_backward_error(apply, rhs, rhs_cap, sol, dp):
+    """max_k |res|_k / (|K| |sol| + |rhs|)_k over agent and capacity rows,
+    and the residual's infinity norm."""
+    lhs, cap = apply(sol, dp)
+    lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp))
+    res, res_cap = np.abs(rhs - lhs), np.abs(rhs_cap - cap)
+    with np.errstate(invalid="ignore"):
+        ratios = [res / (lhs_abs + np.abs(rhs)), res_cap / (cap_abs + np.abs(rhs_cap))]
+    # a row that is zero throughout (a padding slot) has no error
+    omega = max(float(np.nan_to_num(v, nan=0.0).max()) for v in ratios)
+    return omega, max(res.max(), res_cap.max())
+
+
+def recorded_directions(inst, monkeypatch):
+    """Every direction of a solve: its system, the right-hand side of each
+    ``solve`` call refinement made, and what ``refined_solve`` returned."""
+    records = []
+    original = solver.refined_solve
+
+    def recording(solve, apply, rhs, rhs_cap):
+        calls = []
+
+        def counted(b, b_cap):
+            calls.append((b.copy(), b_cap.copy()))
+            return solve(b, b_cap)
+
+        sol, dp, err = original(counted, apply, rhs, rhs_cap)
+        first, _ = componentwise_backward_error(apply, rhs, rhs_cap, *solve(rhs, rhs_cap))
+        records.append((apply, rhs, rhs_cap, calls, first, sol, dp, err))
+        return sol, dp, err
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "refined_solve", recording)
+        solve_sop1(inst)
+    return records
+
+
+@pytest.mark.parametrize("name", [*MARKETS, "tight"])
+def test_refinement_stops_once_backward_stable(name, monkeypatch):
+    inst = TIGHT if name == "tight" else MARKETS[name]
+    assert (name == "tight") == bool(inst.layout.tight)
+    records = recorded_directions(inst, monkeypatch)
+    assert len(records) >= 10
+    for apply, rhs, rhs_cap, calls, first, sol, dp, err in records:
+        bound = backward_error_bound(rhs)
+        omega, last = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
+        # refinement solves take the residual of the solution before them
+        residuals = [max(np.abs(b).max(), np.abs(b_cap).max()) for b, b_cap in calls[1:]]
+        residuals.append(last)
+        assert err == residuals[-1]  # the residual last measured is reported
+        stalled = len(residuals) > 1 and not residuals[-1] < 0.5 * residuals[-2]
+        assert omega <= bound or stalled
+        # a direction that is backward stable after its first solve is not refined
+        if first <= bound:
+            assert len(calls) == 1
+    assert any(first <= backward_error_bound(rhs) for _, rhs, _, _, first, *_ in records)
