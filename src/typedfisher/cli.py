@@ -209,7 +209,7 @@ def _rows_experiment(seed: int, eps: float = 1e-6, max_iter: int = 100):
                 f"gap {rep.max_gap:.1e}",
             )
         )
-        tsum_dev = float(np.max(np.abs(result.allocation @ inst.layout.A.T - 1.0)))
+        tsum_dev = float(np.max(np.abs(result.allocation @ inst.incidence.T - 1.0)))
         rows.append(
             (
                 "every agent holds exactly one unit per type",

@@ -21,8 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-UNTYPED = -1  # value in type_of_good for goods outside every resource type
-
 BUILTIN_NAMES = ("prop1", "prop2", "iop_ex1", "iop_ex2", "experiment")
 
 
@@ -85,98 +83,58 @@ class MarketInstance:
         return len(self.types)
 
     @cached_property
-    def type_of_good(self) -> np.ndarray:
-        """(m,) array mapping each good to its type index, UNTYPED if none."""
-        out = np.full(self.n_goods, UNTYPED, dtype=int)
-        t, j = np.nonzero(self.layout.A)
-        out[j] = t
-        out.setflags(write=False)
-        return out
+    def incidence(self) -> np.ndarray:
+        """(T, m) 0/1 type incidence, read-only.
+
+        ``x @ incidence.T`` gives each agent's type sums and
+        ``R @ incidence`` spreads an (n, T) array of type duals over goods.
+        Goods outside 0..m-1 are left out; validation reports them.
+        """
+        inc = np.zeros((self.n_types, self.n_goods))
+        for t, goods in enumerate(self.types):
+            inc[t, [j for j in goods if 0 <= j < self.n_goods]] = 1.0
+        inc.setflags(write=False)
+        return inc
 
     @cached_property
-    def layout(self) -> TypeLayout:
-        """The type-constraint structure, built on first use."""
-        return _build_layout(self)
+    def tight_types(self) -> tuple[int, ...]:
+        """The degenerate-tight types, ascending.
+
+        A type is degenerate-tight when every agent participates in it and
+        its capacity equals n (relative tolerance 1e-9): each of its
+        constraints then holds with equality at every feasible point.
+        """
+        capacity, participants = _type_totals(self)
+        n = self.n_agents
+        tight = (participants == n) & (
+            np.abs(capacity - participants) <= _TIGHT_RTOL * np.maximum(1, participants)
+        )
+        return tuple(int(t) for t in np.flatnonzero(tight))
 
     @cached_property
     def untyped_goods(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n_goods) if self.type_of_good[j] == UNTYPED)
+        return tuple(np.flatnonzero(~self.incidence.any(axis=0)).tolist())
 
     def unbounded_goods(self, agent: int) -> tuple[int, ...]:
         """Goods agent may purchase without a type cap.
 
         Untyped goods, plus goods of types the agent does not participate in.
         """
-        out = []
-        for j in range(self.n_goods):
-            t = self.type_of_good[j]
-            if t == UNTYPED or not self.participation[agent, t]:
-                out.append(j)
-        return tuple(out)
+        capped = self.participation[agent] @ self.incidence
+        return tuple(np.flatnonzero(capped == 0).tolist())
 
     def participating_types(self, agent: int) -> tuple[int, ...]:
-        return tuple(t for t in range(self.n_types) if self.participation[agent, t])
+        return tuple(np.flatnonzero(self.participation[agent]).tolist())
 
 
 # relative tolerance of the degenerate-tight rule: |capacity - n| <= tol * max(1, n)
 _TIGHT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TypeLayout:
-    """Type-constraint structure of one market, shared by the solver and the
-    checks; every array is read-only.
-
-    ``A`` is the (T, m) 0/1 type incidence: ``x @ A.T`` gives each agent's
-    type sums and ``R @ A`` spreads an (n, T) array of type duals over
-    goods.  A type is degenerate-tight when every agent participates in it
-    and its capacity equals n (relative tolerance 1e-9): each of its
-    constraints then holds with equality at every feasible point.
-
-    The constraints are the participating (agent, type) pairs, listed
-    type-major in two sets: the slack pairs, one per participating pair of
-    a non-tight type, and the equality pairs, one per pair of a tight type
-    except the last agent's, which the capacity equalities imply.
-    """
-
-    A: np.ndarray
-    capacity: np.ndarray  # (T,) total capacity of each type's goods
-    participants: np.ndarray  # (T,) number of participating agents
-    tight: tuple[int, ...]
-    slack_agent: np.ndarray  # (K,)
-    slack_type: np.ndarray  # (K,)
-    eq_agent: np.ndarray  # (Q,)
-    eq_type: np.ndarray  # (Q,)
-
-
-def _build_layout(inst: MarketInstance) -> TypeLayout:
-    n, m, T = inst.n_agents, inst.n_goods, inst.n_types
-    inc = np.zeros((T, m), dtype=bool)
-    for t, goods in enumerate(inst.types):
-        inc[t, [j for j in goods if 0 <= j < m]] = True
-    part = inst.participation.T
-    capacity = np.where(inc, inst.capacities, 0.0).sum(axis=1)
-    participants = part.sum(axis=1)
-    tight = (participants == n) & (
-        np.abs(capacity - participants) <= _TIGHT_RTOL * np.maximum(1, participants)
-    )
-
-    slack_type, slack_agent = np.nonzero(part & ~tight[:, None])
-    eq_type, eq_agent = np.nonzero(part & tight[:, None] & (np.arange(n) < n - 1))
-
-    A = inc.astype(float)
-    for arr in (A, capacity, participants, slack_agent, slack_type, eq_agent, eq_type):
-        arr.setflags(write=False)
-    return TypeLayout(
-        A=A,
-        capacity=capacity,
-        participants=participants,
-        tight=tuple(int(t) for t in np.flatnonzero(tight)),
-        slack_agent=slack_agent,
-        slack_type=slack_type,
-        eq_agent=eq_agent,
-        eq_type=eq_type,
-    )
+def _type_totals(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(T,) total capacity of each type's goods and (T,) participant counts."""
+    capacity = np.where(inst.incidence > 0, inst.capacities, 0.0).sum(axis=1)
+    return capacity, inst.participation.sum(axis=0)
 
 
 @dataclass
@@ -241,17 +199,17 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
 
     # Per-type clearing feasibility: total capacity of a type's goods must be
     # coverable by its participating agents at one unit each.
-    layout = inst.layout
+    capacity, participants = _type_totals(inst)
     for t in range(inst.n_types):
         if t in out_of_range:
             continue
-        cap_sum, n_part = layout.capacity[t], layout.participants[t]
+        cap_sum, n_part = capacity[t], participants[t]
         if cap_sum > n_part + 1e-9:
             rep.errors.append(
                 f"type {t + 1} capacity {cap_sum:g} exceeds its "
                 f"{n_part} participating agents; clearing infeasible"
             )
-        elif t in layout.tight:
+        elif t in inst.tight_types:
             rep.warnings.append(
                 f"degenerate-tight: type {t + 1} capacity equals participant count"
             )
@@ -264,7 +222,7 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     for j in np.flatnonzero(~positive.any(axis=0)):
         rep.warnings.append(f"good {j + 1} valued by no agent")
 
-    values_type = positive @ layout.A.T > 0
+    values_type = positive @ inst.incidence.T > 0
     for i, t in np.argwhere(values_type & ~inst.participation):
         rep.warnings.append(
             f"agent {i + 1} ignores type {t + 1} but values its goods; "

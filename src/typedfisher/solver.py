@@ -27,8 +27,9 @@ one block row, so an accurate first solve is not repeated.
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
 type inequalities are implied equalities with zero slack, which a barrier
-cannot hold.  Those rows are converted to hard equalities (one redundant
-row per such type is dropped; it is implied by the capacity equalities).
+cannot hold.  Those rows are converted to hard equalities: every agent but
+the last holds one equality row per tight type, and the last agent's rows,
+implied by the capacity equalities, are dropped (see ``dense_newton``).
 The equality duals are then determined only up to a per-type shift moved
 between p and r, so the returned duals are normalized by shifting along
 that direction until min_i r[i, t] = 0, which keeps every Karush-Kuhn-
@@ -156,22 +157,21 @@ def solve_bpsop(
     sbar = inst.capacities
     c = inst.budgets + lam
 
-    layout = inst.layout
-    A = layout.A
-    slack_agent, slack_type = layout.slack_agent, layout.slack_type
-    eq_agent, eq_type = layout.eq_agent, layout.eq_type
-    K, Q = len(slack_agent), len(eq_agent)
-    # equality rows sit in the Newton blocks after the m goods, one slot
-    # per tight type (see dense_newton)
-    tight = list(layout.tight)
+    A = inst.incidence
+    tight = list(inst.tight_types)
     n_slots = len(tight)
-    eq_slot = np.searchsorted(tight, eq_type)
+    # slack rows, type-major: the participating pairs of the non-tight
+    # types; the tight-type equality rows are dense_newton's (n - 1, slots) grid
+    slack_pairs = inst.participation.T.copy()
+    slack_pairs[tight] = False
+    slack_type, slack_agent = np.nonzero(slack_pairs)
+    K = len(slack_agent)
 
     def by_pair(v, w=0.0):
         """(n, T) array of slack-row values v and equality-row values w."""
         out = np.zeros((n, T))
         out[slack_agent, slack_type] = v
-        out[eq_agent, eq_type] = w
+        out[:-1, tight] = w
         return out
 
     def row_sums(v):
@@ -197,7 +197,7 @@ def solve_bpsop(
     delta0 = 0.1 * max(1.0, float(grad_scale.max()))
     z = grad_scale + delta0
     p = np.zeros(m)
-    rho = np.zeros(Q)
+    rho = np.zeros((n - 1, n_slots))
     xi = np.maximum(1.0 - row_sums(x), 0.005)
     r = np.full(K, delta0)
 
@@ -220,7 +220,7 @@ def solve_bpsop(
         r_cap = x.sum(axis=0) - sbar
         type_sums = x @ A.T
         r_ineq = type_sums[slack_agent, slack_type] + xi - 1.0
-        r_eq = type_sums[eq_agent, eq_type] - 1.0
+        r_eq = type_sums[:-1, tight] - 1.0
         return r_dual, r_cap, r_ineq, r_eq
 
     for it in range(1, max_iter + 1):
@@ -267,7 +267,7 @@ def solve_bpsop(
             break
 
         rhs_eq = np.zeros((n, n_slots))
-        rhs_eq[eq_agent, eq_slot] = -r_eq
+        rhs_eq[:-1] = -r_eq
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
@@ -277,7 +277,7 @@ def solve_bpsop(
             # refinement ends once the direction is backward stable
             sol, dp, err = refined_solve(solve, apply, rhs, -r_cap)
             dx = sol[:, :m]
-            drho = sol[eq_agent, m + eq_slot]
+            drho = sol[:-1, m:]
             dz = (gamma_x - z * dx) / x
             dxi = -r_ineq - row_sums(dx)
             dr = (gamma_xi - r * dxi) / xi
@@ -429,8 +429,10 @@ def dense_newton(U, A, tight):
     + beta_i u_i u_i^T over the goods, where a_t is row t of the type
     incidence ``A``, followed by one slot per tight type.  Every agent
     takes part in every tight type, so each agent but the last holds one
-    equality row per tight type, in the slot of that type's rank; the last
-    agent's slots are padding.  The capacity rows couple the blocks.
+    equality row per tight type, in the slot of that type's rank: the last
+    agent's rows are implied by the capacity equalities, so its slots are
+    padding and the equality rows form an (n - 1, slots) grid.  The capacity
+    rows couple the blocks.
 
     ``factor`` returns ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves
     the system for per-agent right-hand sides ``rhs`` (n, m + slots) and
@@ -639,7 +641,7 @@ def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResidua
     lam = np.asarray(lam, dtype=float)
     x = np.asarray(x, dtype=float)
     U = inst.utilities
-    A = inst.layout.A
+    A = inst.incidence
     c = inst.budgets + lam
     yhat = np.einsum("ij,ij->i", U, x)
     if np.any(yhat <= 0.0):

@@ -81,7 +81,7 @@ def check_equilibrium(
     if np.any(x < -tol_clearing):
         i, j = np.argwhere(x < -tol_clearing)[0]
         violations.append(f"negative allocation x[{i + 1}][{j + 1}] = {x[i, j]:g}")
-    sums = x @ inst.layout.A.T
+    sums = x @ inst.incidence.T
     for t, i in np.argwhere(inst.participation.T & (sums.T > 1.0 + tol_clearing)):
         violations.append(f"agent {i + 1} holds {sums[i, t]:g} units of type {t + 1}")
 
@@ -177,7 +177,7 @@ def kkt_crosscheck(
         )
 
     U = inst.utilities
-    A = inst.layout.A
+    A = inst.incidence
     yhat = np.einsum("ij,ij->i", U, x)
     y = yhat / (inst.budgets + lam)
     r_tilde = y[:, None] * np.where(inst.participation, duals.r, 0.0)

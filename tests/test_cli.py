@@ -205,6 +205,19 @@ def test_reproduce_several_names(runner):
     assert result.output.count("PASS") == 5  # 2 rows for iop_ex1, 3 for iop_ex2
 
 
+def test_reproduce_every_documented_result(runner):
+    names = ["prop2", "prop1", "sop1_gap", "experiment"]
+    result = runner.invoke(main, ["reproduce", *names])
+    assert result.exit_code == 0, result.output
+    lines = [line for line in result.output.splitlines() if line.strip()]
+    assert [line for line in lines if line.startswith("---")] == [
+        f"--- {name} ---" for name in names
+    ]
+    rows = [line for line in lines if not line.startswith("---")]
+    assert len(rows) == 8  # 2 rows for prop2, 1 for prop1, 2 for sop1_gap, 3 for experiment
+    assert all(row.startswith("PASS  ") for row in rows), result.output
+
+
 # files named by '@key' in the arguments below; each is written as JSON
 BAD_INPUT_FILES = {
     "overlap": {

@@ -12,7 +12,7 @@ from typedfisher import (
     residual,
     write_trace_csv,
 )
-from typedfisher.fixedpoint import run
+from typedfisher.fixedpoint import STALL_WINDOW, run
 
 
 def test_no_types_converges_immediately():
@@ -102,6 +102,22 @@ def test_nonconvergent_market_reports_trace():
     assert res.allocation is not None and res.prices is not None
     if res.trace.status == "solver_failure":
         assert res.trace.failure_iteration is not None
+
+
+def test_stalled_run_ends_oscillating():
+    """``experiment`` seed 11 stops ``oscillating``, after 43 iterations.
+
+    The market has no untyped good, so whether it has an equilibrium is
+    not known.  A safeguarded outer step (ROADMAP item 5) may change this
+    outcome; a change that moves it must say why.
+    """
+    trace = run(builtin_instance("experiment", 11)).trace
+    assert trace.status == "oscillating"
+    assert trace.failure_iteration is None
+    assert trace.iterations > STALL_WINDOW
+    # the last STALL_WINDOW iterations never beat the best before them by 0.1%
+    window, before = trace.residuals[-STALL_WINDOW:], trace.residuals[:-STALL_WINDOW]
+    assert min(window) >= 0.999 * min(before)
 
 
 def test_trace_csv_round_trip(tmp_path):

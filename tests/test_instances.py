@@ -128,6 +128,23 @@ def test_agent_valuing_nothing_is_error():
     assert any("agent 1" in e and "positively valued" in e for e in rep.errors)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(utilities=[[1.0, 2.0]], budgets=[1.0], capacities=[0.5, 0.5], types=((0, 2),)),
+         "type 1 references good 3 outside 1..2"),
+        (dict(utilities=[[1.0, -1.0]], budgets=[1.0], capacities=[1.0, 1.0]),
+         "utility of agent 1 for good 2 is negative"),
+        (dict(utilities=[[1.0, np.nan]], budgets=[1.0], capacities=[1.0, 1.0]),
+         "non-finite entries"),
+        (dict(utilities=[[1.0, 2.0]], budgets=[np.inf], capacities=[1.0, 1.0]),
+         "non-finite entries"),
+    ],
+)
+def test_validation_error_messages(kwargs, message):
+    assert validate_instance(MarketInstance(**kwargs)).errors == [message]
+
+
 def test_messages_are_one_based():
     inst = MarketInstance(
         utilities=[[1.0, 0.0], [1.0, 0.0]],
@@ -177,28 +194,26 @@ def test_validation_messages_keep_agent_then_good_order():
     ]
 
 
-# --- type-constraint layout -----------------------------------------------------
+# --- type incidence and tight types ---------------------------------------------
 
 
-def _pair_rows(inst):
-    """Loop reference for the layout: tight types, then the slack and the
-    equality (agent, type) pairs in type-major order."""
+def _tight_types(inst):
+    """Loop reference for the degenerate-tight rule."""
     n = inst.n_agents
-    tight = [
+    return tuple(
         t for t, goods in enumerate(inst.types)
         if inst.participation[:, t].all()
         and abs(sum(inst.capacities[j] for j in goods) - n) <= 1e-9 * n
-    ]
-    slack, eq = [], []
-    for t in range(inst.n_types):
-        for i in range(n):
-            if not inst.participation[i, t]:
-                continue
-            if t not in tight:
-                slack.append((i, t))
-            elif i < n - 1:
-                eq.append((i, t))
-    return tight, slack, eq
+    )
+
+
+def _unbounded_goods(inst, agent):
+    """Loop reference: untyped goods and the goods of types agent ignores."""
+    return tuple(
+        j for j in range(inst.n_goods)
+        if not any(j in goods and inst.participation[agent, t]
+                   for t, goods in enumerate(inst.types))
+    )
 
 
 def test_layout_matches_pair_loops():
@@ -212,22 +227,25 @@ def test_layout_matches_pair_loops():
     )
     untyped = random_instance(seed=2, n=4, m=3)
     for inst in [builtin_instance(name) for name in BUILTIN_NAMES] + [mixed, untyped]:
-        layout = inst.layout
-        tight, slack, eq = _pair_rows(inst)
-        assert layout.tight == tuple(tight)
+        assert inst.tight_types == _tight_types(inst)
         for t, goods in enumerate(inst.types):
-            assert np.flatnonzero(layout.A[t]).tolist() == list(goods)
-        assert layout.A.sum() == sum(len(goods) for goods in inst.types)
-        assert list(zip(layout.slack_agent, layout.slack_type)) == slack
-        assert list(zip(layout.eq_agent, layout.eq_type)) == eq
-    assert mixed.layout.tight == (0,) and len(mixed.layout.eq_agent) == 4
+            assert np.flatnonzero(inst.incidence[t]).tolist() == list(goods)
+        assert inst.incidence.sum() == sum(len(goods) for goods in inst.types)
+        typed = {j for goods in inst.types for j in goods}
+        assert inst.untyped_goods == tuple(j for j in range(inst.n_goods) if j not in typed)
+        for i in range(inst.n_agents):
+            assert inst.unbounded_goods(i) == _unbounded_goods(inst, i)
+            assert inst.participating_types(i) == tuple(
+                t for t in range(inst.n_types) if inst.participation[i, t]
+            )
+    assert mixed.tight_types == (0,)
 
 
 def test_layout_is_cached_and_read_only():
     inst = builtin_instance("experiment")
-    assert inst.layout is inst.layout
+    assert inst.incidence is inst.incidence
     with pytest.raises(ValueError):
-        inst.layout.A[0, 0] = 0.0
+        inst.incidence[0, 0] = 0.0
 
 
 # --- random instances ----------------------------------------------------------
@@ -269,6 +287,12 @@ def test_random_instance_bad_ranges():
         random_instance(seed=1, n=2, m=2, budget_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         random_instance(seed=1, n=2, m=2, type_spec=((0, 0),))
+    for n, m in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            random_instance(seed=1, n=n, m=m)
+    for capacity_range in ((0.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="capacity_range must satisfy"):
+            random_instance(seed=1, n=2, m=2, capacity_range=capacity_range)
 
 
 # --- JSON round trip -------------------------------------------------------------
@@ -301,6 +325,9 @@ def test_dict_declared_sizes_checked():
     d["n"] = 4
     with pytest.raises(ValueError):
         instance_from_dict(d)
+    d["n"], d["m"] = 3, 4
+    with pytest.raises(ValueError, match="declared m=4 but utilities have 3 columns"):
+        instance_from_dict(d)
 
 
 def test_participation_round_trip():
@@ -320,6 +347,26 @@ def test_participation_round_trip():
 def test_generated_instances_validate(inst):
     rep = validate_instance(inst)
     assert rep.errors == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(utilities=[1.0, 2.0], budgets=[1.0], capacities=[1.0, 1.0]),
+         "utilities must be a 2-D matrix"),
+        (dict(utilities=[[1.0, 2.0]], budgets=[1.0, 1.0], capacities=[1.0, 1.0]),
+         "budgets must have length 1"),
+        (dict(utilities=[[1.0, 2.0]], budgets=[1.0], capacities=[1.0]),
+         "capacities must have length 2"),
+        (dict(utilities=[[1.0, 2.0]], budgets=[1.0], capacities=[1.0, 1.0], types=((0,),),
+              participation=[[True, False]]),
+         "participation must have shape (1, 1)"),
+    ],
+)
+def test_instance_shape_errors(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        MarketInstance(**kwargs)
+    assert str(err.value) == message
 
 
 def test_instance_is_immutable():

@@ -99,7 +99,7 @@ def captured_iterates(inst, monkeypatch):
 @pytest.mark.parametrize("name", MARKETS)
 def test_structured_direction_is_as_accurate_as_dense(name, monkeypatch):
     inst = MARKETS[name]
-    assert inst.layout.tight == ()
+    assert inst.tight_types == ()
     iterates = captured_iterates(inst, monkeypatch)
     assert len(iterates) >= 5
     worst = {"dense": 0.0, "structured": 0.0}
@@ -186,7 +186,7 @@ def recorded_directions(inst, monkeypatch):
 @pytest.mark.parametrize("name", [*MARKETS, "tight"])
 def test_refinement_stops_once_backward_stable(name, monkeypatch):
     inst = TIGHT if name == "tight" else MARKETS[name]
-    assert (name == "tight") == bool(inst.layout.tight)
+    assert (name == "tight") == bool(inst.tight_types)
     records = recorded_directions(inst, monkeypatch)
     assert len(records) >= 10
     for apply, rhs, rhs_cap, calls, first, sol, dp, err in records:

@@ -175,6 +175,14 @@ def test_infeasible_capacity_raises():
         solve_sop1(inst)
 
 
+def test_invalid_instance_raises():
+    inst = MarketInstance(utilities=[[1.0, 1.0]], budgets=[-1.0], capacities=[1.0, 1.0])
+    with pytest.raises(ValueError) as err:
+        solve_sop1(inst)
+    assert not isinstance(err.value, InfeasibleInstanceError)
+    assert str(err.value) == "invalid instance: budget of agent 1 is not positive"
+
+
 def test_bad_lam_rejected():
     inst = builtin_instance("prop2")
     with pytest.raises(ValueError):

@@ -196,6 +196,9 @@ def test_grid_scan_guards():
     inst3 = random_instance(seed=1, n=2, m=3)
     with pytest.raises(ValueError):
         grid_nonexistence(inst3, p_max=10.0, step=1e-4)  # too many points
+    for step in (0.0, -0.5):
+        with pytest.raises(ValueError, match="p_max and step must be positive"):
+            grid_nonexistence(inst3, p_max=10.0, step=step)
 
 
 def test_converged_runs_with_existence_condition_verify():
