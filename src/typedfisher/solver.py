@@ -15,26 +15,28 @@ and complementary slackness to the requested tolerance.
 The Newton systems decouple: the objective Hessian is block diagonal per
 agent (rank one per block) and every type row touches a single agent, so
 each step solves one block per agent plus one m-by-m Schur system for the
-capacity duals.  Without tight types (below), agent i's block is its
-barrier diagonal plus one rank-one term per slack type it joins plus
-beta_i u_i u_i^T; ``structured_newton`` factors it as LDL^T by rank-one
-updates, kept as O(m) numbers per agent.  With tight types the blocks are
-saddle systems with equality rows, and ``dense_newton`` inverts them.
-Either way ``refined_solve`` refines each direction in working precision
-only until its componentwise backward error is at the rounding level of
-one block row, so an accurate first solve is not repeated.
+capacity duals.  Agent i's block is its barrier diagonal plus one rank-one
+term per type row it holds plus beta_i u_i u_i^T; ``structured_newton``
+factors it as LDL^T by rank-one updates, kept as O(m) numbers per agent,
+and ``refined_solve`` refines each direction in working precision only
+until its componentwise backward error is at the rounding level of one
+block row, so an accurate first solve is not repeated.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
 type inequalities are implied equalities with zero slack, which a barrier
-cannot hold.  Those rows are converted to hard equalities: every agent but
-the last holds one equality row per tight type, and the last agent's rows,
-implied by the capacity equalities, are dropped (see ``dense_newton``).
-The equality duals are then determined only up to a per-type shift moved
-between p and r, so the returned duals are normalized by shifting along
-that direction until min_i r[i, t] = 0, which keeps every Karush-Kuhn-
-Tucker identity intact and r nonnegative.  Raw (unshifted) duals and the
-applied shifts are reported alongside.
+cannot hold.  Every agent then holds exactly one unit of the type, so its
+last good is one minus the type's other goods, and it is substituted out
+once per solve (exact elimination of the equality rows; Nocedal & Wright,
+Numerical Optimization, section 15.3).  The type becomes an ordinary slack
+row over its other goods whose slack is the substituted good, and that
+good's capacity row, implied by the others, is dropped.  The type duals
+of the unreduced program are then determined only up to a per-type shift
+moved between p and r, so the returned duals are normalized by shifting
+along that direction until min_i r[i, t] = 0, which keeps every Karush-
+Kuhn-Tucker identity intact and r nonnegative.  Raw (unshifted) duals, in
+the gauge where the substituted good's price is zero, and the applied
+shifts are reported alongside.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .instances import MarketInstance, validate_instance
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
-# primal diagonal regularization of the Newton blocks
-_REG = 1e-11
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -94,9 +94,7 @@ class SolveStats:
     primal_feasibility_residual: float
     complementarity_residual: float
     # converged | degenerate_tight, or why the solve stopped short:
-    # diverged (residuals grew 1e4-fold over the best iterate), singular
-    # (a dense Newton block of a market with tight types stayed singular
-    # after regularization) or max_iter
+    # diverged (residuals grew 1e4-fold over the best iterate) or max_iter
     status: str
     tight_types: tuple[int, ...] = ()
     # largest infinity-norm residual of a Newton direction's linear system
@@ -153,25 +151,29 @@ def solve_bpsop(
         raise ValueError("lam must be finite and nonnegative")
     lam = np.maximum(lam, 0.0)
 
-    U = inst.utilities
-    sbar = inst.capacities
+    # Substitute out each tight type t's last good k (module docstring):
+    # x_ik = 1 - sum_{j in t \ k} x_ij is the slack of t's row, the utilities
+    # on t \ k become u_j - u_k, and the constant u_ik moves into yhat_i.
+    incidence = inst.incidence
+    tight = list(inst.tight_types)
+    sub = (incidence[tight] * np.arange(m)).argmax(axis=1)  # the k of each type
+    keep = np.ones(m, dtype=bool)
+    keep[sub] = False
+    U_full = inst.utilities
+    U = np.ascontiguousarray((U_full - U_full[:, sub] @ incidence[tight])[:, keep])
+    A = np.ascontiguousarray(incidence[:, keep])
+    sbar = inst.capacities[keep]
+    y_sub = U_full[:, sub].sum(axis=1)
     c = inst.budgets + lam
 
-    A = inst.incidence
-    tight = list(inst.tight_types)
-    n_slots = len(tight)
-    # slack rows, type-major: the participating pairs of the non-tight
-    # types; the tight-type equality rows are dense_newton's (n - 1, slots) grid
-    slack_pairs = inst.participation.T.copy()
-    slack_pairs[tight] = False
-    slack_type, slack_agent = np.nonzero(slack_pairs)
+    # slack rows, type-major: the participating (agent, type) pairs
+    slack_type, slack_agent = np.nonzero(inst.participation.T)
     K = len(slack_agent)
 
-    def by_pair(v, w=0.0):
-        """(n, T) array of slack-row values v and equality-row values w."""
+    def by_pair(v):
+        """(n, T) array of slack-row values v."""
         out = np.zeros((n, T))
         out[slack_agent, slack_type] = v
-        out[:-1, tight] = w
         return out
 
     def row_sums(v):
@@ -192,16 +194,19 @@ def solve_bpsop(
     step = by_pair(gamma) @ A
     x = (1 - step) * x + step * (by_pair(center) @ A)
 
-    yhat = np.einsum("ij,ij->i", U, x)
-    grad_scale = (c / yhat)[:, None] * U
+    # the duals of the unreduced program: a substituted good's z starts its
+    # type row's dual
+    yhat = np.einsum("ij,ij->i", U, x) + y_sub
+    grad_scale = (c / yhat)[:, None] * U_full
     delta0 = 0.1 * max(1.0, float(grad_scale.max()))
-    z = grad_scale + delta0
-    p = np.zeros(m)
-    rho = np.zeros((n - 1, n_slots))
+    z = grad_scale[:, keep] + delta0
+    r = by_pair(delta0)
+    r[:, tight] += grad_scale[:, sub]
+    r = r[slack_agent, slack_type]
+    p = np.zeros(len(sbar))
     xi = np.maximum(1.0 - row_sums(x), 0.005)
-    r = np.full(K, delta0)
 
-    n_comp = n * m + K
+    n_comp = x.size + K
     stat = pfeas = comp = np.inf
     it = 0
     status = "max_iter"
@@ -210,39 +215,36 @@ def solve_bpsop(
     best_state = None
 
     # one Newton system per iterate; its structure is set up once
-    newton = dense_newton(U, A, tight) if tight else structured_newton(U, A)
+    newton = structured_newton(U, A)
 
     def _residuals():
         # types are disjoint, so each (agent, good) carries at most one dual
-        rsum = by_pair(r, rho) @ A
         g = -(c / yhat)[:, None] * U
-        r_dual = g + p[None, :] + rsum - z
+        r_dual = g + p[None, :] + by_pair(r) @ A - z
         r_cap = x.sum(axis=0) - sbar
-        type_sums = x @ A.T
-        r_ineq = type_sums[slack_agent, slack_type] + xi - 1.0
-        r_eq = type_sums[:-1, tight] - 1.0
-        return r_dual, r_cap, r_ineq, r_eq
+        r_ineq = row_sums(x) + xi - 1.0
+        return r_dual, r_cap, r_ineq
 
     for it in range(1, max_iter + 1):
-        yhat = np.einsum("ij,ij->i", U, x)
+        yhat = np.einsum("ij,ij->i", U, x) + y_sub
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
-        r_dual, r_cap, r_ineq, r_eq = _residuals()
+        r_dual, r_cap, r_ineq = _residuals()
         xz = x * z
         xir = xi * r
         mu = (xz.sum() + xir.sum()) / n_comp
-        stat = float(np.max(np.abs(r_dual)))
+        # a market whose goods were all substituted keeps no capacity row
+        stat = float(np.max(np.abs(r_dual), initial=0.0))
         pfeas = max(
-            float(np.max(np.abs(r_cap))),
+            float(np.max(np.abs(r_cap), initial=0.0)),
             float(np.max(np.abs(r_ineq), initial=0.0)),
-            float(np.max(np.abs(r_eq), initial=0.0)),
         )
         comp = float(max(xz.max(initial=0.0), xir.max(initial=0.0)))
         metric = max(stat, pfeas, comp)
         if metric <= best_metric:
             best_metric = metric
             best_state = (
-                x.copy(), z.copy(), xi.copy(), r.copy(), p.copy(), rho.copy(),
+                x.copy(), z.copy(), xi.copy(), r.copy(), p.copy(),
                 stat, pfeas, comp,
             )
         if stat <= tol and pfeas <= tol and comp <= tol:
@@ -253,38 +255,25 @@ def solve_bpsop(
             break
         min_prod = float(min(xz.min(initial=np.inf), xir.min(initial=np.inf)))
 
-        # Barrier diagonals are clamped so degenerate actives cannot
-        # overflow the factorization; refinement below recovers the lost
-        # accuracy.
         beta = c / yhat**2
-        d = np.minimum(z / x, 1e12) + _REG
-        gamma = by_pair(np.minimum(r / xi, 1e12))
+        d = z / x
+        gamma = by_pair(r / xi)
         solve = apply = None  # let the last iterate's system go first
-        try:
-            solve, apply = newton(beta, d, gamma)
-        except np.linalg.LinAlgError:
-            status = "singular"
-            break
-
-        rhs_eq = np.zeros((n, n_slots))
-        rhs_eq[:-1] = -r_eq
+        solve, apply = newton(beta, d, gamma)
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
             b -= by_pair((gamma_xi + r * r_ineq) / xi) @ A
-            rhs = np.concatenate([b, rhs_eq], axis=1)
             # the blocks are badly conditioned near degenerate optima;
             # refinement ends once the direction is backward stable
-            sol, dp, err = refined_solve(solve, apply, rhs, -r_cap)
-            dx = sol[:, :m]
-            drho = sol[:-1, m:]
+            dx, dp, err = refined_solve(solve, apply, b, -r_cap)
             dz = (gamma_x - z * dx) / x
             dxi = -r_ineq - row_sums(dx)
             dr = (gamma_xi - r * dxi) / xi
-            return (dx, dz, dxi, dr, dp, drho), err
+            return (dx, dz, dxi, dr, dp), err
 
         # predictor
-        (dxa, dza, dxia, dra, _, _), err_a = _direction(-xz, -xir)
+        (dxa, dza, dxia, dra, _), err_a = _direction(-xz, -xir)
         alpha_aff = min(
             1.0,
             _max_step(x, dxa),
@@ -303,7 +292,7 @@ def solve_bpsop(
             sigma = max(sigma, 0.9)  # hold mu while other residuals catch up
 
         # corrector with centering
-        (dx, dz, dxi, dr, dp, drho), err_c = _direction(
+        (dx, dz, dxi, dr, dp), err_c = _direction(
             sigma * mu - xz - dxa * dza, sigma * mu - xir - dxia * dra
         )
         direction_residual = max(direction_residual, err_a, err_c)
@@ -331,24 +320,35 @@ def solve_bpsop(
         xi = xi + alpha * dxi
         r = r + alpha * dr
         p = p + alpha * dp
-        rho = rho + alpha * drho
 
     if status != "converged" and best_state is not None:
-        x, z, xi, r, p, rho, stat, pfeas, comp = best_state
+        x, z, xi, r, p, stat, pfeas, comp = best_state
 
-    yhat = np.einsum("ij,ij->i", U, x)
+    yhat = np.einsum("ij,ij->i", U, x) + y_sub
     objective = float(c @ np.log(yhat))
 
-    r_full = by_pair(r, rho)
-    r_raw = r_full.copy()
+    # back to the unreduced program: x_ik is the row's slack and z_ik its
+    # dual, and the row's dual gains c_i u_ik / yhat_i, which leaves good k's
+    # price at zero until the shift below
+    r_raw = by_pair(r)
+    x_full = np.zeros((n, m))
+    z_full = np.zeros((n, m))
+    x_full[:, keep] = x
+    z_full[:, keep] = z
+    x_full[:, sub] = by_pair(xi)[:, tight]
+    z_full[:, sub] = r_raw[:, tight]
+    r_raw[:, tight] += (c / yhat)[:, None] * U_full[:, sub]
+    p_full = np.zeros(m)
+    p_full[keep] = p
+
     shift = np.zeros(T)
-    shift[tight] = r_full[:, tight].min(axis=0)
-    r_full[:, tight] -= shift[tight]
+    shift[tight] = r_raw[:, tight].min(axis=0)
+    r_full = r_raw - shift
 
     duals = DualBundle(
-        p=p + shift @ A,
+        p=p_full + shift @ incidence,
         r=r_full,
-        s=-z,
+        s=-z_full,
         objective=objective,
         r_raw=r_raw,
         tight_shift=shift,
@@ -364,7 +364,7 @@ def solve_bpsop(
         tight_types=tuple(tight),
         direction_residual=direction_residual,
     )
-    return x, duals, stats
+    return x_full, duals, stats
 
 
 def _max_step(v, dv):
@@ -377,8 +377,8 @@ def _max_step(v, dv):
 def refined_solve(solve, apply, rhs, rhs_cap):
     """Solve one Newton system, refined until it is backward stable.
 
-    ``solve`` and ``apply`` are those of a ``factor`` of ``dense_newton``
-    or ``structured_newton``.  After every solve the componentwise backward
+    ``solve`` and ``apply`` are those of a ``factor`` of
+    ``structured_newton``.  After every solve the componentwise backward
     error of the block system (Oettli & Prager 1964; the stopping rule of
     LAPACK's xGERFS)
 
@@ -389,9 +389,11 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     one block row's product (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 12.1-12.2), once the infinity norm of the
     residual no longer halves, or after 3 refinement steps.  |K| |sol| is
-    taken as ``apply(|sol|, |dp|)``: every block entry is >= 0 except the
-    -_REG slots of ``dense_newton``, so it is at most the true product and
-    the test errs on the safe side.
+    taken as ``apply(|sol|, |dp|)``.  Every block entry is >= 0 except
+    those of beta u u^T once a tight type is substituted out, whose
+    utilities u_j - u_k can be negative; there ``apply(|sol|)`` can fall
+    below |K| |sol|, so omega can only read high and the stop can only
+    refine more, never less.
 
     Returns ``(sol, dp, residual)``, the residual's infinity norm as last
     measured (inf when it is not finite).
@@ -405,12 +407,16 @@ def refined_solve(solve, apply, rhs, rhs_cap):
         lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp))
         res, res_cap = rhs - lhs, rhs_cap - cap
         res_abs, res_cap_abs = np.abs(res), np.abs(res_cap)
-        # a row that is zero throughout (a padding slot) has no error
-        omega = max(
-            (res_abs / np.maximum(lhs_abs + rhs_abs, _TINY)).max(),
-            (res_cap_abs / np.maximum(cap_abs + rhs_cap_abs, _TINY)).max(),
+        # a row that is zero throughout has no error, and a program whose
+        # goods were all substituted out has no rows
+        ratios = (
+            res_abs / np.maximum(lhs_abs + rhs_abs, _TINY),
+            res_cap_abs / np.maximum(cap_abs + rhs_cap_abs, _TINY),
         )
-        new_err = max(float(res_abs.max()), float(res_cap_abs.max()))
+        omega = max(v.max(initial=0.0) for v in ratios)
+        new_err = max(
+            float(res_abs.max(initial=0.0)), float(res_cap_abs.max(initial=0.0))
+        )
         halved = new_err < 0.5 * err
         err = new_err if np.isfinite(new_err) else np.inf
         if omega <= stable or not halved or refined == 3:
@@ -421,85 +427,26 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     return sol, dp, err
 
 
-def dense_newton(U, A, tight):
-    """The Newton systems of a market, by batched dense block inverses.
-
-    Returns ``factor(beta, d, gamma)``, which builds the system of one
-    iterate.  Agent i's block is K_i = diag(d_i) + sum_t gamma_it a_t a_t^T
-    + beta_i u_i u_i^T over the goods, where a_t is row t of the type
-    incidence ``A``, followed by one slot per tight type.  Every agent
-    takes part in every tight type, so each agent but the last holds one
-    equality row per tight type, in the slot of that type's rank: the last
-    agent's rows are implied by the capacity equalities, so its slots are
-    padding and the equality rows form an (n - 1, slots) grid.  The capacity
-    rows couple the blocks.
-
-    ``factor`` returns ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves
-    the system for per-agent right-hand sides ``rhs`` (n, m + slots) and
-    capacity right-hand side ``rhs_cap`` (m,), and
-    ``apply(sol, dp) -> (lhs, cap)``, its product.  It raises
-    ``np.linalg.LinAlgError`` when a block stays singular after
-    regularization.  The only path for markets with tight types, and the
-    reference for ``structured_newton``.
-    """
-    n, m = U.shape
-    n_slots = len(tight)
-    dim = m + n_slots
-    slots = np.arange(m, dim)
-    diag = np.arange(m)
-    E = A[list(tight)]
-    # the (good, good) pairs that share a slack type, where slack rows enter
-    A_slack = np.delete(A, tight, axis=0)
-    ta, tb = np.nonzero(A_slack.T @ A_slack)
-
-    def factor(beta, d, gamma):
-        Kb = np.zeros((n, dim, dim))
-        Kb[:, :m, :m] = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
-        Kb[:, diag, diag] += d
-        Kb[:, ta, tb] += (gamma @ A)[:, ta]
-        Kb[:-1, m:, :m] = E
-        Kb[:-1, :m, m:] = E.T
-        Kb[:-1, slots, slots] = -_REG
-        Kb[-1, slots, slots] = 1.0
-        try:
-            Kinv = np.linalg.inv(Kb)
-        except np.linalg.LinAlgError:
-            scale = np.maximum(1.0, np.abs(Kb[:, :m, :m]).max(axis=(1, 2)))
-            Kb[:, diag, diag] += 1e-8 * scale[:, None]
-            Kinv = np.linalg.inv(Kb)
-        S = Kinv[:, :m, :m].sum(axis=0)
-
-        def solve(rhs, rhs_cap):
-            # [K_i  E_i^T][sol_i]   [rhs_i]      E_i^T dp lands on the x rows
-            # [E    0    ][ dp  ] = [rhs_cap]
-            sol0 = np.einsum("nab,nb->na", Kinv, rhs)
-            dp = np.linalg.solve(S, sol0[:, :m].sum(axis=0) - rhs_cap)
-            sol = sol0 - np.einsum("nab,b->na", Kinv[:, :, :m], dp)
-            return sol, dp
-
-        def apply(sol, dp):
-            out = np.einsum("nab,nb->na", Kb, sol)
-            out[:, :m] += dp[None, :]
-            return out, sol[:, :m].sum(axis=0)
-
-        return solve, apply
-
-    return factor
-
-
 def structured_newton(U, A):
-    """The Newton systems of a market without tight types, by an LDL^T
+    """The Newton systems of a program without tight types, by an LDL^T
     factor of every block kept as O(m) numbers per agent.
 
-    Returns ``factor(beta, d, gamma)`` with the same arguments and returns
-    as ``dense_newton``'s.  Agent i's block K_i = diag(d_i)
-    + sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T is factored by positive
-    rank-one updates (method C1 of Gill, Golub, Murray & Saunders, Math.
-    Comp. 1974), which stay accurate where a Sherman-Morrison inverse of
-    the same matrix does not.  Starting from diag(d_i), the disjoint type
-    terms give a unit lower triangular factor L_T that couples each good
-    only with the earlier goods of its type, and beta_i u_i u_i^T then
-    gives one more, L_u, over all goods:
+    Returns ``factor(beta, d, gamma)``, which builds the system of one
+    iterate from beta (n,), the barrier diagonals d (n, m) and the type-row
+    weights gamma (n, T).  Agent i's block K_i = diag(d_i) + sum_t gamma_it
+    a_t a_t^T + beta_i u_i u_i^T, with a_t row t of the type incidence
+    ``A``; the capacity rows couple the blocks.  ``factor`` returns
+    ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves the system for
+    per-agent right-hand sides ``rhs`` (n, m) and the capacity right-hand
+    side ``rhs_cap`` (m,), and ``apply(sol, dp) -> (lhs, cap)``, its
+    product.
+
+    K_i is factored by positive rank-one updates (method C1 of Gill,
+    Golub, Murray & Saunders, Math. Comp. 1974), which stay accurate where
+    a Sherman-Morrison inverse of the same matrix does not.  Starting from
+    diag(d_i), the disjoint type terms give a unit lower triangular factor
+    L_T that couples each good only with the earlier goods of its type, and
+    beta_i u_i u_i^T then gives one more, L_u, over all goods:
 
         K_i = L_T L_u D_i L_u^T L_T^T.
 
@@ -564,7 +511,10 @@ def structured_newton(U, A):
         # K_i^{-1} = M_i^{-1} - omega_i h_i h_i^T with h_i = M_i^{-1} u_i and
         # omega_i = beta_i / (1 + beta_i u_i . h_i), the last weight of L_u
         coef = g / (1.0 + g * (dinv @ same_type))
-        omega = beta / (1.0 + beta * (cum[:, -1] + w[:, -1] * wd[:, -1]))
+        # u_i . h_i, the weight sum through the last good, taken by slices
+        # so that it is zero when every good was substituted out
+        last = (cum[:, -1:] + w[:, -1:] * wd[:, -1:]).sum(axis=1)
+        omega = beta / (1.0 + beta * last)
         h = type_solve_t(wd) * np.sqrt(omega)[:, None]
         S = -(same_type * ((dinv * coef).T @ dinv) + h.T @ h)
         # On the diagonal those terms cancel where d is tiny, so it is summed

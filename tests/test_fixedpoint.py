@@ -147,7 +147,7 @@ def test_experiment_converges_fast():
     res = run(inst, eps=1e-6, max_iter=100)
     assert res.trace.status == "converged"
     assert res.trace.iterations == 32
-    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 393
+    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 391
     assert np.abs(res.prices - EXPERIMENT_PRICES).max() <= 1e-9
     assert res.trace.residuals[-1] <= 1e-6 < res.trace.residuals[0]
     # strictly positive residual at every pre-convergence iterate

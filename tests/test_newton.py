@@ -1,16 +1,18 @@
-"""The structured Newton step against the dense saddle path it replaces.
+"""The structured Newton step against dense block inverses.
 
-Markets without tight types take ``structured_newton``; ``dense_newton``
-stays as the reference.  Both are handed the same iterates, captured from
-real solves, and full solves are repeated with the dense path swapped in.
-The refinement that both paths share is checked on every direction of
-those solves.
+``structured_newton`` takes every market, with its tight types substituted
+out; ``dense_newton`` in ``helpers`` is the reference.  Both are handed the
+same iterates, captured from real solves, and full solves are repeated
+with the dense path swapped in.  The refinement that both paths share is
+checked on every direction of those solves.
 """
 
 import numpy as np
 import pytest
 
 from typedfisher import MarketInstance, kkt_residuals, random_instance, solve_sop1, solver
+
+from helpers import dense_newton
 
 EPS = np.finfo(float).eps
 
@@ -44,12 +46,8 @@ MARKETS = {
 }
 
 
-# a market with three degenerate-tight types, solved by dense_newton
-TIGHT = random_instance(1, 40, 7, ((0, 1), (2, 3), (4, 5)))
-
-
-def dense_as_structured(U, A):
-    return solver.dense_newton(U, A, ())
+# and one with three degenerate-tight types, each substituted down to one good
+ALL_MARKETS = {**MARKETS, "tight": random_instance(1, 40, 7, ((0, 1), (2, 3), (4, 5)))}
 
 
 def kkt_matrix_apply(U, A, beta, d, gamma, sol, dp):
@@ -96,10 +94,10 @@ def captured_iterates(inst, monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("name", MARKETS)
+@pytest.mark.parametrize("name", ALL_MARKETS)
 def test_structured_direction_is_as_accurate_as_dense(name, monkeypatch):
-    inst = MARKETS[name]
-    assert inst.tight_types == ()
+    inst = ALL_MARKETS[name]
+    assert (name == "tight") == bool(inst.tight_types)
     iterates = captured_iterates(inst, monkeypatch)
     assert len(iterates) >= 5
     worst = {"dense": 0.0, "structured": 0.0}
@@ -107,7 +105,7 @@ def test_structured_direction_is_as_accurate_as_dense(name, monkeypatch):
         U, A, beta, d, gamma = iterate
         errors = {}
         for label, solve in (
-            ("dense", solver.dense_newton(U, A, ())(beta, d, gamma)[0]),
+            ("dense", dense_newton(U, A)(beta, d, gamma)[0]),
             ("structured", solver.structured_newton(U, A)(beta, d, gamma)[0]),
         ):
             sol, dp = solve(rhs, rhs_cap)
@@ -118,11 +116,11 @@ def test_structured_direction_is_as_accurate_as_dense(name, monkeypatch):
     assert worst["structured"] <= max(worst["dense"], 16 * EPS)
 
 
-@pytest.mark.parametrize("name", MARKETS)
+@pytest.mark.parametrize("name", ALL_MARKETS)
 def test_structured_solve_matches_dense_solve(name, monkeypatch):
-    inst = MARKETS[name]
+    inst = ALL_MARKETS[name]
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "structured_newton", dense_as_structured)
+        mp.setattr(solver, "structured_newton", dense_newton)
         x_ref, d_ref, s_ref = solve_sop1(inst)
     x, duals, stats = solve_sop1(inst)
     lam = np.zeros(inst.n_agents)
@@ -154,7 +152,7 @@ def componentwise_backward_error(apply, rhs, rhs_cap, sol, dp):
     res, res_cap = np.abs(rhs - lhs), np.abs(rhs_cap - cap)
     with np.errstate(invalid="ignore"):
         ratios = [res / (lhs_abs + np.abs(rhs)), res_cap / (cap_abs + np.abs(rhs_cap))]
-    # a row that is zero throughout (a padding slot) has no error
+    # a row that is zero throughout has no error
     omega = max(float(np.nan_to_num(v, nan=0.0).max()) for v in ratios)
     return omega, max(res.max(), res_cap.max())
 
@@ -183,9 +181,9 @@ def recorded_directions(inst, monkeypatch):
     return records
 
 
-@pytest.mark.parametrize("name", [*MARKETS, "tight"])
+@pytest.mark.parametrize("name", ALL_MARKETS)
 def test_refinement_stops_once_backward_stable(name, monkeypatch):
-    inst = TIGHT if name == "tight" else MARKETS[name]
+    inst = ALL_MARKETS[name]
     assert (name == "tight") == bool(inst.tight_types)
     records = recorded_directions(inst, monkeypatch)
     assert len(records) >= 10

@@ -12,6 +12,7 @@ from typedfisher import (
     random_instance,
     solve_bpsop,
     solve_sop1,
+    solver,
     validate_instance,
 )
 
@@ -102,9 +103,8 @@ def test_partial_participation():
     assert duals.objective == pytest.approx(refine_grid_objective(inst, lam), abs=1e-4)
 
 
-def test_tight_type_beside_partially_joined_slack_type():
-    # type 1 is tight, so every agent but the last holds an equality row
-    # and the last agent's slot is padding; agents 2 and 5 ignore type 2
+def partly_joined_market():
+    """Type 1 is tight; agents 2 and 5 ignore type 2."""
     rng = np.random.default_rng(5)
     inst = MarketInstance(
         utilities=rng.uniform(0.1, 1.0, (6, 6)),
@@ -113,7 +113,11 @@ def test_tight_type_beside_partially_joined_slack_type():
         types=((0, 1), (2, 3, 4)),
         participation=np.column_stack([np.ones(6, bool), ~np.isin(np.arange(6), [1, 4])]),
     )
-    lam = rng.uniform(0.0, 1.0, 6)
+    return inst, rng.uniform(0.0, 1.0, 6)
+
+
+def test_tight_type_beside_partially_joined_slack_type():
+    inst, lam = partly_joined_market()
     x, duals, stats = solve_bpsop(inst, lam)
     assert stats.status == "degenerate_tight"
     assert stats.tight_types == (0,)
@@ -122,16 +126,80 @@ def test_tight_type_beside_partially_joined_slack_type():
     assert fixedpoint.run(inst).trace.status == "converged"
 
 
-def test_divergence_is_reported_as_such():
-    # the absolute stopping test stalls on this slack market and the
-    # divergence guard ends the solve long before the iteration limit
-    inst = random_instance(
-        4, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0)
+def tight_market(seed, n, capacities, types):
+    rng = np.random.default_rng(seed)
+    inst = MarketInstance(
+        utilities=rng.uniform(0.1, 1.0, (n, len(capacities))),
+        budgets=rng.uniform(1.0, 5.0, n),
+        capacities=capacities,
+        types=types,
     )
-    _, _, stats = solve_sop1(inst)
+    return inst, rng.uniform(0.0, 1.0, n)
+
+
+TIGHT_MARKETS = {
+    # type 1 keeps no good once its only one is substituted out
+    "single_good_type": tight_market(1, 4, [4.0, 1.0, 1.5], ((0,), (1, 2))),
+    # no good is left, so the program solved has no capacity row
+    "every_good_substituted": tight_market(2, 3, [3.0, 3.0], ((0,), (1,))),
+    "three_good_type": tight_market(3, 5, [1.5, 2.0, 1.5, 2.0], ((0, 1, 2),)),
+    "one_agent": tight_market(4, 1, [0.3, 0.7, 2.0], ((0, 1),)),
+    "beside_partly_joined_slack_type": partly_joined_market(),
+}
+
+
+@pytest.mark.parametrize("name", TIGHT_MARKETS)
+def test_tight_substitution_maps_back(name):
+    # each tight type's last good is substituted out of the program solved,
+    # and the allocation and duals are mapped back to the full program
+    inst, lam = TIGHT_MARKETS[name]
+    assert inst.tight_types
+    x, duals, stats = solve_bpsop(inst, lam)
+    assert stats.status == "degenerate_tight"
+    assert kkt_residuals(inst, lam, x, duals).max_residual <= 1e-6
+    assert np.all(x >= 0.0)
+    for t in inst.tight_types:
+        assert np.abs(x[:, list(inst.types[t])].sum(axis=1) - 1.0).max() <= 1e-9
+        assert duals.r.min(axis=0)[t] == 0.0
+    assert np.array_equal(duals.r_raw - duals.tight_shift, duals.r)
+
+
+def test_divergence_is_reported_as_such(monkeypatch):
+    # from the sixth Newton step on, every direction moves the prices 1e6
+    # off, so the residuals grow and the divergence guard ends the solve
+    inst = random_instance(3, 30, 5, ((0, 1), (2, 3)), capacity_range=(2.0, 9.0))
+    lam = np.zeros(inst.n_agents)
+    x_best, duals_best, stats_best = solve_bpsop(inst, lam, max_iter=6)
+    original = solver.structured_newton
+
+    def kicked(U, A):
+        factor = original(U, A)
+        calls = []
+
+        def kicked_factor(beta, d, gamma):
+            solve, apply = factor(beta, d, gamma)
+            calls.append(None)
+            if len(calls) < 6:
+                return solve, apply
+
+            def kicked_solve(rhs, rhs_cap):
+                sol, dp = solve(rhs, rhs_cap)
+                return sol, dp + 1e6
+
+            return kicked_solve, apply
+
+        return kicked_factor
+
+    monkeypatch.setattr(solver, "structured_newton", kicked)
+    x, duals, stats = solve_bpsop(inst, lam)
     assert stats.status == "diverged"
-    assert stats.iterations == 17
+    assert stats.iterations == 7
     assert not stats.success
+    # the best of the first six iterates, as a solve stopped there returns it
+    assert np.array_equal(x, x_best)
+    assert np.array_equal(duals.p, duals_best.p)
+    assert np.array_equal(duals.r, duals_best.r)
+    assert stats.stationarity_residual == stats_best.stationarity_residual
 
 
 @pytest.mark.parametrize(
