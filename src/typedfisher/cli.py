@@ -330,11 +330,13 @@ def solve(builtin, instance, tol, seed, out, sop1, lam):
 @_solver_tol
 @click.option("--eps", type=float, default=1e-6, show_default=True,
               help="fixed-point tolerance")
-@click.option("--max-iter", type=int, default=500, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--trace", type=click.Path(), default=None,
               help="write iter/residual/lambda CSV here")
 def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
     """Iterate the budget perturbations to market-clearing prices."""
+    if not (np.isfinite(eps) and eps >= 0):
+        raise click.UsageError(f"--eps must be finite and nonnegative, got {eps}")
     inst = _load(builtin, instance, seed)
     _require_valid(inst)
     result = run_fixed_point(inst, eps=eps, max_iter=max_iter, solver_tol=tol)
@@ -342,6 +344,8 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
     payload = {
         "status": tr.status,
         "iterations": tr.iterations,
+        "newton_iterations": sum(d.solver_iterations for d in tr.duals_per_iter),
+        "step_scales": tr.step_scales,
         "final_residual": tr.residuals[-1] if tr.residuals else None,
         "lambda": result.lam.tolist(),
         "prices": result.prices.tolist(),

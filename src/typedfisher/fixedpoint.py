@@ -3,10 +3,28 @@
 Clearing prices require each agent's budget perturbation to equal the sum
 of that agent's type-constraint duals, which are only known after
 solving.  The scheme starts from zero perturbations, solves the social
-program, reads off the dual sums q_i = sum_t r_it, and repeats with
-lam = q until ||lam - q||_2 falls below the tolerance.  Convergence is an
-empirical property of the instance, so non-convergence is a first-class
-outcome: the full trace is always returned for diagnosis.
+program, reads off the dual sums q_i = sum_t r_it, and steps along
+d = q - lam until ||lam - q||_2 falls below the tolerance.
+
+The paper's step is lam <- q, a unit step along d.  Near a fixed point
+the map often repeats one step many times over: a few agents crawl by the
+same amount per solve while the residual holds.  So the step is
+extrapolated along a repeated direction (vector Aitken, Brezinski &
+Redivo-Zaglia, *Extrapolation Methods*, 1991): lam <- max(lam + s d, 0),
+where s depends only on d and the previous step d_prev.  With
+rho = d . d_prev / ||d_prev||^2, and d repeating d_prev in direction
+(||d - rho d_prev|| <= REPEAT_TOL ||d||):
+
+* s doubles the previous scale when rho is within CRAWL_TOL of 1, so a
+  crawl of length L is covered in about log2(L) solves;
+* s = 1 / (1 - rho) when 0 < rho < 1, the sum of a geometric tail;
+* s = 1, the plain step, in every other case.
+
+Each step still costs exactly one solve, and a run only converges where
+||lam - q(lam)|| <= eps at the lam that was solved, so only the path to
+a fixed point changes.  Convergence is an empirical property of the
+instance, so non-convergence is a first-class outcome: the full trace is
+always returned for diagnosis.
 """
 
 from __future__ import annotations
@@ -28,6 +46,12 @@ DEFAULT_MAX_ITER = 500
 # a longer window with no relative improvement.
 STALL_WINDOW = 30
 
+# A step d repeats the previous one in direction when
+# ||d - rho d_prev|| <= REPEAT_TOL ||d||; it is a crawl when also
+# |rho - 1| <= CRAWL_TOL.
+REPEAT_TOL = 1e-2
+CRAWL_TOL = 1e-2
+
 
 @dataclass
 class DualSummary:
@@ -47,6 +71,9 @@ class FixedPointTrace:
     duals_per_iter: list[DualSummary] = field(default_factory=list)
     status: str = "max_iter"  # converged | max_iter | solver_failure | oscillating
     failure_iteration: int | None = None
+    # the multiplier s of each step taken, one per non-final iterate
+    # (1.0 for the plain step lam <- q)
+    step_scales: list[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -72,33 +99,53 @@ def residual(lam, duals) -> float:
     return float(np.linalg.norm(lam - q))
 
 
+def _step_scale(d: np.ndarray, d_prev: np.ndarray | None, s_prev: float) -> float:
+    """Multiplier of the step d given the previous step and its multiplier."""
+    if d_prev is None:
+        return 1.0
+    rho = float(d @ d_prev) / float(d_prev @ d_prev)
+    if np.linalg.norm(d - rho * d_prev) > REPEAT_TOL * np.linalg.norm(d):
+        return 1.0
+    if abs(rho - 1.0) <= CRAWL_TOL:
+        return 2.0 * s_prev
+    if 0.0 < rho < 1.0:
+        return 1.0 / (1.0 - rho)
+    return 1.0
+
+
 def run(
     inst: MarketInstance,
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
     solver_tol: float = DEFAULT_TOL,
 ) -> FixedPointResult:
-    """Iterate lam <- sum_t r_it over successive solves until self-consistent.
+    """Step lam along d = sum_t r_it - lam over successive solves until
+    self-consistent.
 
-    Returns the last solve's perturbations, prices, and allocation together
-    with the full trace.  Status ``solver_failure`` propagates a failed
-    inner solve (with the iteration index); ``oscillating`` fires when the
-    best residual has not improved by 0.1% within STALL_WINDOW
-    iterations while still above eps.
+    Each step is lam <- max(lam + s d, 0), with s from ``_step_scale``:
+    1 for the plain step lam <- q, larger along a repeated direction.
+    Returns the last solved perturbations with their prices and
+    allocation, and the full trace.  Status ``converged`` means
+    ||lam - q(lam)|| <= eps at the returned lam; ``solver_failure``
+    propagates a failed inner solve (with the iteration index);
+    ``oscillating`` fires when the best residual has not improved by 0.1%
+    within STALL_WINDOW iterations while still above eps.
     """
-    n = inst.n_agents
-    lam = np.zeros(n)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    lam = np.zeros(inst.n_agents)
     trace = FixedPointTrace()
 
     best = np.inf
     best_iter = 0
-    x = prices = duals = stats = None
-    lam_solved = lam
+    d_prev, scale = None, 1.0
     for k in range(max_iter):
-        lam_solved = lam
         x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol)
         q = duals.r.sum(axis=1)
-        res = float(np.linalg.norm(lam - q))
+        d = q - lam
+        res = float(np.linalg.norm(d))
         trace.iterates.append(lam.copy())
         trace.residuals.append(res)
         trace.duals_per_iter.append(
@@ -110,7 +157,6 @@ def run(
                 solver_status=stats.status,
             )
         )
-        prices = duals.p
         if not stats.success:
             trace.status = "solver_failure"
             trace.failure_iteration = k
@@ -124,10 +170,16 @@ def run(
         if k - best_iter >= STALL_WINDOW:
             trace.status = "oscillating"
             break
-        lam = q
+        if k + 1 == max_iter:
+            break
+        scale = _step_scale(d, d_prev, scale)
+        trace.step_scales.append(scale)
+        # the plain step is exactly the paper's lam <- q
+        lam = q if scale == 1.0 else np.maximum(lam + scale * d, 0.0)
+        d_prev = d
     return FixedPointResult(
-        lam=lam_solved,
-        prices=prices,
+        lam=lam,
+        prices=duals.p,
         allocation=x,
         trace=trace,
         duals=duals,

@@ -109,6 +109,8 @@ def test_fixed_point_writes_trace_and_results(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["status"] == "converged"
     assert len(doc["prices"]) == 3
+    assert len(doc["step_scales"]) == doc["iterations"] - 1 == len(rows) - 2
+    assert doc["newton_iterations"] >= doc["iterations"]
 
 
 def test_fixed_point_no_types_single_iteration(runner, tmp_path):
@@ -253,6 +255,8 @@ BAD_INPUT_FILES = {
         (["gen", "-n", "2", "-m", "2", "--w-range", "0,1", "-o", "@out"],
          2, "--w-range expects 0 < lo <= hi"),
         (["solve", "--builtin", "prop2", "--sop1", "--lam", "[1,0,0]"], 2, "drop --lam"),
+        (["fixed-point", "--builtin", "prop2", "--max-iter", "0"], 2, "0 is not in the range x>=1"),
+        (["fixed-point", "--builtin", "prop2", "--eps", "-1"], 2, "--eps must be finite and nonnegative"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):
