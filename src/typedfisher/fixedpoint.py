@@ -69,7 +69,8 @@ class FixedPointTrace:
     iterates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     duals_per_iter: list[DualSummary] = field(default_factory=list)
-    status: str = "max_iter"  # converged | max_iter | solver_failure | oscillating
+    # converged | max_iter | solver_failure | oscillating | stalled
+    status: str = "max_iter"
     failure_iteration: int | None = None
     # the multiplier s of each step taken, one per non-final iterate
     # (1.0 for the plain step lam <- q)
@@ -129,7 +130,10 @@ def run(
     ||lam - q(lam)|| <= eps at the returned lam; ``solver_failure``
     propagates a failed inner solve (with the iteration index);
     ``oscillating`` fires when the best residual has not improved by 0.1%
-    within STALL_WINDOW iterations while still above eps.
+    within STALL_WINDOW iterations while still above eps, and ``stalled``
+    in its place when the residual fell at every one of those iterations:
+    the run crawls toward a point it does not reach in reasonable time
+    rather than cycling.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -168,7 +172,8 @@ def run(
             best = res
             best_iter = k
         if k - best_iter >= STALL_WINDOW:
-            trace.status = "oscillating"
+            window = np.diff(trace.residuals[-STALL_WINDOW - 1 :])
+            trace.status = "stalled" if np.all(window < 0) else "oscillating"
             break
         if k + 1 == max_iter:
             break

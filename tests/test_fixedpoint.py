@@ -195,6 +195,32 @@ def test_geometric_tail_is_summed(monkeypatch):
     assert trace.iterates[-1] == pytest.approx(a, abs=1e-12)
 
 
+@pytest.mark.parametrize("rise, status", [(False, "stalled"), (True, "oscillating")])
+def test_crawling_run_ends_stalled(monkeypatch, rise, status):
+    # after a first jump the residual falls by 1e-5 of its size per step,
+    # too slowly to improve by 0.1% within the window, while each step
+    # turns by 2 radians, so none repeats the last and none is extrapolated;
+    # one rise inside the window makes the same run an oscillation
+    calls = []
+
+    def q_of(lam):
+        k = len(calls)
+        calls.append(k)
+        if k == 0:
+            return np.array([5.0, 5.0])
+        size = 0.01 * (1 - 1e-5 * k) * (1 + 1e-4 * (rise and k == 10))
+        return lam + size * np.array([np.cos(2.0 * k), np.sin(2.0 * k)])
+
+    monkeypatch.setattr(fixedpoint, "solve_bpsop", fake_solver(q_of))
+    trace = run(SimpleNamespace(n_agents=2)).trace
+    assert trace.status == status
+    # the best residual is the first after the jump
+    assert trace.iterations == STALL_WINDOW + 2
+    assert trace.step_scales == [1.0] * (STALL_WINDOW + 1)
+    falls = np.diff(trace.residuals[1:]) < 0
+    assert falls.all() != rise
+
+
 def test_stalled_run_ends_oscillating():
     """``experiment`` seed 17 stops ``oscillating``, after 48 iterations.
 

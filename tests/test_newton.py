@@ -200,3 +200,21 @@ def test_refinement_stops_once_backward_stable(name, monkeypatch):
         if first <= bound:
             assert len(calls) == 1
     assert any(first <= backward_error_bound(rhs) for _, rhs, _, _, first, *_ in records)
+
+
+@pytest.mark.parametrize("name", ["tight", "interleaved_types"])
+def test_block_solve_returns_new_arrays(name, monkeypatch):
+    # every type row of ``tight`` holds one good, so L_T = I and its
+    # solves hand back their argument; what ``solve`` returns must still
+    # be free to write into
+    iterates = captured_iterates(ALL_MARKETS[name], monkeypatch)
+    for (U, A, beta, d, gamma), rhs, rhs_cap in iterates:
+        assert (A.sum(axis=1).max() == 1) == (name == "tight")
+        solve, apply = solver.structured_newton(U, A)(beta, d, gamma)
+        kept, kept_cap = rhs.copy(), rhs_cap.copy()
+        sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap)
+        omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
+        assert omega <= backward_error_bound(rhs)
+        for out in (sol, dp, *solve(rhs, rhs_cap), *apply(sol, dp)):
+            out[...] = np.nan
+        assert np.array_equal(rhs, kept) and np.array_equal(rhs_cap, kept_cap)
