@@ -265,8 +265,14 @@ def _common(f):
     return f
 
 
+def _positive_tol(ctx, param, value):
+    if not (np.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be finite and positive, got {value}")
+    return value
+
+
 _solver_tol = click.option("--tol", type=float, default=1e-8, show_default=True,
-                           help="solver tolerance")
+                           callback=_positive_tol, help="solver tolerance")
 
 
 @click.group()
@@ -346,6 +352,8 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
         "iterations": tr.iterations,
         "newton_iterations": sum(d.solver_iterations for d in tr.duals_per_iter),
         "step_scales": tr.step_scales,
+        # how each inner solve started: cold, warm or fallback
+        "solver_starts": [d.solver_start for d in tr.duals_per_iter],
         "final_residual": tr.residuals[-1] if tr.residuals else None,
         "lambda": result.lam.tolist(),
         "prices": result.prices.tolist(),

@@ -40,11 +40,25 @@ along that direction until min_i r[i, t] = 0, which keeps every Karush-
 Kuhn-Tucker identity intact and r nonnegative.  Raw (unshifted) duals, in
 the gauge where the substituted good's price is zero, and the applied
 shifts are reported alongside.
+
+Warm starts: programs at different lam share their feasible set and
+differ only in the objective weights c = w + lam, so a solve can start
+from an iterate (x, z, xi, r, p) of an earlier solve's reduced program
+(Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J.
+Optim. 2002).  Its primal residuals carry over exactly, and it is taken
+when its stationarity residual under the new c is at most WARM_START_GAP
+times its mu, so that it lies near the new central path; the last such
+iterate of the path is used.  The optimal duals need not be unique, and
+where they are not a warm path can end elsewhere on the face of optimal
+duals than the cold path.  So a warm solve is kept only when it converged
+with duals pinned by its support (``_duals_pinned``); otherwise the cold
+solve runs as well and its result is returned, bit for bit that of a
+solve without ``start``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +68,9 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# a stored iterate may start a solve whose objective weights moved when its
+# stationarity residual under the new weights is at most this times its mu
+WARM_START_GAP = 10.0
 
 
 class InfeasibleInstanceError(ValueError):
@@ -90,6 +107,19 @@ class DualBundle:
     tight_shift: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class CentralPath:
+    """The iterates of one solve's reduced program, first to last.
+
+    Each is ``(x, z, xi, r, p, mu)``; the arrays are never written after
+    they are stored.  Pass one back to ``solve_bpsop`` as ``start`` to
+    solve the same market at other perturbations; an empty path starts
+    cold and records.
+    """
+
+    iterates: tuple = ()
+
+
 @dataclass
 class SolveStats:
     iterations: int
@@ -105,6 +135,14 @@ class SolveStats:
     # refinement stops once the direction is backward stable, so an accurate
     # step keeps it near rounding level
     direction_residual: float = 0.0
+    # cold (the default interior point), warm (an iterate of ``start``) or
+    # fallback (warm, then cold because the warm solve failed or left its
+    # duals unpinned; ``iterations`` counts both), and the mu of the
+    # iterate the solve started from
+    start: str = "cold"
+    start_mu: float = float("nan")
+    # this solve's iterates, recorded only when a ``start`` was passed
+    path: CentralPath | None = field(default=None, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -139,20 +177,52 @@ def solve_bpsop(
     lam,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: CentralPath | None = None,
 ) -> tuple[np.ndarray, DualBundle, SolveStats]:
+    """Solve the program at perturbations ``lam`` (module docstring).
+
+    ``start``, the ``stats.path`` of an earlier solve of the same market
+    or an empty ``CentralPath()``, lets the solve start warm, with the
+    cold fallback of the module docstring, and records its path in
+    ``stats.path``.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rep = validate_instance(inst)
     if rep.errors:
         if any("clearing infeasible" in e for e in rep.errors):
             raise InfeasibleInstanceError("; ".join(rep.errors))
         raise ValueError("invalid instance: " + "; ".join(rep.errors))
 
-    n, m, T = inst.n_agents, inst.n_goods, inst.n_types
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (n,):
-        raise ValueError(f"lam must have length {n}")
+    if lam.shape != (inst.n_agents,):
+        raise ValueError(f"lam must have length {inst.n_agents}")
     if not np.all(np.isfinite(lam)) or np.any(lam < -1e-12):
         raise ValueError("lam must be finite and nonnegative")
     lam = np.maximum(lam, 0.0)
+
+    x, duals, stats, pinned = _solve(inst, lam, tol, max_iter, start)
+    if stats.start == "warm" and not (stats.success and pinned):
+        x, duals, cold, _ = _solve(inst, lam, tol, max_iter, CentralPath())
+        stats = replace(
+            cold,
+            iterations=stats.iterations + cold.iterations,
+            start="fallback",
+            start_mu=stats.start_mu,
+        )
+    return x, duals, stats
+
+
+def _solve(inst, lam, tol, max_iter, start):
+    """``solve_bpsop`` for valid arguments, without the cold fallback.
+
+    Returns ``(x, duals, stats, pinned)``; ``pinned`` tells whether a
+    converged warm solve's duals are pinned (``_duals_pinned``), and is
+    None otherwise.
+    """
+    n, m, T = inst.n_agents, inst.n_goods, inst.n_types
 
     # Substitute out each tight type t's last good k (module docstring):
     # x_ik = 1 - sum_{j in t \ k} x_ij is the slack of t's row, the utilities
@@ -183,31 +253,51 @@ def solve_bpsop(
         """Sums of v over the goods of each slack row."""
         return (v @ A.T)[slack_agent, slack_type]
 
-    # --- initial interior point -----------------------------------------
-    # pull slack rows that start nearly full toward the center of their box
-    x = np.tile(sbar / n, (n, 1))
-    slack = 1.0 - row_sums(x)
-    center = 1.0 / (A.sum(axis=1)[slack_type] + 1)
-    target = np.minimum(0.01, 0.5 * center)
-    push = (slack < target) & (center > slack)
-    gamma = np.zeros(K)
-    gamma[push] = np.minimum(
-        1.0, (target - slack)[push] / (center - slack)[push]
-    )
-    step = by_pair(gamma) @ A
-    x = (1 - step) * x + step * (by_pair(center) @ A)
+    def dual_residual(x, z, r, p, yhat):
+        # types are disjoint, so each (agent, good) carries at most one dual
+        return -(c / yhat)[:, None] * U + p[None, :] + by_pair(r) @ A - z
 
-    # the duals of the unreduced program: a substituted good's z starts its
-    # type row's dual
-    yhat = np.einsum("ij,ij->i", U, x) + y_sub
-    grad_scale = (c / yhat)[:, None] * U_full
-    delta0 = 0.1 * max(1.0, float(grad_scale.max()))
-    z = grad_scale[:, keep] + delta0
-    r = by_pair(delta0)
-    r[:, tight] += grad_scale[:, sub]
-    r = r[slack_agent, slack_type]
-    p = np.zeros(len(sbar))
-    xi = np.maximum(1.0 - row_sums(x), 0.005)
+    # --- initial interior point -----------------------------------------
+    # warm: the last stored iterate whose stationarity residual under this
+    # c is within WARM_START_GAP of its mu; its primal residuals carry over
+    # exactly, since lam never enters the constraints
+    warm = None
+    for state in reversed(start.iterates if start is not None else ()):
+        if state[0].shape != (n, len(sbar)) or state[3].shape != (K,):
+            raise ValueError("start is not a path of this market")
+        xs, zs, _, rs, ps, mu_s = state
+        yhat = np.einsum("ij,ij->i", U, xs) + y_sub
+        gap = np.abs(dual_residual(xs, zs, rs, ps, yhat)).max(initial=0.0)
+        if gap <= WARM_START_GAP * mu_s:
+            warm = state
+            break
+    if warm is not None:
+        x, z, xi, r, p, _ = warm
+    else:
+        # pull slack rows that start nearly full toward the center of their box
+        x = np.tile(sbar / n, (n, 1))
+        slack = 1.0 - row_sums(x)
+        center = 1.0 / (A.sum(axis=1)[slack_type] + 1)
+        target = np.minimum(0.01, 0.5 * center)
+        push = (slack < target) & (center > slack)
+        gamma = np.zeros(K)
+        gamma[push] = np.minimum(
+            1.0, (target - slack)[push] / (center - slack)[push]
+        )
+        step = by_pair(gamma) @ A
+        x = (1 - step) * x + step * (by_pair(center) @ A)
+
+        # the duals of the unreduced program: a substituted good's z starts
+        # its type row's dual
+        yhat = np.einsum("ij,ij->i", U, x) + y_sub
+        grad_scale = (c / yhat)[:, None] * U_full
+        delta0 = 0.1 * max(1.0, float(grad_scale.max()))
+        z = grad_scale[:, keep] + delta0
+        r = by_pair(delta0)
+        r[:, tight] += grad_scale[:, sub]
+        r = r[slack_agent, slack_type]
+        p = np.zeros(len(sbar))
+        xi = np.maximum(1.0 - row_sums(x), 0.005)
 
     n_comp = x.size + K
     stat = pfeas = comp = np.inf
@@ -216,26 +306,26 @@ def solve_bpsop(
     direction_residual = 0.0
     best_metric = np.inf
     best_state = None
+    path = [] if start is not None else None
 
     # one Newton system per iterate; its structure is set up once
     newton = structured_newton(U, A)
-
-    def _residuals():
-        # types are disjoint, so each (agent, good) carries at most one dual
-        g = -(c / yhat)[:, None] * U
-        r_dual = g + p[None, :] + by_pair(r) @ A - z
-        r_cap = x.sum(axis=0) - sbar
-        r_ineq = row_sums(x) + xi - 1.0
-        return r_dual, r_cap, r_ineq
 
     for it in range(1, max_iter + 1):
         yhat = np.einsum("ij,ij->i", U, x) + y_sub
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
-        r_dual, r_cap, r_ineq = _residuals()
+        r_dual = dual_residual(x, z, r, p, yhat)
+        r_cap = x.sum(axis=0) - sbar
+        r_ineq = row_sums(x) + xi - 1.0
         xz = x * z
         xir = xi * r
         mu = (xz.sum() + xir.sum()) / n_comp
+        if it == 1:
+            start_mu = float(mu)
+        if path is not None:
+            # the iterates are rebound at each step, never written in place
+            path.append((x, z, xi, r, p, mu))
         # a market whose goods were all substituted keeps no capacity row
         stat = float(np.max(np.abs(r_dual), initial=0.0))
         pfeas = max(
@@ -346,6 +436,10 @@ def solve_bpsop(
     shift[tight] = r_raw[:, tight].min(axis=0)
     r_full = r_raw - shift
 
+    pinned = None
+    if warm is not None and status == "converged":
+        pinned = _duals_pinned(x, z, xi, r, A, slack_agent, slack_type)
+
     duals = DualBundle(
         p=p_full + shift @ incidence,
         r=r_full,
@@ -364,8 +458,41 @@ def solve_bpsop(
         status=status,
         tight_types=tuple(tight),
         direction_residual=direction_residual,
+        start="cold" if warm is None else "warm",
+        start_mu=start_mu,
+        path=None if path is None else CentralPath(tuple(path)),
     )
-    return x_full, duals, stats
+    return x_full, duals, stats, pinned
+
+
+def _duals_pinned(x, z, xi, r, A, slack_agent, slack_type) -> bool:
+    """Whether the support of a converged iterate pins its duals.
+
+    Where x_ij > z_ij, stationarity is the equation p_j + r_k = c_i u_ij /
+    yhat_i, with k the slack row of agent i over good j, or p_j alone when
+    no row of agent i holds j: such a pair fixes p_j, an anchor.  A row
+    with xi_k > r_k has r_k = 0, also an anchor.  In the graph over the
+    kept goods and the slack rows with an edge for each pair that links a
+    good to a row, an anchor fixes every dual of its connected component;
+    a component without one can shift its p up and its r down along a
+    face of optimal duals.  The duals are pinned when every component
+    holds an anchor: the anchors are spread along the edges, one step per
+    pass over all edges at once, until nothing changes.
+    """
+    n = x.shape[0]
+    held = x > z
+    member = np.zeros((n, A.shape[0]))
+    member[slack_agent, slack_type] = 1.0
+    in_row = (member @ A) > 0.0
+    link = (A[slack_type] > 0.0) & held[slack_agent]  # (rows, goods) edges
+    good_fixed = (held & ~in_row).any(axis=0)
+    row_fixed = xi > r
+    while True:
+        goods = good_fixed | (link & row_fixed[:, None]).any(axis=0)
+        rows_now = row_fixed | (link & goods).any(axis=1)
+        if np.array_equal(goods, good_fixed) and np.array_equal(rows_now, row_fixed):
+            return bool(goods.all() and rows_now.all())
+        good_fixed, row_fixed = goods, rows_now
 
 
 def _max_step(v, dv):

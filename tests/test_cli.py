@@ -113,6 +113,16 @@ def test_fixed_point_writes_trace_and_results(runner, tmp_path):
     assert doc["newton_iterations"] >= doc["iterations"]
 
 
+def test_fixed_point_reports_how_each_solve_started(runner):
+    result = runner.invoke(main, ["fixed-point", "--builtin", "prop2"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    starts = doc["solver_starts"]
+    assert len(starts) == doc["iterations"]
+    assert starts[0] == "cold"
+    assert set(starts) <= {"cold", "warm", "fallback"}
+
+
 def test_fixed_point_no_types_single_iteration(runner, tmp_path):
     inst_path = tmp_path / "classical.json"
     runner.invoke(
@@ -257,6 +267,9 @@ BAD_INPUT_FILES = {
         (["solve", "--builtin", "prop2", "--sop1", "--lam", "[1,0,0]"], 2, "drop --lam"),
         (["fixed-point", "--builtin", "prop2", "--max-iter", "0"], 2, "0 is not in the range x>=1"),
         (["fixed-point", "--builtin", "prop2", "--eps", "-1"], 2, "--eps must be finite and nonnegative"),
+        (["solve", "--builtin", "prop2", "--tol", "0"], 2, "must be finite and positive, got 0.0"),
+        (["solve", "--builtin", "prop2", "--tol", "nan"], 2, "must be finite and positive, got nan"),
+        (["fixed-point", "--builtin", "prop2", "--tol", "-1"], 2, "must be finite and positive, got -1.0"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):

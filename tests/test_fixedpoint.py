@@ -6,6 +6,7 @@ import pytest
 
 from typedfisher import (
     DualBundle,
+    MarketInstance,
     SolveStats,
     builtin_instance,
     check_equilibrium,
@@ -141,10 +142,20 @@ def test_bad_arguments_rejected():
             run(inst, **kwargs)
 
 
+@pytest.mark.parametrize("solver_tol", [0.0, -1e-8, np.nan, np.inf])
+def test_bad_solver_tol_rejected_before_solving(monkeypatch, solver_tol):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a bad tolerance")
+
+    monkeypatch.setattr(fixedpoint, "solve_bpsop", no_solve)
+    with pytest.raises(ValueError, match="solver_tol must be finite and positive"):
+        run(builtin_instance("prop2"), solver_tol=solver_tol)
+
+
 def fake_solver(q_of):
     """A stand-in for ``solve_bpsop`` whose dual sums are ``q_of(lam)``."""
 
-    def solve(inst, lam, tol):
+    def solve(inst, lam, tol, start=None):
         q = q_of(np.asarray(lam, dtype=float))
         duals = DualBundle(
             p=np.ones(1), r=q[:, None], s=np.zeros((q.size, 1)), objective=0.0,
@@ -273,7 +284,7 @@ def test_experiment_converges_fast():
     res = run(inst, eps=1e-6, max_iter=100)
     assert res.trace.status == "converged"
     assert res.trace.iterations == 21
-    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 257
+    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 198
     assert np.abs(res.prices - EXPERIMENT_PRICES).max() <= 1e-9
     assert np.abs(res.prices - PLAIN_STEP_PRICES).max() <= 1e-7
     assert len(res.trace.step_scales) == res.trace.iterations - 1
@@ -281,3 +292,27 @@ def test_experiment_converges_fast():
     assert res.trace.residuals[-1] <= 1e-6 < res.trace.residuals[0]
     # strictly positive residual at every pre-convergence iterate
     assert all(r > 1e-6 for r in res.trace.residuals[:-1])
+
+
+@pytest.mark.parametrize("perm_seed", [7, 31])
+def test_warm_started_fixed_point_ignores_agent_order(perm_seed):
+    # every solve after the first starts warm from the previous solve's
+    # path, and none falls back; the agents' order changes nothing
+    inst = builtin_instance("experiment")
+    perm = np.random.default_rng(perm_seed).permutation(inst.n_agents)
+    res = run(
+        MarketInstance(
+            utilities=inst.utilities[perm],
+            budgets=inst.budgets[perm],
+            capacities=inst.capacities,
+            types=inst.types,
+            participation=inst.participation[perm],
+        )
+    )
+    assert res.trace.status == "converged"
+    assert res.trace.iterations == 21
+    assert np.abs(res.prices - EXPERIMENT_PRICES).max() <= 1e-9
+    starts = [d.solver_start for d in res.trace.duals_per_iter]
+    assert starts[0] == "cold" and "warm" in starts and "fallback" not in starts
+    for d in res.trace.duals_per_iter:
+        assert np.isfinite(d.solver_start_mu) and d.solver_start_mu > 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typedfisher import (
+    CentralPath,
     InfeasibleInstanceError,
     MarketInstance,
     builtin_instance,
@@ -259,6 +260,16 @@ def test_bad_lam_rejected():
         solve_bpsop(inst, [-1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": -1.0}, {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0}]
+)
+def test_bad_tol_and_max_iter_rejected(kwargs):
+    # these used to run 46 Newton steps and report diverged, or return the
+    # starting point as max_iter
+    with pytest.raises(ValueError, match="tol must be finite and positive|max_iter must be at least 1"):
+        solve_sop1(builtin_instance("experiment"), **kwargs)
+
+
 def test_kkt_residuals_accept_solver_output():
     inst = builtin_instance("experiment")
     x, duals, stats = solve_sop1(inst)
@@ -396,3 +407,83 @@ def test_random_instances_solve_clean(inst, data):
     assert res.max_residual <= 1e-6
     ident = inst.budgets + lam - x @ duals.p - duals.r.sum(axis=1)
     assert np.max(np.abs(ident)) <= 1e-6
+
+
+def test_warm_start_matches_cold_solve_in_fewer_steps():
+    # solved to 1e-10, so that the two solves' own errors lie well inside
+    # the 1e-8 they are compared at
+    inst = builtin_instance("experiment")
+    lam = 1e-3 * np.random.default_rng(0).uniform(0.0, 1.0, inst.n_agents)
+    zero = np.zeros(inst.n_agents)
+    _, _, first = solve_bpsop(inst, zero, tol=1e-10, start=CentralPath())
+    assert first.start == "cold" and len(first.path.iterates) == first.iterations
+    x, duals, stats = solve_bpsop(inst, lam, tol=1e-10, start=first.path)
+    x_cold, duals_cold, stats_cold = solve_bpsop(inst, lam, tol=1e-10)
+    assert stats.start == "warm" and stats.success
+    assert 0.0 < stats.start_mu < first.start_mu
+    assert stats.iterations < stats_cold.iterations
+    assert np.abs(x - x_cold).max() <= 1e-8
+    assert np.abs(duals.p - duals_cold.p).max() <= 1e-8
+    assert np.abs(duals.r - duals_cold.r).max() <= 1e-8
+    # a solve without a start records no path
+    assert stats_cold.start == "cold" and stats_cold.path is None
+
+
+def test_warm_start_falls_back_where_duals_are_not_unique():
+    # every agent holds good 0 at 0 or 1, so p_0 lies in an interval; the
+    # warm solve's duals are not pinned and the cold solve is returned
+    inst, lam = partly_joined_market()
+    _, _, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
+    x, duals, stats = solve_bpsop(inst, lam, start=first.path)
+    x_cold, duals_cold, stats_cold = solve_bpsop(inst, lam)
+    assert stats.start == "fallback"
+    assert stats.iterations > stats_cold.iterations
+    assert np.array_equal(x, x_cold)
+    for name in ("p", "r", "s", "r_raw", "tight_shift"):
+        assert np.array_equal(getattr(duals, name), getattr(duals_cold, name))
+    assert len(stats.path.iterates) == stats_cold.iterations
+
+
+def test_stored_path_is_not_written_by_the_next_solve():
+    inst = builtin_instance("experiment")
+    _, _, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
+    saved = [[np.copy(a) for a in state[:5]] for state in first.path.iterates]
+    _, _, second = solve_bpsop(inst, np.full(inst.n_agents, 1e-3), start=first.path)
+    assert second.start == "warm"
+    for state, copy in zip(first.path.iterates, saved):
+        for a, b in zip(state[:5], copy):
+            assert np.array_equal(a, b)
+
+
+def test_start_from_another_market_rejected():
+    _, _, first = solve_sop1(builtin_instance("prop2"))
+    _, _, other = solve_bpsop(
+        builtin_instance("prop2"), np.zeros(3), start=CentralPath()
+    )
+    assert first.path is None
+    with pytest.raises(ValueError, match="not a path of this market"):
+        solve_bpsop(builtin_instance("experiment"), np.zeros(200), start=other.path)
+
+
+# One type over good 0 (good 1 untyped).  Agent 0 holds good 0 and fills
+# its row (xi 0 < r 1), so good 0 and row 0 share a component; agent 1
+# holds good 1, which fixes p_1.  Good 0's component is anchored only
+# through agent 1's pair (1, 0): by a slack row in "slack_row", by a pair
+# outside every row of agent 1 in "outside_rows".
+PINNED_SUPPORTS = {
+    "unanchored": ([[1.0, 0.5], [0.0, 0.5]], [[0, 0], [1, 0]], [0.0, 1.0], [1.0, 0.0], [0, 1], False),
+    "slack_row": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0, 0.5], [1.0, 0.0], [0, 1], True),
+    "outside_rows": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0], [1.0], [0], True),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SUPPORTS)
+def test_duals_pinned_by_support(name):
+    x, z, xi, r, agents, pinned = PINNED_SUPPORTS[name]
+    A = np.array([[1.0, 0.0]])
+    agents = np.array(agents)
+    result = solver._duals_pinned(
+        np.array(x), np.array(z, float), np.array(xi), np.array(r),
+        A, agents, np.zeros_like(agents),
+    )
+    assert result is pinned
