@@ -29,7 +29,10 @@ always returned for diagnosis.
 Consecutive solves differ only in lam, so each solve after the first
 starts warm from the iterates of the one before (``solve_bpsop``'s
 ``start``), and falls back to a cold solve where the warm one would not
-return the same duals.  The trace records how each solve started.  A
+return the same duals.  A market where that happens once has optimal
+duals that are not unique, so once a solve of a run falls back, the rest
+of the run's solves start cold and record no path.  The trace records how
+each solve started.  A
 warm solve stops within the solver tolerance at a slightly different
 point than a cold one, and the dual sums q move with it: on the
 ``experiment`` market they moved by up to 1.4e-5 between a warm and a
@@ -147,7 +150,7 @@ def run(
     in its place when the residual fell at every one of those iterations:
     the run crawls toward a point it does not reach in reasonable time
     rather than cycling.  Each solve after the first may start warm from
-    the previous solve's path (module docstring).
+    the previous solve's path, until one falls back (module docstring).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -161,11 +164,12 @@ def run(
     best = np.inf
     best_iter = 0
     d_prev, scale = None, 1.0
-    # each solve starts warm from the previous solve's path
+    # each solve starts warm from the previous solve's path, and cold from
+    # the first fallback on
     path = CentralPath()
     for k in range(max_iter):
         x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol, start=path)
-        path = stats.path
+        path = None if stats.start == "fallback" else stats.path
         q = duals.r.sum(axis=1)
         d = q - lam
         res = float(np.linalg.norm(d))

@@ -25,6 +25,16 @@ single good is only a diagonal term, so when no type row holds two goods,
 as in a market of two-good tight types once each has one good substituted
 out (below), the factor's type part is the identity and is skipped.
 
+Layout: the reduced program's state and its whole Newton system are
+goods-major.  Every (good, agent) array is (m, n), m the kept goods and n
+the agents, contiguous along agents, and every slack-row array scattered
+per agent is (T, n).  Sums over agents (the capacity rows and the Schur
+matrix's diagonal) then run along contiguous rows, where numpy sums
+pairwise (Higham, SIAM J. Sci. Comput. 1993) rather than one agent after
+another, and the per-agent scalings and the Schur diagonal's gathers act
+on whole rows.  Only the returned x, s and r are agent-major, transposed
+once at the end.
+
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
 type inequalities are implied equalities with zero slack, which a barrier
@@ -111,8 +121,8 @@ class DualBundle:
 class CentralPath:
     """The iterates of one solve's reduced program, first to last.
 
-    Each is ``(x, z, xi, r, p, mu)``; the arrays are never written after
-    they are stored.  Pass one back to ``solve_bpsop`` as ``start`` to
+    Each is ``(x, z, xi, r, p, mu)``, with x and z goods-major (module
+    docstring); the arrays are never written after they are stored.  Pass one back to ``solve_bpsop`` as ``start`` to
     solve the same market at other perturbations; an empty path starts
     cold and records.
     """
@@ -227,13 +237,14 @@ def _solve(inst, lam, tol, max_iter, start):
     # Substitute out each tight type t's last good k (module docstring):
     # x_ik = 1 - sum_{j in t \ k} x_ij is the slack of t's row, the utilities
     # on t \ k become u_j - u_k, and the constant u_ik moves into yhat_i.
+    # Every (good, agent) array of the reduced program is goods-major.
     incidence = inst.incidence
     tight = list(inst.tight_types)
     sub = (incidence[tight] * np.arange(m)).argmax(axis=1)  # the k of each type
     keep = np.ones(m, dtype=bool)
     keep[sub] = False
     U_full = inst.utilities
-    U = np.ascontiguousarray((U_full - U_full[:, sub] @ incidence[tight])[:, keep])
+    U = U_full.T[keep] - incidence[np.ix_(tight, keep)].T @ U_full.T[sub]
     A = np.ascontiguousarray(incidence[:, keep])
     sbar = inst.capacities[keep]
     y_sub = U_full[:, sub].sum(axis=1)
@@ -244,18 +255,22 @@ def _solve(inst, lam, tol, max_iter, start):
     K = len(slack_agent)
 
     def by_pair(v):
-        """(n, T) array of slack-row values v."""
-        out = np.zeros((n, T))
-        out[slack_agent, slack_type] = v
+        """(T, n) array of slack-row values v."""
+        out = np.zeros((T, n))
+        out[slack_type, slack_agent] = v
         return out
 
     def row_sums(v):
         """Sums of v over the goods of each slack row."""
-        return (v @ A.T)[slack_agent, slack_type]
+        return (A @ v)[slack_type, slack_agent]
 
     def dual_residual(x, z, r, p, yhat):
-        # types are disjoint, so each (agent, good) carries at most one dual
-        return -(c / yhat)[:, None] * U + p[None, :] + by_pair(r) @ A - z
+        # types are disjoint, so each (good, agent) carries at most one dual
+        return -(c / yhat) * U + p[:, None] + A.T @ by_pair(r) - z
+
+    def utility(x):
+        """yhat, each agent's aggregate utility in the unreduced program."""
+        return (U * x).sum(axis=0) + y_sub
 
     # --- initial interior point -----------------------------------------
     # warm: the last stored iterate whose stationarity residual under this
@@ -263,11 +278,10 @@ def _solve(inst, lam, tol, max_iter, start):
     # exactly, since lam never enters the constraints
     warm = None
     for state in reversed(start.iterates if start is not None else ()):
-        if state[0].shape != (n, len(sbar)) or state[3].shape != (K,):
+        if state[0].shape != U.shape or state[3].shape != (K,):
             raise ValueError("start is not a path of this market")
         xs, zs, _, rs, ps, mu_s = state
-        yhat = np.einsum("ij,ij->i", U, xs) + y_sub
-        gap = np.abs(dual_residual(xs, zs, rs, ps, yhat)).max(initial=0.0)
+        gap = np.abs(dual_residual(xs, zs, rs, ps, utility(xs))).max(initial=0.0)
         if gap <= WARM_START_GAP * mu_s:
             warm = state
             break
@@ -275,7 +289,7 @@ def _solve(inst, lam, tol, max_iter, start):
         x, z, xi, r, p, _ = warm
     else:
         # pull slack rows that start nearly full toward the center of their box
-        x = np.tile(sbar / n, (n, 1))
+        x = np.repeat((sbar / n)[:, None], n, axis=1)
         slack = 1.0 - row_sums(x)
         center = 1.0 / (A.sum(axis=1)[slack_type] + 1)
         target = np.minimum(0.01, 0.5 * center)
@@ -284,18 +298,17 @@ def _solve(inst, lam, tol, max_iter, start):
         gamma[push] = np.minimum(
             1.0, (target - slack)[push] / (center - slack)[push]
         )
-        step = by_pair(gamma) @ A
-        x = (1 - step) * x + step * (by_pair(center) @ A)
+        step = A.T @ by_pair(gamma)
+        x = (1 - step) * x + step * (A.T @ by_pair(center))
 
         # the duals of the unreduced program: a substituted good's z starts
         # its type row's dual
-        yhat = np.einsum("ij,ij->i", U, x) + y_sub
-        grad_scale = (c / yhat)[:, None] * U_full
+        grad_scale = (c / utility(x)) * U_full.T
         delta0 = 0.1 * max(1.0, float(grad_scale.max()))
-        z = grad_scale[:, keep] + delta0
+        z = grad_scale[keep] + delta0
         r = by_pair(delta0)
-        r[:, tight] += grad_scale[:, sub]
-        r = r[slack_agent, slack_type]
+        r[tight] += grad_scale[sub]
+        r = r[slack_type, slack_agent]
         p = np.zeros(len(sbar))
         xi = np.maximum(1.0 - row_sums(x), 0.005)
 
@@ -312,11 +325,11 @@ def _solve(inst, lam, tol, max_iter, start):
     newton = structured_newton(U, A)
 
     for it in range(1, max_iter + 1):
-        yhat = np.einsum("ij,ij->i", U, x) + y_sub
+        yhat = utility(x)
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
         r_dual = dual_residual(x, z, r, p, yhat)
-        r_cap = x.sum(axis=0) - sbar
+        r_cap = x.sum(axis=1) - sbar
         r_ineq = row_sums(x) + xi - 1.0
         xz = x * z
         xir = xi * r
@@ -354,7 +367,7 @@ def _solve(inst, lam, tol, max_iter, start):
 
         def _direction(gamma_x, gamma_xi):
             b = -r_dual + gamma_x / x
-            b -= by_pair((gamma_xi + r * r_ineq) / xi) @ A
+            b -= A.T @ by_pair((gamma_xi + r * r_ineq) / xi)
             # the blocks are badly conditioned near degenerate optima;
             # refinement ends once the direction is backward stable
             dx, dp, err = refined_solve(solve, apply, b, -r_cap)
@@ -415,18 +428,19 @@ def _solve(inst, lam, tol, max_iter, start):
     if status != "converged" and best_state is not None:
         x, z, xi, r, p, stat, pfeas, comp = best_state
 
-    yhat = np.einsum("ij,ij->i", U, x) + y_sub
+    yhat = utility(x)
     objective = float(c @ np.log(yhat))
 
-    # back to the unreduced program: x_ik is the row's slack and z_ik its
-    # dual, and the row's dual gains c_i u_ik / yhat_i, which leaves good k's
-    # price at zero until the shift below
-    r_raw = by_pair(r)
+    # back to the unreduced program, agent-major: x_ik is the row's slack and
+    # z_ik its dual, and the row's dual gains c_i u_ik / yhat_i, which leaves
+    # good k's price at zero until the shift below
+    r_raw = np.zeros((n, T))
+    r_raw[slack_agent, slack_type] = r
     x_full = np.zeros((n, m))
     z_full = np.zeros((n, m))
-    x_full[:, keep] = x
-    z_full[:, keep] = z
-    x_full[:, sub] = by_pair(xi)[:, tight]
+    x_full[:, keep] = x.T
+    z_full[:, keep] = z.T
+    x_full[:, sub] = by_pair(xi)[tight].T
     z_full[:, sub] = r_raw[:, tight]
     r_raw[:, tight] += (c / yhat)[:, None] * U_full[:, sub]
     p_full = np.zeros(m)
@@ -438,7 +452,7 @@ def _solve(inst, lam, tol, max_iter, start):
 
     pinned = None
     if warm is not None and status == "converged":
-        pinned = _duals_pinned(x, z, xi, r, A, slack_agent, slack_type)
+        pinned = _duals_pinned(x.T, z.T, xi, r, A, slack_agent, slack_type)
 
     duals = DualBundle(
         p=p_full + shift @ incidence,
@@ -516,8 +530,9 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     stops once omega is within (row length + 1) eps, the rounding bound of
     one block row's product (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 12.1-12.2), once the infinity norm of the
-    residual no longer halves, or after 3 refinement steps.  The row
-    length is the block rows' m, and the capacity rows, n entries each,
+    residual no longer halves, or after 3 refinement steps.  ``rhs`` is
+    goods-major (m, n) and ``rhs_cap`` (m,), so the row length is the
+    block rows' m, ``rhs.shape[0]``, and the capacity rows, n entries each,
     are held to the same (m + 1) eps on purpose: refinement gets every
     refined direction below it (185 of 472 directions of the ``experiment``
     fixed point, 38 of 116 and 60 of 100 of the benchmark's 200 x 60 and
@@ -533,7 +548,7 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     Returns ``(sol, dp, residual)``, the residual's infinity norm as last
     measured (inf when it is not finite).
     """
-    stable = (rhs.shape[1] + 1) * _EPS
+    stable = (rhs.shape[0] + 1) * _EPS
     rhs_abs, rhs_cap_abs = np.abs(rhs), np.abs(rhs_cap)
     sol, dp = solve(rhs, rhs_cap)
     err = np.inf
@@ -566,15 +581,17 @@ def structured_newton(U, A):
     """The Newton systems of a program without tight types, by an LDL^T
     factor of every block kept as O(m) numbers per agent.
 
-    Returns ``factor(beta, d, gamma)``, which builds the system of one
-    iterate from beta (n,), the barrier diagonals d (n, m) and the type-row
-    weights gamma (n, T).  Agent i's block K_i = diag(d_i) + sum_t gamma_it
-    a_t a_t^T + beta_i u_i u_i^T, with a_t row t of the type incidence
-    ``A``; the capacity rows couple the blocks.  ``factor`` returns
+    Every (good, agent) array is goods-major (module docstring): ``U`` is
+    (m, n), agent i's utilities its column i, and ``A`` the (T, m) type
+    incidence.  Returns ``factor(beta, d, gamma)``, which builds the system
+    of one iterate from beta (n,), the barrier diagonals d (m, n) and the
+    type-row weights gamma (T, n).  Agent i's block K_i = diag(d_i) +
+    sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T, with a_t row t of ``A``;
+    the capacity rows couple the blocks.  ``factor`` returns
     ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves the system for
-    per-agent right-hand sides ``rhs`` (n, m) and the capacity right-hand
+    per-agent right-hand sides ``rhs`` (m, n) and the capacity right-hand
     side ``rhs_cap`` (m,), and ``apply(sol, dp) -> (lhs, cap)``, its
-    product.
+    product, with ``sol`` and ``lhs`` (m, n).
 
     K_i is factored by positive rank-one updates (method C1 of Gill,
     Golub, Murray & Saunders, Math. Comp. 1974), which stay accurate where
@@ -600,53 +617,56 @@ def structured_newton(U, A):
         (L^{-1} y)_j   = y_j - v_j alpha_j sum_{k<j} v_k y_k / c_k
         (L^{-T} y)_j   = y_j - (v_j / c_j) sum_{k>j} alpha_k v_k y_k,
 
-    a product with a fixed 0/1 triangular matrix.  Those products cost
-    O(m^2) per agent but run as one matrix product over all agents, which
-    is faster than O(m) running sums over the goods up to about a hundred
-    goods.  Nothing of size n x m x m is formed.  The capacity Schur matrix
-    sum_i K_i^{-1} is summed from the same quantities.
+    a product with a fixed 0/1 triangular matrix, ``earlier.T @ v``.  Those
+    products cost O(m^2) per agent but run as one (m, m) by (m, n) matrix
+    product over all agents, which is faster than O(m) running sums over
+    the goods up to about a hundred goods.  Nothing of size n x m x m is
+    formed.  The capacity Schur matrix sum_i K_i^{-1} is summed from the
+    same quantities, along the rows.
     """
-    m = U.shape[1]
+    m = U.shape[0]
     # earlier[k, j] = 1 when good k comes before good j; in_type keeps the
     # pairs within one type (types are disjoint)
     same_type = A.T @ A
     in_type = np.triu(same_type, 1)
     earlier = np.triu(np.ones((m, m)), 1)
     chain, gap = _type_chains(A)
+    # the goods k that have an (i + 1)-th later good in their type
+    later = [np.flatnonzero(nxt < m) for nxt in chain.T[1:]]
     chained = in_type.any()  # else L_T = I
 
     def factor(beta, d, gamma):
         # L_T: each type's update along a_t from diag(d)
         dinv = 1.0 / d
-        g = gamma @ A
-        aT = g / (1.0 + g * (dinv @ in_type)) if chained else g
+        g = A.T @ gamma
+        aT = g / (1.0 + g * (in_type.T @ dinv)) if chained else g
         dT = d + aT
 
         def type_solve(v):
             """L_T^{-1} v; v itself when L_T = I."""
             if not chained:
                 return v
-            return v - aT * ((v * dinv) @ in_type)
+            return v - aT * (in_type.T @ (v * dinv))
 
         def type_solve_t(v):
             """L_T^{-T} v; v itself when L_T = I."""
             if not chained:
                 return v
-            return v - dinv * ((aT * v) @ in_type.T)
+            return v - dinv * (in_type @ (aT * v))
 
         # L_u: beta u u^T = L_T (beta w w^T) L_T^T with w = L_T^{-1} u, an
         # update of diag(dT)
         w = type_solve(U)
         wd = w / dT
-        cum = (w * wd) @ earlier
-        aw = w * (beta[:, None] / (1.0 + beta[:, None] * cum))
+        cum = earlier.T @ (w * wd)
+        aw = w * (beta / (1.0 + beta * cum))
         D = dT + aw * w
 
         def solve_block(v):
             """K_i^{-1} v_i for every agent, through the factors."""
             y = type_solve(v)
-            y = (y - aw * ((wd * y) @ earlier)) / D
-            y -= wd * ((aw * y) @ earlier.T)
+            y = (y - aw * (earlier.T @ (wd * y))) / D
+            y -= wd * (earlier @ (aw * y))
             return type_solve_t(y)
 
         # S = sum_i K_i^{-1}.  Off the diagonal, with
@@ -657,13 +677,13 @@ def structured_newton(U, A):
         # omega_i = beta_i / (1 + beta_i u_i . h_i), the last weight of L_u
         # u_i . h_i, the weight sum through the last good, taken by slices
         # so that it is zero when every good was substituted out
-        last = (cum[:, -1:] + w[:, -1:] * wd[:, -1:]).sum(axis=1)
+        last = (cum[-1:] + w[-1:] * wd[-1:]).sum(axis=0)
         omega = beta / (1.0 + beta * last)
-        h = type_solve_t(wd) * np.sqrt(omega)[:, None]
-        S = -(h.T @ h)
+        h = type_solve_t(wd) * np.sqrt(omega)
+        S = -(h @ h.T)
         if chained:  # else the type terms lie on the diagonal, summed below
-            coef = g / (1.0 + g * (dinv @ same_type))
-            S -= same_type * ((dinv * coef).T @ dinv)
+            coef = g / (1.0 + g * (same_type @ dinv))
+            S -= same_type * ((dinv * coef) @ dinv.T)
         # On the diagonal those terms cancel where d is tiny, so it is summed
         # from the factors instead: (K_i^{-1})_kk = sum_j G_jk^2 / D_j with
         # G = (L_T L_u)^{-1}.  Column k of L_T^{-1} is 1 at k and -aT_j / d_k
@@ -671,37 +691,30 @@ def structured_newton(U, A):
         # x_j - aw_j sig_j, where sig_j = sum_{l<j} wd_l x_l is constant
         # between those goods.
         tail = aw * aw / D
-        sig = wd
+        sig = wd.copy()
         diag = 1.0 / D
-        for i in range(gap.shape[0]):
-            diag += sig * sig * (tail @ gap[i])
-            nxt = chain[:, i + 1]
-            has = nxt < m
-            if not has.any():
+        for i, k in enumerate(later):
+            diag += sig * sig * (gap[i].T @ tail)
+            if not k.size:
                 break
-            j = np.where(has, nxt, 0)
-            x = -aT[:, j] * dinv
-            step = x - aw[:, j] * sig
-            diag += np.where(has, step * step / D[:, j], 0.0)
-            sig = sig + np.where(has, wd[:, j] * x, 0.0)
-        S[np.diag_indices(m)] = diag.sum(axis=0)
+            j = chain[k, i + 1]
+            x = -aT[j] * dinv[k]
+            step = x - aw[j] * sig[k]
+            diag[k] += step * step / D[j]
+            sig[k] += wd[j] * x
+        S[np.diag_indices(m)] = diag.sum(axis=1)
 
         def solve(rhs, rhs_cap):
             sol0 = solve_block(rhs)
-            dp = np.linalg.solve(S, sol0.sum(axis=0) - rhs_cap)
-            return sol0 - solve_block(dp), dp
+            dp = np.linalg.solve(S, sol0.sum(axis=1) - rhs_cap)
+            return sol0 - solve_block(dp[:, None]), dp
 
         def apply(sol, dp):
             # sum_t gamma_it a_t a_t^T sol_i is g_i * sol_i when every type
             # row holds one good
-            typed = (gamma * (sol @ A.T)) @ A if chained else g * sol
-            lhs = (
-                d * sol
-                + typed
-                + (beta * np.einsum("ij,ij->i", U, sol))[:, None] * U
-                + dp
-            )
-            return lhs, sol.sum(axis=0)
+            typed = A.T @ (gamma * (A @ sol)) if chained else g * sol
+            lhs = d * sol + typed + beta * (U * sol).sum(axis=0) * U + dp[:, None]
+            return lhs, sol.sum(axis=1)
 
         return solve, apply
 

@@ -268,30 +268,31 @@ def dense_newton(U, A):
     """Reference Newton systems by batched dense block inverses.
 
     Same ``factor(beta, d, gamma)`` contract as
-    ``typedfisher.solver.structured_newton``: agent i's block
-    K_i = diag(d_i) + sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T is
+    ``typedfisher.solver.structured_newton``, goods-major: U, d and every
+    right-hand side and solution are (m, n), gamma is (T, n).  Agent i's
+    block K_i = diag(d_i) + sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T is
     assembled as an m x m matrix and inverted, and the capacity rows
     couple the blocks through the Schur matrix sum_i K_i^{-1}.
     """
-    n, m = U.shape
+    m = U.shape[0]
     diag = np.arange(m)
     # the (good, good) pairs that share a type, where the type rows enter
     ta, tb = np.nonzero(A.T @ A)
 
     def factor(beta, d, gamma):
-        Kb = beta[:, None, None] * (U[:, :, None] * U[:, None, :])
-        Kb[:, diag, diag] += d
-        Kb[:, ta, tb] += (gamma @ A)[:, ta]
+        Kb = beta[:, None, None] * (U.T[:, :, None] * U.T[:, None, :])
+        Kb[:, diag, diag] += d.T
+        Kb[:, ta, tb] += (gamma.T @ A)[:, ta]
         Kinv = np.linalg.inv(Kb)
         S = Kinv.sum(axis=0)
 
         def solve(rhs, rhs_cap):
-            sol0 = np.einsum("nab,nb->na", Kinv, rhs)
-            dp = np.linalg.solve(S, sol0.sum(axis=0) - rhs_cap)
-            return sol0 - np.einsum("nab,b->na", Kinv, dp), dp
+            sol0 = np.einsum("nab,bn->an", Kinv, rhs)
+            dp = np.linalg.solve(S, sol0.sum(axis=1) - rhs_cap)
+            return sol0 - np.einsum("nab,b->an", Kinv, dp), dp
 
         def apply(sol, dp):
-            return np.einsum("nab,nb->na", Kb, sol) + dp, sol.sum(axis=0)
+            return np.einsum("nab,bn->an", Kb, sol) + dp[:, None], sol.sum(axis=1)
 
         return solve, apply
 

@@ -51,12 +51,13 @@ ALL_MARKETS = {**MARKETS, "tight": random_instance(1, 40, 7, ((0, 1), (2, 3), (4
 
 
 def kkt_matrix_apply(U, A, beta, d, gamma, sol, dp):
-    """The Newton system's product, assembled densely and independently."""
-    K = beta[:, None, None] * U[:, :, None] * U[:, None, :]
-    K += np.einsum("it,tj,tk->ijk", gamma, A, A)
-    idx = np.arange(U.shape[1])
-    K[:, idx, idx] += d
-    return np.einsum("ijk,ik->ij", K, sol) + dp, sol.sum(axis=0), K
+    """The Newton system's product, assembled densely and independently;
+    U, d, sol and the product are goods-major (m, n), gamma is (T, n)."""
+    K = beta[:, None, None] * U.T[:, :, None] * U.T[:, None, :]
+    K += np.einsum("ti,tj,tk->ijk", gamma, A, A)
+    idx = np.arange(U.shape[0])
+    K[:, idx, idx] += d.T
+    return np.einsum("ijk,ki->ji", K, sol) + dp[:, None], sol.sum(axis=1), K
 
 
 def backward_error(iterate, rhs, rhs_cap, sol, dp):
@@ -139,9 +140,10 @@ def test_direction_residual_is_reported():
     assert 0.0 < stats.direction_residual <= 1e-8
 
 
-def backward_error_bound(rhs):
-    """The refinement's stop: (row length + 1) eps for the block width."""
-    return (rhs.shape[1] + 1) * EPS
+def backward_error_bound(inst):
+    """The refinement's stop: (row length + 1) eps, the row length being
+    the number of goods the reduced program keeps, one per block row."""
+    return (inst.n_goods - len(inst.tight_types) + 1) * EPS
 
 
 def componentwise_backward_error(apply, rhs, rhs_cap, sol, dp):
@@ -188,7 +190,7 @@ def test_refinement_stops_once_backward_stable(name, monkeypatch):
     records = recorded_directions(inst, monkeypatch)
     assert len(records) >= 10
     for apply, rhs, rhs_cap, calls, first, sol, dp, err in records:
-        bound = backward_error_bound(rhs)
+        bound = backward_error_bound(inst)
         omega, last = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
         # refinement solves take the residual of the solution before them
         residuals = [max(np.abs(b).max(), np.abs(b_cap).max()) for b, b_cap in calls[1:]]
@@ -199,7 +201,7 @@ def test_refinement_stops_once_backward_stable(name, monkeypatch):
         # a direction that is backward stable after its first solve is not refined
         if first <= bound:
             assert len(calls) == 1
-    assert any(first <= backward_error_bound(rhs) for _, rhs, _, _, first, *_ in records)
+    assert any(first <= backward_error_bound(inst) for *_, first, _, _, _ in records)
 
 
 @pytest.mark.parametrize("name", ["tight", "interleaved_types"])
@@ -214,7 +216,32 @@ def test_block_solve_returns_new_arrays(name, monkeypatch):
         kept, kept_cap = rhs.copy(), rhs_cap.copy()
         sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap)
         omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
-        assert omega <= backward_error_bound(rhs)
+        assert omega <= backward_error_bound(ALL_MARKETS[name])
         for out in (sol, dp, *solve(rhs, rhs_cap), *apply(sol, dp)):
             out[...] = np.nan
         assert np.array_equal(rhs, kept) and np.array_equal(rhs_cap, kept_cap)
+
+
+def test_refinement_stop_counts_goods_not_agents(monkeypatch):
+    # the stop is (m + 1) eps for the m goods of a block row; with n = 300
+    # agents and m = 6 goods, a first solve whose backward error lies
+    # between (m + 1) eps and (n + 1) eps must still be refined
+    inst = MARKETS["tall"]
+    n, m = inst.n_agents, inst.n_goods
+    (U, A, beta, d, gamma), rhs, rhs_cap = captured_iterates(inst, monkeypatch)[-1]
+    assert U.shape == (m, n)
+    solve, apply = solver.structured_newton(U, A)(beta, d, gamma)
+    sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap)
+    rough = sol * (1.0 + 64 * EPS)
+    omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, rough, dp)
+    assert (m + 1) * EPS < omega <= (n + 1) * EPS
+    calls = []
+
+    def stand_in(b, b_cap):
+        calls.append(None)
+        return (rough.copy(), dp.copy()) if len(calls) == 1 else solve(b, b_cap)
+
+    sol, dp, _ = solver.refined_solve(stand_in, apply, rhs, rhs_cap)
+    assert len(calls) > 1
+    omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
+    assert omega <= backward_error_bound(inst)

@@ -224,6 +224,32 @@ def test_slack_markets_that_diverged_with_dense_blocks_converge(inst):
     assert kkt_residuals(inst, np.zeros(inst.n_agents), x, duals).max_residual <= 1e-6
 
 
+def permuted(inst, perm):
+    """The same market with its agents in the order ``perm``."""
+    return MarketInstance(
+        utilities=inst.utilities[perm],
+        budgets=inst.budgets[perm],
+        capacities=inst.capacities,
+        types=inst.types,
+        participation=inst.participation[perm],
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_slack_solve_is_invariant_to_agent_order(seed):
+    # a solve sums over agents in their order, so reordering them moves
+    # only the rounding, never the Newton path
+    inst = random_instance(9, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0))
+    perm = np.random.default_rng(seed).permutation(inst.n_agents)
+    x, duals, stats = solve_sop1(inst)
+    x_perm, duals_perm, stats_perm = solve_sop1(permuted(inst, perm))
+    assert stats_perm.status == stats.status == "converged"
+    assert stats_perm.iterations == stats.iterations
+    assert np.abs(duals_perm.p - duals.p).max() <= 1e-10
+    assert np.abs(x_perm - x[perm]).max() <= 1e-10
+    assert np.abs(duals_perm.r - duals.r[perm]).max() <= 1e-10
+
+
 def test_summed_complementarity_identity():
     # w_i + lam_i - p.x_i - sum_t r_it = 0 at any converged solve
     inst = builtin_instance("prop2")
@@ -442,6 +468,21 @@ def test_warm_start_falls_back_where_duals_are_not_unique():
     for name in ("p", "r", "s", "r_raw", "tight_shift"):
         assert np.array_equal(getattr(duals, name), getattr(duals_cold, name))
     assert len(stats.path.iterates) == stats_cold.iterations
+
+
+@pytest.mark.parametrize(
+    "name, newton, iterations",
+    [("partly_joined", 694, 58), ("prop2", 28, 3)],
+)
+def test_fixed_point_solves_cold_after_a_fallback(name, newton, iterations):
+    # the second solve's warm start falls back, so the duals are not unique
+    # and every later solve starts cold, without trying a warm start first
+    inst = partly_joined_market()[0] if name == "partly_joined" else builtin_instance(name)
+    res = fixedpoint.run(inst)
+    starts = [d.solver_start for d in res.trace.duals_per_iter]
+    assert res.trace.status == "converged" and res.trace.iterations == iterations
+    assert starts == ["cold", "fallback"] + ["cold"] * (iterations - 2)
+    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == newton
 
 
 def test_stored_path_is_not_written_by_the_next_solve():
