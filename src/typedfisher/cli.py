@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from .demand import UnboundedDemandError, demand
+from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_ITER
 from .fixedpoint import run as run_fixed_point
 from .fixedpoint import write_trace_csv
 from .instances import (
@@ -27,7 +28,7 @@ from .instances import (
     save_instance,
     validate_instance,
 )
-from .solver import solve_bpsop
+from .solver import DEFAULT_TOL, solve_bpsop
 from .verify import check_equilibrium, grid_nonexistence, sop1_budget_gap
 
 REPRODUCE_NAMES = ("prop1", "prop2", "iop_ex1", "iop_ex2", "experiment", "sop1_gap")
@@ -271,7 +272,7 @@ def _positive_tol(ctx, param, value):
     return value
 
 
-_solver_tol = click.option("--tol", type=float, default=1e-8, show_default=True,
+_solver_tol = click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
                            callback=_positive_tol, help="solver tolerance")
 
 
@@ -334,9 +335,10 @@ def solve(builtin, instance, tol, seed, out, sop1, lam):
 @main.command("fixed-point")
 @_common
 @_solver_tol
-@click.option("--eps", type=float, default=1e-6, show_default=True,
+@click.option("--eps", type=float, default=DEFAULT_EPS, show_default=True,
               help="fixed-point tolerance")
-@click.option("--max-iter", type=click.IntRange(min=1), default=500, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=DEFAULT_MAX_ITER,
+              show_default=True)
 @click.option("--trace", type=click.Path(), default=None,
               help="write iter/residual/lambda CSV here")
 def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):

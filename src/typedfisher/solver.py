@@ -25,10 +25,15 @@ single good is only a diagonal term, so when no type row holds two goods,
 as in a market of two-good tight types once each has one good substituted
 out (below), the factor's type part is the identity and is skipped.
 
-Layout: the reduced program's state and its whole Newton system are
-goods-major.  Every (good, agent) array is (m, n), m the kept goods and n
-the agents, contiguous along agents, and every slack-row array scattered
-per agent is (T, n).  Sums over agents (the capacity rows and the Schur
+Layout: the reduced program's iterate is one complementary pair, the
+primal v = (x, xi) and the dual w = (z, r), each a flat vector of length
+N, the kept goods times the agents plus the slack rows (Wright,
+Primal-Dual Interior-Point Methods, 1997).  So mu, the step bound, the
+neighborhood test and the update each act once on v and w.  x and z are
+goods-major views of the first entries, and so is the whole Newton
+system: every (good, agent) array is (m, n), m the kept goods and n the
+agents, contiguous along agents, and every slack-row array scattered per
+agent is (T, n).  Sums over agents (the capacity rows and the Schur
 matrix's diagonal) then run along contiguous rows, where numpy sums
 pairwise (Higham, SIAM J. Sci. Comput. 1993) rather than one agent after
 another, and the per-agent scalings and the Schur diagonal's gathers act
@@ -53,7 +58,7 @@ shifts are reported alongside.
 
 Warm starts: programs at different lam share their feasible set and
 differ only in the objective weights c = w + lam, so a solve can start
-from an iterate (x, z, xi, r, p) of an earlier solve's reduced program
+from an iterate (v, w, p) of an earlier solve's reduced program
 (Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J.
 Optim. 2002).  Its primal residuals carry over exactly, and it is taken
 when its stationarity residual under the new c is at most WARM_START_GAP
@@ -121,9 +126,11 @@ class DualBundle:
 class CentralPath:
     """The iterates of one solve's reduced program, first to last.
 
-    Each is ``(x, z, xi, r, p, mu)``, with x and z goods-major (module
-    docstring); the arrays are never written after they are stored.  Pass one back to ``solve_bpsop`` as ``start`` to
-    solve the same market at other perturbations; an empty path starts
+    Each is ``(v, w, p, mu)``: the primal v = (x, xi) and the dual
+    w = (z, r), flat and of one length, the capacity duals p, and
+    mu = v . w / len(v) (module docstring).  The arrays are never written
+    after they are stored.  Pass one back to ``solve_bpsop`` as ``start``
+    to solve the same market at other perturbations; an empty path starts
     cold and records.
     """
 
@@ -272,21 +279,29 @@ def _solve(inst, lam, tol, max_iter, start):
         """yhat, each agent's aggregate utility in the unreduced program."""
         return (U * x).sum(axis=0) + y_sub
 
+    # the iterate: v = (x, xi) and w = (z, r), flat (module docstring)
+    nx = U.size
+    N = nx + K
+
+    def split(u):
+        return u[:nx].reshape(U.shape), u[nx:]
+
     # --- initial interior point -----------------------------------------
     # warm: the last stored iterate whose stationarity residual under this
     # c is within WARM_START_GAP of its mu; its primal residuals carry over
     # exactly, since lam never enters the constraints
     warm = None
     for state in reversed(start.iterates if start is not None else ()):
-        if state[0].shape != U.shape or state[3].shape != (K,):
+        vs, ws, ps, mu_s = state
+        if len(vs) != N or len(ws) != N or len(ps) != len(sbar):
             raise ValueError("start is not a path of this market")
-        xs, zs, _, rs, ps, mu_s = state
+        (xs, _), (zs, rs) = split(vs), split(ws)
         gap = np.abs(dual_residual(xs, zs, rs, ps, utility(xs))).max(initial=0.0)
         if gap <= WARM_START_GAP * mu_s:
             warm = state
             break
     if warm is not None:
-        x, z, xi, r, p, _ = warm
+        v, w, p, _ = warm
     else:
         # pull slack rows that start nearly full toward the center of their box
         x = np.repeat((sbar / n)[:, None], n, axis=1)
@@ -311,8 +326,9 @@ def _solve(inst, lam, tol, max_iter, start):
         r = r[slack_type, slack_agent]
         p = np.zeros(len(sbar))
         xi = np.maximum(1.0 - row_sums(x), 0.005)
+        v = np.concatenate([x.ravel(), xi])
+        w = np.concatenate([z.ravel(), r])
 
-    n_comp = x.size + K
     stat = pfeas = comp = np.inf
     it = 0
     status = "max_iter"
@@ -325,39 +341,39 @@ def _solve(inst, lam, tol, max_iter, start):
     newton = structured_newton(U, A)
 
     for it in range(1, max_iter + 1):
+        (x, xi), (z, r) = split(v), split(w)
         yhat = utility(x)
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
         r_dual = dual_residual(x, z, r, p, yhat)
         r_cap = x.sum(axis=1) - sbar
         r_ineq = row_sums(x) + xi - 1.0
-        xz = x * z
-        xir = xi * r
-        mu = (xz.sum() + xir.sum()) / n_comp
+        vw = v * w
+        mu = vw.sum() / N
         if it == 1:
             start_mu = float(mu)
         if path is not None:
             # the iterates are rebound at each step, never written in place
-            path.append((x, z, xi, r, p, mu))
+            path.append((v, w, p, mu))
         # a market whose goods were all substituted keeps no capacity row
         stat = float(np.max(np.abs(r_dual), initial=0.0))
         pfeas = max(
             float(np.max(np.abs(r_cap), initial=0.0)),
             float(np.max(np.abs(r_ineq), initial=0.0)),
         )
-        comp = float(max(xz.max(initial=0.0), xir.max(initial=0.0)))
+        comp = float(vw.max(initial=0.0))
         metric = max(stat, pfeas, comp)
         if metric <= best_metric:
             best_metric = metric
             # the iterates are rebound at each step, never written in place
-            best_state = (x, z, xi, r, p, stat, pfeas, comp)
+            best_state = (v, w, p, stat, pfeas, comp)
         if stat <= tol and pfeas <= tol and comp <= tol:
             status = "converged"
             break
         if it > 5 and metric > 1e4 * best_metric:
             status = "diverged"  # fall back to the best iterate seen
             break
-        min_prod = float(min(xz.min(initial=np.inf), xir.min(initial=np.inf)))
+        min_prod = float(vw.min(initial=np.inf))
 
         beta = c / yhat**2
         d = z / x
@@ -365,30 +381,22 @@ def _solve(inst, lam, tol, max_iter, start):
         solve = apply = None  # let the last iterate's system go first
         solve, apply = newton(beta, d, gamma)
 
-        def _direction(gamma_x, gamma_xi):
-            b = -r_dual + gamma_x / x
-            b -= A.T @ by_pair((gamma_xi + r * r_ineq) / xi)
+        def _direction(target):
+            """The Newton step (dv, dw, dp) toward v * w = target."""
+            target_x, target_xi = split(target)
+            b = -r_dual + target_x / x
+            b -= A.T @ by_pair((target_xi + r * r_ineq) / xi)
             # the blocks are badly conditioned near degenerate optima;
             # refinement ends once the direction is backward stable
             dx, dp, err = refined_solve(solve, apply, b, -r_cap)
-            dz = (gamma_x - z * dx) / x
-            dxi = -r_ineq - row_sums(dx)
-            dr = (gamma_xi - r * dxi) / xi
-            return (dx, dz, dxi, dr, dp), err
+            dv = np.concatenate([dx.ravel(), -r_ineq - row_sums(dx)])
+            dw = (target - w * dv) / v
+            return (dv, dw, dp), err
 
         # predictor
-        (dxa, dza, dxia, dra, _), err_a = _direction(-xz, -xir)
-        alpha_aff = min(
-            1.0,
-            _max_step(x, dxa),
-            _max_step(z, dza),
-            _max_step(xi, dxia),
-            _max_step(r, dra),
-        )
-        mu_aff = (
-            ((x + alpha_aff * dxa) * (z + alpha_aff * dza)).sum()
-            + ((xi + alpha_aff * dxia) * (r + alpha_aff * dra)).sum()
-        ) / n_comp
+        (dva, dwa, _), err_a = _direction(-vw)
+        alpha_aff = min(1.0, _max_step(v, dva), _max_step(w, dwa))
+        mu_aff = ((v + alpha_aff * dva) * (w + alpha_aff * dwa)).sum() / N
         sigma = min(0.99, max(1e-8, (mu_aff / mu) ** 3))
         if min_prod < 1e-2 * mu:
             sigma = max(sigma, 0.5)  # recenter when products are unbalanced
@@ -396,37 +404,26 @@ def _solve(inst, lam, tol, max_iter, start):
             sigma = max(sigma, 0.9)  # hold mu while other residuals catch up
 
         # corrector with centering
-        (dx, dz, dxi, dr, dp), err_c = _direction(
-            sigma * mu - xz - dxa * dza, sigma * mu - xir - dxia * dra
-        )
+        (dv, dw, dp), err_c = _direction(sigma * mu - vw - dva * dwa)
         direction_residual = max(direction_residual, err_a, err_c)
         tau = 0.99 if mu > 1e-8 * max(1.0, comp) else 0.999
         tau = min(0.9995, max(tau, 1.0 - mu))
-        alpha = min(
-            1.0,
-            tau * _max_step(x, dx),
-            tau * _max_step(z, dz),
-            tau * _max_step(xi, dxi),
-            tau * _max_step(r, dr),
-        )
+        # fraction to the boundary: alpha = min(1, tau alpha_max)
+        alpha = min(1.0, tau * _max_step(v, dv), tau * _max_step(w, dw))
         # stay inside a wide central-path neighborhood: no complementarity
         # product may collapse far below the average
         for _ in range(50):
-            xzn = (x + alpha * dx) * (z + alpha * dz)
-            xirn = (xi + alpha * dxi) * (r + alpha * dr)
-            mn = (xzn.sum() + xirn.sum()) / n_comp
-            low = min(xzn.min(initial=np.inf), xirn.min(initial=np.inf))
-            if low >= 1e-4 * mn or alpha <= 1e-8:
+            vwn = (v + alpha * dv) * (w + alpha * dw)
+            if vwn.min(initial=np.inf) >= 1e-4 * (vwn.sum() / N) or alpha <= 1e-8:
                 break
             alpha *= 0.75
-        x = x + alpha * dx
-        z = z + alpha * dz
-        xi = xi + alpha * dxi
-        r = r + alpha * dr
+        v = v + alpha * dv
+        w = w + alpha * dw
         p = p + alpha * dp
 
     if status != "converged" and best_state is not None:
-        x, z, xi, r, p, stat, pfeas, comp = best_state
+        v, w, p, stat, pfeas, comp = best_state
+    (x, xi), (z, r) = split(v), split(w)
 
     yhat = utility(x)
     objective = float(c @ np.log(yhat))
@@ -510,10 +507,9 @@ def _duals_pinned(x, z, xi, r, A, slack_agent, slack_type) -> bool:
 
 
 def _max_step(v, dv):
-    """The largest step s with v + s dv >= 0, or 1 when no entry of dv < 0."""
-    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
-    step = ratio.min(initial=np.inf)
-    return float(step) if step < np.inf else 1.0
+    """The largest step s with v + s dv >= 0, inf when no entry of dv < 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))
 
 
 def refined_solve(solve, apply, rhs, rhs_cap):

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from typedfisher import load_instance
+from typedfisher import fixedpoint, load_instance, solver
 from typedfisher.cli import main
 
 
@@ -69,6 +69,17 @@ def test_tol_only_on_commands_that_solve(runner):
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0
         assert ("--tol " in result.output) == has_tol, command
+
+
+def test_option_defaults_are_the_library_defaults():
+    for command, option, default in (
+        ("solve", "tol", solver.DEFAULT_TOL),
+        ("fixed-point", "tol", solver.DEFAULT_TOL),
+        ("fixed-point", "eps", fixedpoint.DEFAULT_EPS),
+        ("fixed-point", "max_iter", fixedpoint.DEFAULT_MAX_ITER),
+    ):
+        params = {p.name: p for p in main.commands[command].params}
+        assert params[option].default == default, (command, option)
 
 
 def test_solve_sop1_exposes_type_duals(runner):

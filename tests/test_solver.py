@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,10 @@ def test_warm_start_matches_cold_solve_in_fewer_steps():
     zero = np.zeros(inst.n_agents)
     _, _, first = solve_bpsop(inst, zero, tol=1e-10, start=CentralPath())
     assert first.start == "cold" and len(first.path.iterates) == first.iterations
+    # each iterate is the complementary pair (v, w), p and their mean product
+    for v, w, p, mu in first.path.iterates:
+        assert len(v) == len(w) and len(p) == 3
+        assert mu == (v * w).sum() / len(v)
     x, duals, stats = solve_bpsop(inst, lam, tol=1e-10, start=first.path)
     x_cold, duals_cold, stats_cold = solve_bpsop(inst, lam, tol=1e-10)
     assert stats.start == "warm" and stats.success
@@ -488,11 +494,11 @@ def test_fixed_point_solves_cold_after_a_fallback(name, newton, iterations):
 def test_stored_path_is_not_written_by_the_next_solve():
     inst = builtin_instance("experiment")
     _, _, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
-    saved = [[np.copy(a) for a in state[:5]] for state in first.path.iterates]
+    saved = [[np.copy(a) for a in state[:3]] for state in first.path.iterates]
     _, _, second = solve_bpsop(inst, np.full(inst.n_agents, 1e-3), start=first.path)
     assert second.start == "warm"
     for state, copy in zip(first.path.iterates, saved):
-        for a, b in zip(state[:5], copy):
+        for a, b in zip(state[:3], copy):
             assert np.array_equal(a, b)
 
 
@@ -504,6 +510,33 @@ def test_start_from_another_market_rejected():
     assert first.path is None
     with pytest.raises(ValueError, match="not a path of this market"):
         solve_bpsop(builtin_instance("experiment"), np.zeros(200), start=other.path)
+    # the same goods and types, one agent fewer, so every iterate is short
+    full = builtin_instance("experiment")
+    cut = MarketInstance(
+        utilities=full.utilities[:199],
+        budgets=full.budgets[:199],
+        capacities=np.full(6, 99.5),
+        types=full.types,
+    )
+    _, _, shorter = solve_bpsop(cut, np.zeros(199), start=CentralPath())
+    assert shorter.success
+    with pytest.raises(ValueError, match="not a path of this market"):
+        solve_bpsop(full, np.zeros(200), start=shorter.path)
+
+
+def test_max_step_to_the_boundary():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # no entry decreases: nothing bounds the step
+        v = np.array([1.0, 0.0, 2.0])
+        assert solver._max_step(v, np.array([0.0, 1.0, 0.0])) == np.inf
+        assert solver._max_step(np.zeros(0), np.zeros(0)) == np.inf
+        # an entry already at zero that decreases allows no step
+        assert solver._max_step(np.array([0.0, 1.0]), np.array([-1.0, -1.0])) == 0.0
+        # the smallest ratio over the decreasing entries, the others ignored
+        v = np.array([3.0, 1.0, 0.5, 2.0, 0.0])
+        dv = np.array([-2.0, 4.0, -0.25, -8.0, 0.0])
+        assert solver._max_step(v, dv) == 0.25
 
 
 # One type over good 0 (good 1 untyped).  Agent 0 holds good 0 and fills
