@@ -353,7 +353,8 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
         "status": tr.status,
         "iterations": tr.iterations,
         "newton_iterations": sum(d.solver_iterations for d in tr.duals_per_iter),
-        "step_scales": tr.step_scales,
+        # the largest per-agent multiplier of each step
+        "step_scales": [float(s.max()) for s in tr.step_scales],
         # how each inner solve started: cold, warm or fallback
         "solver_starts": [d.solver_start for d in tr.duals_per_iter],
         "final_residual": tr.residuals[-1] if tr.residuals else None,

@@ -7,18 +7,21 @@ program, reads off the dual sums q_i = sum_t r_it, and steps along
 d = q - lam until ||lam - q||_2 falls below the tolerance.
 
 The paper's step is lam <- q, a unit step along d.  Near a fixed point
-the map often repeats one step many times over: a few agents crawl by the
-same amount per solve while the residual holds.  So the step is
-extrapolated along a repeated direction (vector Aitken, Brezinski &
-Redivo-Zaglia, *Extrapolation Methods*, 1991): lam <- max(lam + s d, 0),
-where s depends only on d and the previous step d_prev.  With
-rho = d . d_prev / ||d_prev||^2, and d repeating d_prev in direction
-(||d - rho d_prev|| <= REPEAT_TOL ||d||):
+single agents often crawl: an agent holding a vertex bundle (one good per
+type, every type row binding) gains as much in q_i as in lam_i, so its
+d_i repeats over many solves while other agents' components keep
+turning.  So each agent's step is extrapolated on its own, by a secant on
+its own component (Barzilai & Borwein, 1988, one secant per agent):
+lam <- max(lam + s * d, 0).  With rho_i = d_i / d_prev,i:
 
-* s doubles the previous scale when rho is within CRAWL_TOL of 1, so a
-  crawl of length L is covered in about log2(L) solves;
-* s = 1 / (1 - rho) when 0 < rho < 1, the sum of a geometric tail;
-* s = 1, the plain step, in every other case.
+* s_i = min(s_prev,i / (1 - rho_i), 2 s_prev,i) when 0 < rho_i < 1: the
+  root of agent i's secant through its last step s_prev,i d_prev,i,
+  capped at a doubling (after a plain step, 1 / (1 - rho_i) sums a
+  geometric tail);
+* s_i = 2 s_prev,i when 1 <= rho_i <= 1 + CRAWL_TOL, so a crawl of
+  length L is covered in about log2(L) solves;
+* s_i = 1, the plain step, otherwise: a sign change, growth,
+  d_prev,i = 0 or NaN.
 
 Each step still costs exactly one solve, and a run only converges where
 ||lam - q(lam)|| <= eps at the lam that was solved, so only the path to
@@ -59,10 +62,7 @@ DEFAULT_MAX_ITER = 500
 # a longer window with no relative improvement.
 STALL_WINDOW = 30
 
-# A step d repeats the previous one in direction when
-# ||d - rho d_prev|| <= REPEAT_TOL ||d||; it is a crawl when also
-# |rho - 1| <= CRAWL_TOL.
-REPEAT_TOL = 1e-2
+# agent i crawls when 1 <= d_i / d_prev,i <= 1 + CRAWL_TOL
 CRAWL_TOL = 1e-2
 
 
@@ -88,9 +88,9 @@ class FixedPointTrace:
     # converged | max_iter | solver_failure | oscillating | stalled
     status: str = "max_iter"
     failure_iteration: int | None = None
-    # the multiplier s of each step taken, one per non-final iterate
-    # (1.0 for the plain step lam <- q)
-    step_scales: list[float] = field(default_factory=list)
+    # the per-agent multipliers s of each step taken, one (n,) array per
+    # non-final iterate (all 1.0 for the plain step lam <- q)
+    step_scales: list[np.ndarray] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -116,18 +116,14 @@ def residual(lam, duals) -> float:
     return float(np.linalg.norm(lam - q))
 
 
-def _step_scale(d: np.ndarray, d_prev: np.ndarray | None, s_prev: float) -> float:
-    """Multiplier of the step d given the previous step and its multiplier."""
-    if d_prev is None:
-        return 1.0
-    rho = float(d @ d_prev) / float(d_prev @ d_prev)
-    if np.linalg.norm(d - rho * d_prev) > REPEAT_TOL * np.linalg.norm(d):
-        return 1.0
-    if abs(rho - 1.0) <= CRAWL_TOL:
-        return 2.0 * s_prev
-    if 0.0 < rho < 1.0:
-        return 1.0 / (1.0 - rho)
-    return 1.0
+def _step_scale(d: np.ndarray, d_prev: np.ndarray, s_prev: np.ndarray) -> np.ndarray:
+    """Per-agent multipliers of the step d given the previous step and its
+    multipliers (module docstring)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = d / d_prev
+        secant = np.minimum(s_prev / (1.0 - rho), 2.0 * s_prev)
+    crawl = (rho >= 1.0) & (rho <= 1.0 + CRAWL_TOL)
+    return np.where((rho > 0.0) & (rho < 1.0), secant, np.where(crawl, 2.0 * s_prev, 1.0))
 
 
 def run(
@@ -139,8 +135,8 @@ def run(
     """Step lam along d = sum_t r_it - lam over successive solves until
     self-consistent.
 
-    Each step is lam <- max(lam + s d, 0), with s from ``_step_scale``:
-    1 for the plain step lam <- q, larger along a repeated direction.
+    Each step is lam <- max(lam + s * d, 0), with per-agent s from
+    ``_step_scale``: 1 for the plain step, larger where an agent crawls.
     Returns the last solved perturbations with their prices and
     allocation, and the full trace.  Status ``converged`` means
     ||lam - q(lam)|| <= eps at the returned lam; ``solver_failure``
@@ -163,7 +159,8 @@ def run(
 
     best = np.inf
     best_iter = 0
-    d_prev, scale = None, 1.0
+    # a zero previous step gives every agent the plain step first
+    d_prev, scale = np.zeros(inst.n_agents), np.ones(inst.n_agents)
     # each solve starts warm from the previous solve's path, and cold from
     # the first fallback on
     path = CentralPath()
@@ -205,7 +202,7 @@ def run(
         scale = _step_scale(d, d_prev, scale)
         trace.step_scales.append(scale)
         # the plain step is exactly the paper's lam <- q
-        lam = q if scale == 1.0 else np.maximum(lam + scale * d, 0.0)
+        lam = q if np.all(scale == 1.0) else np.maximum(lam + scale * d, 0.0)
         d_prev = d
     return FixedPointResult(
         lam=lam,

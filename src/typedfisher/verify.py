@@ -63,9 +63,14 @@ def check_equilibrium(
     Optimality gaps compare each agent's achieved utility with the exact
     greedy demand utility at p; a gap within tol_opt certifies the bundle
     optimal (slightly negative gaps are float noise).  Prices must pass
-    the demand oracle's own check (length, finite, nonnegative), else
-    ValueError.  Unbounded demand at p propagates as UnboundedDemandError.
+    the demand oracle's own check (length, finite, nonnegative), and each
+    tolerance must be finite and nonnegative, else ValueError.  Unbounded
+    demand at p propagates as UnboundedDemandError.
     """
+    tols = {"tol_clearing": tol_clearing, "tol_budget": tol_budget, "tol_opt": tol_opt}
+    for name, tol in tols.items():
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     p = _check_prices(p, inst.n_goods)
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n_agents, inst.n_goods):

@@ -281,6 +281,12 @@ BAD_INPUT_FILES = {
         (["solve", "--builtin", "prop2", "--tol", "0"], 2, "must be finite and positive, got 0.0"),
         (["solve", "--builtin", "prop2", "--tol", "nan"], 2, "must be finite and positive, got nan"),
         (["fixed-point", "--builtin", "prop2", "--tol", "-1"], 2, "must be finite and positive, got -1.0"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@alloc",
+          "--check-tol", "inf"], 2, "tol_clearing must be finite and nonnegative, got inf"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@alloc",
+          "--check-tol", "nan"], 2, "tol_clearing must be finite and nonnegative, got nan"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@alloc",
+          "--check-tol", "-1"], 2, "tol_clearing must be finite and nonnegative, got -1.0"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):

@@ -478,7 +478,7 @@ def test_warm_start_falls_back_where_duals_are_not_unique():
 
 @pytest.mark.parametrize(
     "name, newton, iterations",
-    [("partly_joined", 694, 58), ("prop2", 28, 3)],
+    [("partly_joined", 647, 54), ("prop2", 28, 3)],
 )
 def test_fixed_point_solves_cold_after_a_fallback(name, newton, iterations):
     # the second solve's warm start falls back, so the duals are not unique

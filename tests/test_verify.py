@@ -65,6 +65,16 @@ def test_check_flags_type_overconsumption():
     assert any("type" in v for v in rep.feasibility_violations)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("name", ["tol_clearing", "tol_budget", "tol_opt"])
+def test_check_rejects_bad_tolerance(name, tol):
+    # an infinite tolerance would certify any allocation as an equilibrium
+    x = PROP2_ALLOC.copy()
+    x[0, 0] = 0.5
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        check_equilibrium(builtin_instance("prop2"), [11.0, 10.0, 9.0], x, **{name: tol})
+
+
 def test_check_propagates_unbounded_demand():
     inst = builtin_instance("prop2")
     with pytest.raises(UnboundedDemandError):
