@@ -109,6 +109,8 @@ def _parse_types(spec: str, m: int) -> tuple[tuple[int, ...], ...]:
         t, k = (int(v) for v in spec.lower().split("x"))
     except ValueError:
         raise click.UsageError(f"bad --types spec {spec!r}; use TxK, JSON, or 'none'")
+    if t < 1 or k < 1:
+        raise click.UsageError(f"--types {spec} needs T >= 1 and K >= 1; use 'none' for no types")
     if t * k > m:
         raise click.UsageError(f"--types {spec} needs {t * k} goods but m={m}")
     return tuple(tuple(range(i * k, (i + 1) * k)) for i in range(t))

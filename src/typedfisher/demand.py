@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import VirtualProduct, build_frontier, untyped_rate
+from .frontier import VirtualProduct, build_frontier
 from .instances import MarketInstance
 
 
@@ -85,9 +85,14 @@ def agent_products(
             build_frontier(inst.utilities[agent], p, inst.types[t], type_id=t)
         )
     for j in inst.unbounded_goods(agent):
-        pr = untyped_rate(inst.utilities[agent, j], p[j], good=j)
-        if pr is not None:
-            products.append(pr)
+        u_ij, p_j = float(inst.utilities[agent, j]), float(p[j])
+        if u_ij > 0.0:
+            products.append(
+                VirtualProduct(
+                    type_id=None, lo=None, hi=j, delta_u=u_ij, delta_p=p_j,
+                    slope=p_j / u_ij, unbounded=True,
+                )
+            )
     rank = len(inst.types)
     products.sort(
         key=lambda pr: (pr.slope, rank if pr.type_id is None else pr.type_id, pr.hi)

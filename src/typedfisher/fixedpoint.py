@@ -33,13 +33,12 @@ Consecutive solves differ only in lam, so each solve after the first
 starts warm from the iterates of the one before (``solve_bpsop``'s
 ``start``), and falls back to a cold solve where the warm one would not
 return the same duals.  A market where that happens once has optimal
-duals that are not unique, so once a solve of a run falls back, the rest
-of the run's solves start cold and record no path.  The trace records how
-each solve started.  A
-warm solve stops within the solver tolerance at a slightly different
-point than a cold one, and the dual sums q move with it: on the
-``experiment`` market they moved by up to 1.4e-5 between a warm and a
-cold solve that both met the default tolerance.  The path to a fixed
+duals that are not unique, so a fallback returns no path, and the rest
+of the run's solves start cold.  The trace records how each solve
+started.  A warm solve stops within the solver tolerance at a slightly
+different point than a cold one, and the dual sums q move with it: on
+the ``experiment`` market they moved by up to 1.4e-5 between a warm and
+a cold solve that both met the default tolerance.  The path to a fixed
 point can therefore differ from that of cold solves by a step.
 """
 
@@ -107,15 +106,6 @@ class FixedPointResult:
     solve_stats: SolveStats
 
 
-def residual(lam, duals) -> float:
-    """Euclidean distance between lam and the dual sums it should equal."""
-    lam = np.asarray(lam, dtype=float)
-    q = duals.r.sum(axis=1) if isinstance(duals, DualBundle) else np.asarray(duals, float)
-    if q.shape != lam.shape:
-        raise ValueError(f"dimension mismatch: lam {lam.shape} vs duals {q.shape}")
-    return float(np.linalg.norm(lam - q))
-
-
 def _step_scale(d: np.ndarray, d_prev: np.ndarray, s_prev: np.ndarray) -> np.ndarray:
     """Per-agent multipliers of the step d given the previous step and its
     multipliers (module docstring)."""
@@ -162,11 +152,11 @@ def run(
     # a zero previous step gives every agent the plain step first
     d_prev, scale = np.zeros(inst.n_agents), np.ones(inst.n_agents)
     # each solve starts warm from the previous solve's path, and cold from
-    # the first fallback on
+    # the first fallback on, which returns no path
     path = CentralPath()
     for k in range(max_iter):
         x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol, start=path)
-        path = None if stats.start == "fallback" else stats.path
+        path = stats.path
         q = duals.r.sum(axis=1)
         d = q - lam
         res = float(np.linalg.norm(d))

@@ -8,7 +8,8 @@ the hull's lower frontier.  Each frontier segment is a purchasable
 "virtual product": one unit of it moves the agent from the segment's low
 endpoint to its high endpoint, costing the price difference and gaining
 the utility difference.  Goods without a type cap reduce to a single
-unbounded product with per-unit rate price/utility.
+unbounded product with per-unit rate price/utility
+(``demand.agent_products``).
 """
 
 from __future__ import annotations
@@ -101,24 +102,4 @@ def build_frontier(
             slope=(hp - lp) / (hu - lu),
         )
         for (lu, lp, lj), (hu, hp, hj) in zip(hull, hull[1:])
-    )
-
-
-def untyped_rate(u_ij: float, p_j: float, good: int = 0) -> VirtualProduct | None:
-    """Unbounded product for a good the agent may buy without a type cap.
-
-    Returns None for a worthless good (u_ij <= 0).  A zero price with
-    positive utility yields a slope-0 unbounded product; demand for it is
-    infinite, which the demand oracle reports as an error.
-    """
-    if u_ij <= 0.0:
-        return None
-    return VirtualProduct(
-        type_id=None,
-        lo=None,
-        hi=good,
-        delta_u=float(u_ij),
-        delta_p=float(p_j),
-        slope=float(p_j) / float(u_ij),
-        unbounded=True,
     )

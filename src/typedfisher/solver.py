@@ -52,9 +52,7 @@ good's capacity row, implied by the others, is dropped.  The type duals
 of the unreduced program are then determined only up to a per-type shift
 moved between p and r, so the returned duals are normalized by shifting
 along that direction until min_i r[i, t] = 0, which keeps every Karush-
-Kuhn-Tucker identity intact and r nonnegative.  Raw (unshifted) duals, in
-the gauge where the substituted good's price is zero, and the applied
-shifts are reported alongside.
+Kuhn-Tucker identity intact and r nonnegative.
 
 Warm starts: programs at different lam share their feasible set and
 differ only in the objective weights c = w + lam, so a solve can start
@@ -68,7 +66,8 @@ where they are not a warm path can end elsewhere on the face of optimal
 duals than the cold path.  So a warm solve is kept only when it converged
 with duals pinned by its support (``_duals_pinned``); otherwise the cold
 solve runs as well and its result is returned, bit for bit that of a
-solve without ``start``.
+solve without ``start``, with no path: the duals of such a market are
+not unique, so its later solves should start cold too.
 """
 
 from __future__ import annotations
@@ -109,17 +108,12 @@ class DualBundle:
        zero at non-participating pairs.
     s: (n, m) nonnegativity duals, nonpositive.
     objective: attained value of the budget-weighted log objective.
-    r_raw: duals before tight-type normalization.
-    tight_shift: (T,) shift moved from r into p per tight type (zero
-       elsewhere).
     """
 
     p: np.ndarray
     r: np.ndarray
     s: np.ndarray
     objective: float
-    r_raw: np.ndarray
-    tight_shift: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +152,8 @@ class SolveStats:
     # iterate the solve started from
     start: str = "cold"
     start_mu: float = float("nan")
-    # this solve's iterates, recorded only when a ``start`` was passed
+    # this solve's iterates, recorded only when a ``start`` was passed and
+    # the solve did not fall back
     path: CentralPath | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -201,7 +196,7 @@ def solve_bpsop(
     ``start``, the ``stats.path`` of an earlier solve of the same market
     or an empty ``CentralPath()``, lets the solve start warm, with the
     cold fallback of the module docstring, and records its path in
-    ``stats.path``.
+    ``stats.path``, or None after a fallback.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -222,7 +217,7 @@ def solve_bpsop(
 
     x, duals, stats, pinned = _solve(inst, lam, tol, max_iter, start)
     if stats.start == "warm" and not (stats.success and pinned):
-        x, duals, cold, _ = _solve(inst, lam, tol, max_iter, CentralPath())
+        x, duals, cold, _ = _solve(inst, lam, tol, max_iter, None)
         stats = replace(
             cold,
             iterations=stats.iterations + cold.iterations,
@@ -303,19 +298,8 @@ def _solve(inst, lam, tol, max_iter, start):
     if warm is not None:
         v, w, p, _ = warm
     else:
-        # pull slack rows that start nearly full toward the center of their box
+        # cold: every agent holds an equal share of each kept good
         x = np.repeat((sbar / n)[:, None], n, axis=1)
-        slack = 1.0 - row_sums(x)
-        center = 1.0 / (A.sum(axis=1)[slack_type] + 1)
-        target = np.minimum(0.01, 0.5 * center)
-        push = (slack < target) & (center > slack)
-        gamma = np.zeros(K)
-        gamma[push] = np.minimum(
-            1.0, (target - slack)[push] / (center - slack)[push]
-        )
-        step = A.T @ by_pair(gamma)
-        x = (1 - step) * x + step * (A.T @ by_pair(center))
-
         # the duals of the unreduced program: a substituted good's z starts
         # its type row's dual
         grad_scale = (c / utility(x)) * U_full.T
@@ -456,8 +440,6 @@ def _solve(inst, lam, tol, max_iter, start):
         r=r_full,
         s=-z_full,
         objective=objective,
-        r_raw=r_raw,
-        tight_shift=shift,
     )
     if status == "converged" and tight:
         status = "degenerate_tight"

@@ -217,7 +217,6 @@ class GridScanResult:
     argmin_price: np.ndarray
     points_evaluated: int
     points_skipped: int
-    step: float
     near_clearing: list = field(default_factory=list)  # prices under record_below
 
 
@@ -281,7 +280,6 @@ def grid_nonexistence(
         argmin_price=argmin,
         points_evaluated=evaluated,
         points_skipped=skipped,
-        step=step,
         near_clearing=near,
     )
 

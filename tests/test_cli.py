@@ -287,6 +287,28 @@ BAD_INPUT_FILES = {
           "--check-tol", "nan"], 2, "tol_clearing must be finite and nonnegative, got nan"),
         (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@alloc",
           "--check-tol", "-1"], 2, "tol_clearing must be finite and nonnegative, got -1.0"),
+        (["gen", "-n", "3", "-m", "3", "--types", "2x0", "-o", "@out"],
+         2, "--types 2x0 needs T >= 1 and K >= 1"),
+        (["gen", "-n", "3", "-m", "3", "--types", "2x-1", "-o", "@out"],
+         2, "--types 2x-1 needs T >= 1 and K >= 1"),
+        (["gen", "-n", "3", "-m", "3", "--types", "-1x2", "-o", "@out"],
+         2, "--types -1x2 needs T >= 1 and K >= 1"),
+        (["check", "--builtin", "prop2", "--prices", "abc", "--alloc", "@alloc"],
+         2, "--prices expects a JSON list, got 'abc'"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@missing"],
+         2, "cannot read an allocation matrix from"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,0]", "--alloc", "@alloc"],
+         1, "demands unbounded quantity of free good 3"),
+        (["solve", "--builtin", "nope"], 2, "unknown builtin 'nope'"),
+        (["gen", "-n", "3", "-m", "3", "--types", "foo", "-o", "@out"],
+         2, "bad --types spec 'foo'"),
+        (["gen", "-n", "3", "-m", "3", "--types", "[1,2]", "-o", "@out"],
+         2, "bad --types JSON '[1,2]'"),
+        (["gen", "-n", "3", "-m", "3", "--types", "2x2", "-o", "@out"],
+         2, "--types 2x2 needs 4 goods but m=3"),
+        (["gen", "-n", "0", "-m", "3", "-o", "@out"], 2, "n and m must be positive"),
+        (["gen", "-n", "3", "-m", "3", "--u-range", "1", "-o", "@out"],
+         2, "--u-range expects 'lo,hi'"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):

@@ -13,11 +13,10 @@ from typedfisher import (
     existence_condition,
     kkt_residuals,
     random_instance,
-    residual,
     write_trace_csv,
 )
 from typedfisher import fixedpoint
-from typedfisher.fixedpoint import STALL_WINDOW, run
+from typedfisher.fixedpoint import DEFAULT_EPS, STALL_WINDOW, run
 
 
 def test_no_types_converges_immediately():
@@ -43,32 +42,7 @@ def test_three_buyer_market_reaches_equilibrium():
 def test_final_lambda_is_self_consistent():
     inst = builtin_instance("prop2")
     res = run(inst, eps=1e-7)
-    assert residual(res.lam, res.duals) <= 1e-7
-
-
-def test_residual_zero_at_fixed_point():
-    assert residual([1.0, 2.0], np.array([1.0, 2.0])) == 0.0
-
-
-def test_residual_euclidean():
-    assert residual([0.0, 0.0], np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-
-def test_residual_dimension_mismatch():
-    with pytest.raises(ValueError):
-        residual([0.0, 0.0], np.array([1.0]))
-
-
-def test_residual_accepts_dual_bundle():
-    duals = DualBundle(
-        p=np.zeros(1),
-        r=np.array([[1.0, 2.0]]),
-        s=np.zeros((1, 1)),
-        objective=0.0,
-        r_raw=np.array([[1.0, 2.0]]),
-        tight_shift=np.zeros(2),
-    )
-    assert residual([3.0], duals) == pytest.approx(0.0)
+    assert np.linalg.norm(res.lam - res.duals.r.sum(axis=1)) <= 1e-7
 
 
 def test_trace_is_deterministic():
@@ -186,10 +160,7 @@ def fake_solver(q_of):
 
     def solve(inst, lam, tol, start=None):
         q = q_of(np.asarray(lam, dtype=float))
-        duals = DualBundle(
-            p=np.ones(1), r=q[:, None], s=np.zeros((q.size, 1)), objective=0.0,
-            r_raw=q[:, None], tight_shift=np.zeros(1),
-        )
+        duals = DualBundle(p=np.ones(1), r=q[:, None], s=np.zeros((q.size, 1)), objective=0.0)
         stats = SolveStats(1, 0.0, 0.0, 0.0, "converged")
         return np.zeros((q.size, 1)), duals, stats
 
@@ -287,6 +258,37 @@ def test_one_crawling_agent_doubles_alone(monkeypatch):
     assert scales[:, 0].tolist() == [1.0, 1.0] + [2.0**k for k in range(1, 10)] + [1.0]
     assert np.all(scales[:, 1:] == 1.0)
     assert trace.iterates[-1] == pytest.approx([1.023, 0.9, 0.5], abs=1e-12)
+
+
+def test_failed_solve_ends_the_run(monkeypatch):
+    # q runs one ahead of lam, so no step reaches it; the fourth solve
+    # fails, and the run returns the perturbations it was solved at
+    solve = fake_solver(lambda lam: lam + 1.0)
+    calls = []
+
+    def failing(inst, lam, tol, start=None):
+        x, duals, stats = solve(inst, lam, tol, start)
+        calls.append(None)
+        if len(calls) == 4:
+            stats = SolveStats(200, 1.0, 1.0, 1.0, "max_iter")
+        return x, duals, stats
+
+    monkeypatch.setattr(fixedpoint, "solve_bpsop", failing)
+    res = run(SimpleNamespace(n_agents=2))
+    assert res.trace.status == "solver_failure"
+    assert res.trace.failure_iteration == 3
+    assert res.trace.iterations == 4
+    assert res.trace.duals_per_iter[-1].solver_status == "max_iter"
+    assert np.array_equal(res.lam, res.trace.iterates[-1])
+
+
+def test_iteration_limit_ends_the_run():
+    res = run(builtin_instance("experiment"), max_iter=2)
+    assert res.trace.status == "max_iter"
+    assert res.trace.iterations == 2
+    assert len(res.trace.step_scales) == 1
+    assert res.trace.residuals[-1] > DEFAULT_EPS
+    assert np.array_equal(res.lam, res.trace.iterates[-1])
 
 
 def test_trace_csv_round_trip(tmp_path):

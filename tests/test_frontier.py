@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from typedfisher import build_frontier, untyped_rate
+from typedfisher import MarketInstance, build_frontier
+from typedfisher.demand import agent_products
 
 from helpers import finite_floats
 
@@ -79,22 +80,30 @@ def test_all_zero_utility_gives_empty_frontier():
     assert fr == ()
 
 
+def untyped_products(u, p):
+    """The products of one agent whose goods, valued u at prices p, are all
+    untyped."""
+    inst = MarketInstance(utilities=[u], budgets=[1.0], capacities=np.ones(len(u)))
+    return agent_products(inst, 0, np.asarray(p, dtype=float))
+
+
 def test_untyped_rate_worked_example():
-    pr = untyped_rate(5.0, 1.7)
-    assert pr.unbounded
+    (pr,) = untyped_products([5.0], [1.7])
+    assert pr.unbounded and pr.type_id is None and pr.hi == 0
     assert pr.slope == pytest.approx(0.34, abs=1e-12)
 
 
 def test_untyped_rate_direct_ratio():
-    assert untyped_rate(2.0, 9.0).slope == pytest.approx(4.5, abs=1e-12)
+    (pr,) = untyped_products([2.0], [9.0])
+    assert pr.slope == pytest.approx(4.5, abs=1e-12)
 
 
 def test_untyped_rate_zero_utility_excluded():
-    assert untyped_rate(0.0, 3.0) is None
+    assert [pr.hi for pr in untyped_products([0.0, 1.0], [3.0, 1.0])] == [1]
 
 
 def test_untyped_rate_free_good_flagged():
-    pr = untyped_rate(1.0, 0.0)
+    (pr,) = untyped_products([1.0], [0.0])
     assert pr.unbounded and pr.slope == 0.0 and pr.delta_p == 0.0
 
 

@@ -65,6 +65,15 @@ def test_check_flags_type_overconsumption():
     assert any("type" in v for v in rep.feasibility_violations)
 
 
+def test_check_flags_negative_allocation():
+    inst = builtin_instance("prop2")
+    x = PROP2_ALLOC.copy()
+    x[1, 0] = -1e-3  # agent 2, good 1
+    rep = check_equilibrium(inst, [11.0, 10.0, 9.0], x)
+    assert not rep.passed
+    assert "negative allocation x[2][1] = -0.001" in rep.feasibility_violations
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
 @pytest.mark.parametrize("name", ["tol_clearing", "tol_budget", "tol_opt"])
 def test_check_rejects_bad_tolerance(name, tol):
