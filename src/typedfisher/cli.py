@@ -44,12 +44,6 @@ def _sig12(obj):
         return {k: _sig12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sig12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sig12(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _sig12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -359,12 +353,11 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
         "step_scales": [float(s.max()) for s in tr.step_scales],
         # how each inner solve started: cold, warm or fallback
         "solver_starts": [d.solver_start for d in tr.duals_per_iter],
-        "final_residual": tr.residuals[-1] if tr.residuals else None,
         "lambda": result.lam.tolist(),
         "prices": result.prices.tolist(),
         "allocation": result.allocation.tolist(),
         "residuals": {
-            "fixed_point": tr.residuals[-1] if tr.residuals else None,
+            "fixed_point": tr.residuals[-1],
             "solver_stationarity": result.solve_stats.stationarity_residual,
             "solver_feasibility": result.solve_stats.primal_feasibility_residual,
         },

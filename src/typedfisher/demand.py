@@ -238,7 +238,9 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
     arrays, the origin first (good -1), and each row's vertex count.  D is
     the number of distinct positive utilities in the type; they keep their
     order at every price, so the per-utility dedup is an argmin over fixed
-    groups of goods and the chain visits the levels in a fixed order.
+    groups of goods and the chain visits the levels in a fixed order.  As
+    in ``build_frontier``, the chain itself drops equal-price points, so
+    every row appends each level's point.
     """
     goods = [j for j in sorted(int(j) for j in type_goods) if u[j] > 0.0]
     levels = sorted({float(u[j]) for j in goods})
@@ -249,8 +251,6 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
         group = np.array([j for j in goods if u[j] == level])
         good[:, g] = group[np.argmin(P[:, group], axis=1)]
     price = np.take_along_axis(P, good, axis=1)
-    # per price the highest utility: a level goes when a higher one costs the same
-    dropped = np.triu(price[:, :, None] == price[:, None, :], k=1).any(axis=2)
 
     rows = np.arange(K)
     hu = np.zeros((K, D + 1))
@@ -259,7 +259,7 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
     size = np.ones(K, dtype=int)
     for g, level in enumerate(levels):
         q = price[:, g]
-        pop = ~dropped[:, g] & (size >= 2)
+        pop = size >= 2
         while pop.any():
             a, b = np.maximum(size - 2, 0), size - 1
             au, ap = hu[rows, a], hp[rows, a]
@@ -273,9 +273,8 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
                 )
             size -= pop
             pop &= size >= 2
-        r = rows[~dropped[:, g]]
-        hu[r, size[r]] = level
-        hp[r, size[r]] = q[r]
-        hj[r, size[r]] = good[r, g]
-        size[r] += 1
+        hu[rows, size] = level
+        hp[rows, size] = q
+        hj[rows, size] = good[:, g]
+        size += 1
     return hu, hp, hj, size

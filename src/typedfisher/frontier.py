@@ -63,21 +63,20 @@ def build_frontier(
         return ()
 
     # Deduplicate: per utility keep the cheapest (lowest index on a price
-    # tie); per price keep the highest utility.
+    # tie).  The chain below drops equal-price points by itself.
     by_u: dict[float, tuple[float, float, int]] = {}
     for pt in sorted(pts, key=lambda q: (q[0], q[1], q[2])):
         if pt[0] not in by_u:
             by_u[pt[0]] = pt
-    by_p: dict[float, tuple[float, float, int]] = {}
-    for pt in sorted(by_u.values(), key=lambda q: (q[1], -q[0], q[2])):
-        if pt[1] not in by_p:
-            by_p[pt[1]] = pt
-    points = sorted(by_p.values())
+    points = sorted(by_u.values())
 
     # Monotone chain from the origin, utility ascending.  Keep strictly
     # increasing slopes: b stays only when slope(a->b) < slope(a->c) by the
     # cross-multiplied test and the slopes the products carry, computed as
-    # below, also increase (two segments can round to one slope).
+    # below, also increase (two segments can round to one slope).  Prices
+    # never fall along the chain, so a point priced like vertex b pops b:
+    # with q == bp both products share the factor bp - ap, and rounding
+    # cannot flip the sign of the test.
     hull: list[tuple[float, float, int | None]] = [(0.0, 0.0, None)]
     for u, q, j in points:
         while len(hull) >= 2:

@@ -154,11 +154,13 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
 
     Errors make the instance unusable for solving (overlapping types,
     nonpositive budgets or capacities, an agent valuing nothing, or a type
-    whose aggregate capacity exceeds its participating agents' combined
-    cap, which makes clearing impossible).  Warnings flag legal but
-    noteworthy structure: a missing untyped good (equilibrium existence is
-    then not guaranteed), exactly tight type capacity, goods nobody
-    values, and agents that value goods of types they ignore.
+    that every agent joins with aggregate capacity above n, which makes
+    clearing impossible; an agent that ignores a type holds its goods
+    without a cap).  The tolerance is ``tight_types``' one, so no type is
+    both tight and infeasible.  Warnings flag legal but noteworthy
+    structure: a missing untyped good (equilibrium existence is then not
+    guaranteed), exactly tight type capacity, goods nobody values, and
+    agents that value goods of types they ignore.
     """
     rep = ValidationReport()
     m = inst.n_goods
@@ -197,17 +199,17 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     ):
         rep.errors.append("non-finite entries")
 
-    # Per-type clearing feasibility: total capacity of a type's goods must be
-    # coverable by its participating agents at one unit each.
+    # Per-type clearing feasibility: when every agent participates, the
+    # total capacity of a type's goods must be coverable at one unit each.
     capacity, participants = _type_totals(inst)
+    n = inst.n_agents
     for t in range(inst.n_types):
         if t in out_of_range:
             continue
-        cap_sum, n_part = capacity[t], participants[t]
-        if cap_sum > n_part + 1e-9:
+        if participants[t] == n and capacity[t] - n > _TIGHT_RTOL * max(1, n):
             rep.errors.append(
-                f"type {t + 1} capacity {cap_sum:g} exceeds its "
-                f"{n_part} participating agents; clearing infeasible"
+                f"type {t + 1} capacity {capacity[t]:.12g} exceeds its "
+                f"{n} participating agents; clearing infeasible"
             )
         elif t in inst.tight_types:
             rep.warnings.append(

@@ -88,7 +88,7 @@ WARM_START_GAP = 10.0
 
 
 class InfeasibleInstanceError(ValueError):
-    """A type's capacity exceeds what its participating agents may hold."""
+    """A type that every agent joins has more capacity than agents."""
 
 
 class ZeroUtilityError(RuntimeError):
@@ -216,7 +216,7 @@ def solve_bpsop(
     lam = np.maximum(lam, 0.0)
 
     x, duals, stats, pinned = _solve(inst, lam, tol, max_iter, start)
-    if stats.start == "warm" and not (stats.success and pinned):
+    if stats.start == "warm" and not pinned:
         x, duals, cold, _ = _solve(inst, lam, tol, max_iter, None)
         stats = replace(
             cold,
@@ -390,8 +390,7 @@ def _solve(inst, lam, tol, max_iter, start):
         # corrector with centering
         (dv, dw, dp), err_c = _direction(sigma * mu - vw - dva * dwa)
         direction_residual = max(direction_residual, err_a, err_c)
-        tau = 0.99 if mu > 1e-8 * max(1.0, comp) else 0.999
-        tau = min(0.9995, max(tau, 1.0 - mu))
+        tau = min(0.9995, max(0.99, 1.0 - mu))
         # fraction to the boundary: alpha = min(1, tau alpha_max)
         alpha = min(1.0, tau * _max_step(v, dv), tau * _max_step(w, dw))
         # stay inside a wide central-path neighborhood: no complementarity

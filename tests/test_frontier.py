@@ -110,11 +110,17 @@ def test_untyped_rate_free_good_flagged():
 # --- properties ---------------------------------------------------------------
 
 
+def ints_or_floats(lo, hi):
+    """Small integers or floats in [lo, hi]; the integers make ties in
+    utility and in price common."""
+    return st.one_of(st.integers(int(np.ceil(lo)), 3).map(float), finite_floats(lo, hi))
+
+
 @st.composite
 def type_points(draw):
     k = draw(st.integers(min_value=1, max_value=7))
-    u = draw(st.lists(finite_floats(0.01, 50.0), min_size=k, max_size=k))
-    p = draw(st.lists(finite_floats(0.0, 50.0), min_size=k, max_size=k))
+    u = draw(st.lists(ints_or_floats(0.01, 50.0), min_size=k, max_size=k))
+    p = draw(st.lists(ints_or_floats(0.0, 50.0), min_size=k, max_size=k))
     return np.array(u), np.array(p)
 
 

@@ -10,9 +10,11 @@ from typedfisher import (
     builtin_instance,
     instance_from_dict,
     instance_to_dict,
+    kkt_residuals,
     load_instance,
     random_instance,
     save_instance,
+    solve_sop1,
     validate_instance,
 )
 
@@ -116,6 +118,51 @@ def test_exactly_tight_type_is_warning_not_error():
     rep = validate_instance(builtin_instance("prop1"))  # 1.5 + 0.5 == 2 agents
     assert rep.errors == []
     assert any(w.startswith("degenerate-tight") for w in rep.warnings)
+
+
+def test_partly_joined_type_may_exceed_its_participants():
+    # agents 3 and 4 ignore the type and hold its goods without a cap, so
+    # capacity 3.5 clears with 2 participants
+    inst = MarketInstance(
+        utilities=np.random.default_rng(0).uniform(0.1, 1.0, (4, 3)),
+        budgets=[1.0, 2.0, 3.0, 4.0],
+        capacities=[2.0, 1.5, 1.0],
+        types=((0, 1),),
+        participation=[[True], [True], [False], [False]],
+    )
+    assert validate_instance(inst).errors == []
+    x, duals, stats = solve_sop1(inst)
+    assert stats.status == "converged"
+    assert kkt_residuals(inst, np.zeros(4), x, duals).max_residual <= 1e-9
+
+
+def type_capacity_market(n, type_capacity):
+    """n agents, a type of two goods splitting ``type_capacity``, one free good."""
+    half = type_capacity / 2
+    return MarketInstance(
+        utilities=np.random.default_rng(0).uniform(0.1, 1.0, (n, 3)),
+        budgets=np.ones(n),
+        capacities=[half, half, 50.0],
+        types=((0, 1),),
+    )
+
+
+def test_type_within_tolerance_of_n_is_tight_not_infeasible():
+    inst = type_capacity_market(1000, 1000.0000005)
+    rep = validate_instance(inst)
+    assert inst.tight_types == (0,)
+    assert rep.errors == []
+    assert any(w.startswith("degenerate-tight: type 1") for w in rep.warnings)
+
+
+def test_type_just_above_n_is_infeasible():
+    inst = type_capacity_market(1000, 1000.001)
+    rep = validate_instance(inst)
+    assert inst.tight_types == ()
+    assert rep.errors == [
+        "type 1 capacity 1000.001 exceeds its 1000 participating agents; "
+        "clearing infeasible"
+    ]
 
 
 def test_agent_valuing_nothing_is_error():

@@ -9,6 +9,7 @@ from typedfisher import (
     CentralPath,
     InfeasibleInstanceError,
     MarketInstance,
+    ZeroUtilityError,
     builtin_instance,
     fixedpoint,
     kkt_residuals,
@@ -322,6 +323,16 @@ def test_kkt_residuals_detect_perturbation():
     x_bad[0, 2] += 0.1
     res = kkt_residuals(inst, np.zeros(3), x_bad, duals)
     assert max(res.feasibility, res.complementarity) > 0.01
+
+
+def test_kkt_residuals_reject_zero_utility():
+    inst = builtin_instance("prop2")
+    x, duals, stats = solve_sop1(inst)
+    x_bad = x.copy()
+    x_bad[1] = 0.0
+    with pytest.raises(ZeroUtilityError, match="^agent 2 was forced to zero utility$") as err:
+        kkt_residuals(inst, np.zeros(3), x_bad, duals)
+    assert err.value.agent == 1
 
 
 def test_kkt_residuals_hand_built_solution():

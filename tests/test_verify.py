@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,16 @@ def test_budget_gap_no_types_clears():
     rep = sop1_budget_gap(inst)
     assert np.all(np.abs(rep.gaps) <= 1e-6)
     assert not rep.unspent_witness
+
+
+def test_budget_gap_refuses_failed_solve(monkeypatch):
+    def failed_solve(inst):
+        x, duals, stats = solve_sop1(inst)
+        return x, duals, replace(stats, status="max_iter")
+
+    monkeypatch.setattr(verify, "solve_sop1", failed_solve)
+    with pytest.raises(RuntimeError, match="failed with status max_iter"):
+        sop1_budget_gap(builtin_instance("prop2"))
 
 
 def test_crosscheck_classical_market():
