@@ -47,11 +47,19 @@ def _sig12(obj):
     return obj
 
 
+def _write(path: str, write) -> None:
+    """Call ``write(path)``; a path that cannot be written is a usage error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(_sig12(payload), indent=2)
-    click.echo(text)
     if out:
-        Path(out).write_text(text + "\n")
+        _write(out, lambda path: Path(path).write_text(text + "\n"))
+    click.echo(text)
 
 
 def _load(builtin: str | None, instance: str | None, seed: int) -> MarketInstance:
@@ -66,8 +74,7 @@ def _load(builtin: str | None, instance: str | None, seed: int) -> MarketInstanc
     try:
         return load_instance(instance)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        click.echo(f"error: cannot read instance file: {exc}", err=True)
-        sys.exit(2)
+        raise click.UsageError(f"cannot read instance file: {exc}")
 
 
 def _require_valid(inst: MarketInstance) -> None:
@@ -363,7 +370,7 @@ def fixed_point(builtin, instance, tol, seed, out, eps, max_iter, trace):
         },
     }
     if trace:
-        write_trace_csv(tr, trace)
+        _write(trace, lambda path: write_trace_csv(tr, path))
     _emit(payload, out)
     sys.exit(0 if tr.status == "converged" else 1)
 
@@ -458,7 +465,7 @@ def gen(seed, n, m, types, w_range, u_range, cap_range, out):
         )
     except ValueError as exc:  # sizes or ranges the generator refuses
         raise click.UsageError(str(exc))
-    save_instance(inst, out)
+    _write(out, lambda path: save_instance(inst, path))
     click.echo(json.dumps({"written": out, "n": n, "m": m}))
 
 

@@ -32,13 +32,13 @@ Primal-Dual Interior-Point Methods, 1997).  So mu, the step bound, the
 neighborhood test and the update each act once on v and w.  x and z are
 goods-major views of the first entries, and so is the whole Newton
 system: every (good, agent) array is (m, n), m the kept goods and n the
-agents, contiguous along agents, and every slack-row array scattered per
-agent is (T, n).  Sums over agents (the capacity rows and the Schur
-matrix's diagonal) then run along contiguous rows, where numpy sums
-pairwise (Higham, SIAM J. Sci. Comput. 1993) rather than one agent after
-another, and the per-agent scalings and the Schur diagonal's gathers act
-on whole rows.  Only the returned x, s and r are agent-major, transposed
-once at the end.
+agents, contiguous along agents.  The slack rows are the True cells of
+the participation mask's (T, n) grid, in its type-major order.  Sums
+over agents (the capacity rows and the Schur matrix's diagonal) run
+along contiguous rows, where numpy sums pairwise (Higham, SIAM J. Sci.
+Comput. 1993) rather than one agent after another, and the per-agent
+scalings and the Schur diagonal's gathers act on whole rows.  Only the
+returned x, s and r are agent-major, transposed once at the end.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -252,21 +252,21 @@ def _solve(inst, lam, tol, max_iter, start):
     y_sub = U_full[:, sub].sum(axis=1)
     c = inst.budgets + lam
 
-    # slack rows, type-major: the participating (agent, type) pairs
-    slack_type, slack_agent = np.nonzero(inst.participation.T)
-    K = len(slack_agent)
+    # slack rows: the participating cells of the (T, n) grid, type-major
+    rows = np.ascontiguousarray(inst.participation.T)
+    K = int(rows.sum())
 
     def by_pair(v):
         """(T, n) array of slack-row values v."""
         out = np.zeros((T, n))
-        out[slack_type, slack_agent] = v
+        out[rows] = v
         return out
 
     def row_sums(v):
         """Sums of v over the goods of each slack row."""
-        return (A @ v)[slack_type, slack_agent]
+        return (A @ v)[rows]
 
-    def dual_residual(x, z, r, p, yhat):
+    def dual_residual(z, r, p, yhat):
         # types are disjoint, so each (good, agent) carries at most one dual
         return -(c / yhat) * U + p[:, None] + A.T @ by_pair(r) - z
 
@@ -291,7 +291,7 @@ def _solve(inst, lam, tol, max_iter, start):
         if len(vs) != N or len(ws) != N or len(ps) != len(sbar):
             raise ValueError("start is not a path of this market")
         (xs, _), (zs, rs) = split(vs), split(ws)
-        gap = np.abs(dual_residual(xs, zs, rs, ps, utility(xs))).max(initial=0.0)
+        gap = np.abs(dual_residual(zs, rs, ps, utility(xs))).max(initial=0.0)
         if gap <= WARM_START_GAP * mu_s:
             warm = state
             break
@@ -307,7 +307,7 @@ def _solve(inst, lam, tol, max_iter, start):
         z = grad_scale[keep] + delta0
         r = by_pair(delta0)
         r[tight] += grad_scale[sub]
-        r = r[slack_type, slack_agent]
+        r = r[rows]
         p = np.zeros(len(sbar))
         xi = np.maximum(1.0 - row_sums(x), 0.005)
         v = np.concatenate([x.ravel(), xi])
@@ -329,7 +329,7 @@ def _solve(inst, lam, tol, max_iter, start):
         yhat = utility(x)
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
-        r_dual = dual_residual(x, z, r, p, yhat)
+        r_dual = dual_residual(z, r, p, yhat)
         r_cap = x.sum(axis=1) - sbar
         r_ineq = row_sums(x) + xi - 1.0
         vw = v * w
@@ -415,7 +415,7 @@ def _solve(inst, lam, tol, max_iter, start):
     # z_ik its dual, and the row's dual gains c_i u_ik / yhat_i, which leaves
     # good k's price at zero until the shift below
     r_raw = np.zeros((n, T))
-    r_raw[slack_agent, slack_type] = r
+    r_raw.T[rows] = r
     x_full = np.zeros((n, m))
     z_full = np.zeros((n, m))
     x_full[:, keep] = x.T
@@ -432,7 +432,7 @@ def _solve(inst, lam, tol, max_iter, start):
 
     pinned = None
     if warm is not None and status == "converged":
-        pinned = _duals_pinned(x.T, z.T, xi, r, A, slack_agent, slack_type)
+        pinned = _duals_pinned(x, z, xi, r, A, rows)
 
     duals = DualBundle(
         p=p_full + shift @ incidence,
@@ -457,34 +457,32 @@ def _solve(inst, lam, tol, max_iter, start):
     return x_full, duals, stats, pinned
 
 
-def _duals_pinned(x, z, xi, r, A, slack_agent, slack_type) -> bool:
+def _duals_pinned(x, z, xi, r, A, rows) -> bool:
     """Whether the support of a converged iterate pins its duals.
 
-    Where x_ij > z_ij, stationarity is the equation p_j + r_k = c_i u_ij /
-    yhat_i, with k the slack row of agent i over good j, or p_j alone when
-    no row of agent i holds j: such a pair fixes p_j, an anchor.  A row
-    with xi_k > r_k has r_k = 0, also an anchor.  In the graph over the
-    kept goods and the slack rows with an edge for each pair that links a
-    good to a row, an anchor fixes every dual of its connected component;
-    a component without one can shift its p up and its r down along a
-    face of optimal duals.  The duals are pinned when every component
-    holds an anchor: the anchors are spread along the edges, one step per
-    pass over all edges at once, until nothing changes.
+    ``x`` and ``z`` are goods-major (m, n); ``xi`` and ``r`` lie on the
+    True cells of the (T, n) participation grid ``rows`` (module
+    docstring).  Where x_ij > z_ij, stationarity is the equation p_j +
+    r_ti = c_i u_ij / yhat_i, with t the type of good j, or p_j alone when
+    cell (t, i) is no slack row: such a pair fixes p_j, an anchor.  A row
+    with xi > r has r = 0, also an anchor.  In the graph over the goods and
+    the slack rows with an edge for each held pair that links a good to a
+    row, an anchor fixes every dual of its connected component; a
+    component without one can shift its p up and its r down along a face
+    of optimal duals.  The duals are pinned when every component holds an
+    anchor: the anchors are spread along the edges, over every good and
+    cell at once, until nothing changes.
     """
-    n = x.shape[0]
     held = x > z
-    member = np.zeros((n, A.shape[0]))
-    member[slack_agent, slack_type] = 1.0
-    in_row = (member @ A) > 0.0
-    link = (A[slack_type] > 0.0) & held[slack_agent]  # (rows, goods) edges
-    good_fixed = (held & ~in_row).any(axis=0)
-    row_fixed = xi > r
+    good_fixed = (held & ~(A.T @ rows > 0)).any(axis=1)
+    row_fixed = np.zeros(rows.shape, dtype=bool)
+    row_fixed[rows] = xi > r
     while True:
-        goods = good_fixed | (link & row_fixed[:, None]).any(axis=0)
-        rows_now = row_fixed | (link & goods).any(axis=1)
-        if np.array_equal(goods, good_fixed) and np.array_equal(rows_now, row_fixed):
-            return bool(goods.all() and rows_now.all())
-        good_fixed, row_fixed = goods, rows_now
+        goods = good_fixed | (held & (A.T @ row_fixed > 0)).any(axis=1)
+        grid = row_fixed | (rows & (A @ (held & goods[:, None]) > 0))
+        if np.array_equal(goods, good_fixed) and np.array_equal(grid, row_fixed):
+            return bool(goods.all() and grid[rows].all())
+        good_fixed, row_fixed = goods, grid
 
 
 def _max_step(v, dv):
@@ -608,8 +606,8 @@ def structured_newton(U, A):
     in_type = np.triu(same_type, 1)
     earlier = np.triu(np.ones((m, m)), 1)
     chain, gap = _type_chains(A)
-    # the goods k that have an (i + 1)-th later good in their type
-    later = [np.flatnonzero(nxt < m) for nxt in chain.T[1:]]
+    # masks of the goods k that have an (i + 1)-th later good in their type
+    later = [nxt < m for nxt in chain.T[1:]]
     chained = in_type.any()  # else L_T = I
 
     def factor(beta, d, gamma):
@@ -672,7 +670,7 @@ def structured_newton(U, A):
         diag = 1.0 / D
         for i, k in enumerate(later):
             diag += sig * sig * (gap[i].T @ tail)
-            if not k.size:
+            if not k.any():
                 break
             j = chain[k, i + 1]
             x = -aT[j] * dinv[k]
@@ -711,7 +709,7 @@ def _type_chains(A):
     chain = np.full((m, size + 1), m)
     chain[:, 0] = np.arange(m)
     for row in A:
-        goods = np.flatnonzero(row)
+        goods = np.arange(m)[row > 0]
         for p, k in enumerate(goods):
             chain[k, 1 : len(goods) - p] = goods[p + 1 :]
     j = np.arange(m)[None, :, None]

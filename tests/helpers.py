@@ -297,3 +297,34 @@ def dense_newton(U, A):
         return solve, apply
 
     return factor
+
+
+def duals_pinned_by_union_find(x, z, xi, r, A, rows) -> bool:
+    """Reference for ``typedfisher.solver._duals_pinned``, same arguments.
+
+    The nodes are the goods and the slack rows, the True cells of the
+    (T, n) grid ``rows`` in type-major order.  Each held pair (x_ij > z_ij)
+    joins good j to agent i's row over j, or anchors good j when no row of
+    agent i holds j; a row with xi > r is an anchor too.  The duals are
+    pinned when every component of the union-find forest holds an anchor.
+    """
+    m, n = x.shape
+    cells = list(zip(*np.nonzero(rows)))
+    node = {cell: m + k for k, cell in enumerate(cells)}
+    parent = list(range(m + len(cells)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    anchors = [node[cell] for k, cell in enumerate(cells) if xi[k] > r[k]]
+    for j, i in itertools.product(range(m), range(n)):
+        if x[j, i] > z[j, i]:
+            row = [t for t in range(len(A)) if A[t, j] > 0 and rows[t, i]]
+            if row:
+                parent[find(j)] = find(node[(row[0], i)])
+            else:
+                anchors.append(j)
+    fixed = {find(a) for a in anchors}
+    return all(find(a) in fixed for a in range(len(parent)))

@@ -309,6 +309,20 @@ BAD_INPUT_FILES = {
         (["gen", "-n", "0", "-m", "3", "-o", "@out"], 2, "n and m must be positive"),
         (["gen", "-n", "3", "-m", "3", "--u-range", "1", "-o", "@out"],
          2, "--u-range expects 'lo,hi'"),
+        # "@nodir/..." names a file in a directory that does not exist
+        (["validate", "--builtin", "prop2", "--out", "@nodir/x"],
+         2, "nodir/x.json: No such file or directory"),
+        (["solve", "--builtin", "prop2", "--sop1", "--out", "@nodir/x"],
+         2, "nodir/x.json: No such file or directory"),
+        (["fixed-point", "--builtin", "prop2", "--out", "@nodir/x"],
+         2, "nodir/x.json: No such file or directory"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@alloc",
+          "--out", "@nodir/x"], 2, "nodir/x.json: No such file or directory"),
+        (["fixed-point", "--builtin", "prop2", "--trace", "@nodir/t"],
+         2, "nodir/t.json: No such file or directory"),
+        (["gen", "-n", "3", "-m", "3", "-o", "@nodir/g"],
+         2, "nodir/g.json: No such file or directory"),
+        (["validate", "--instance", "@missing"], 2, "cannot read instance file"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):
@@ -320,6 +334,8 @@ def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert cause in result.output
+    # a failed run prints no JSON result
+    assert not result.output.startswith("{")
     if code == 2:
         assert "Error: " in result.output
 

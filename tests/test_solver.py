@@ -11,6 +11,7 @@ from typedfisher import (
     MarketInstance,
     ZeroUtilityError,
     builtin_instance,
+    check_equilibrium,
     fixedpoint,
     kkt_residuals,
     random_instance,
@@ -20,7 +21,12 @@ from typedfisher import (
     validate_instance,
 )
 
-from helpers import finite_floats, refine_grid_objective, small_markets
+from helpers import (
+    duals_pinned_by_union_find,
+    finite_floats,
+    refine_grid_objective,
+    small_markets,
+)
 
 
 def test_single_agent_single_good():
@@ -563,21 +569,79 @@ def test_max_step_to_the_boundary():
 # its row (xi 0 < r 1), so good 0 and row 0 share a component; agent 1
 # holds good 1, which fixes p_1.  Good 0's component is anchored only
 # through agent 1's pair (1, 0): by a slack row in "slack_row", by a pair
-# outside every row of agent 1 in "outside_rows".
+# outside every row of agent 1 in "outside_rows".  x and z list one agent
+# per line; ``rows`` is the (T, n) participation grid.
 PINNED_SUPPORTS = {
-    "unanchored": ([[1.0, 0.5], [0.0, 0.5]], [[0, 0], [1, 0]], [0.0, 1.0], [1.0, 0.0], [0, 1], False),
-    "slack_row": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0, 0.5], [1.0, 0.0], [0, 1], True),
-    "outside_rows": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0], [1.0], [0], True),
+    "unanchored": ([[1.0, 0.5], [0.0, 0.5]], [[0, 0], [1, 0]], [0.0, 1.0], [1.0, 0.0], [[1, 1]], False),
+    "slack_row": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0, 0.5], [1.0, 0.0], [[1, 1]], True),
+    "outside_rows": ([[1.0, 0.5], [0.5, 0.5]], [[0, 0], [0, 0]], [0.0], [1.0], [[1, 0]], True),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_SUPPORTS)
 def test_duals_pinned_by_support(name):
-    x, z, xi, r, agents, pinned = PINNED_SUPPORTS[name]
+    x, z, xi, r, rows, pinned = PINNED_SUPPORTS[name]
     A = np.array([[1.0, 0.0]])
-    agents = np.array(agents)
     result = solver._duals_pinned(
-        np.array(x), np.array(z, float), np.array(xi), np.array(r),
-        A, agents, np.zeros_like(agents),
+        np.array(x).T, np.array(z, float).T, np.array(xi), np.array(r),
+        A, np.array(rows, bool),
     )
     assert result is pinned
+
+
+def test_duals_pinned_matches_union_find():
+    # random supports over random disjoint types and participation masks
+    rng = np.random.default_rng(7)
+    outcomes = []
+    for _ in range(2000):
+        m, n, T = rng.integers(1, 7), rng.integers(1, 6), rng.integers(0, 4)
+        # each good's type, or T for an untyped good; a type may keep no good
+        A = (rng.integers(0, T + 1, m) == np.arange(T)[:, None]).astype(float)
+        rows = rng.random((T, n)) < rng.random()
+        K = int(rows.sum())
+        density = rng.random()
+        x = rng.random((m, n)) * (rng.random((m, n)) < density)
+        z = rng.random((m, n)) * (x == 0)
+        xi, r = rng.random(K), rng.random(K)
+        r[rng.random(K) < 0.5] = 0.0
+        if rng.random() < 0.5:  # complementary, as at a solution
+            xi[r > 0] = 0.0
+        tie = rng.random(K) < 0.1  # xi = r fixes nothing
+        xi[tie] = r[tie]
+        expected = duals_pinned_by_union_find(x, z, xi, r, A, rows)
+        assert solver._duals_pinned(x, z, xi, r, A, rows) is expected
+        outcomes.append(expected)
+    # both answers are common
+    assert 0.2 < np.mean(outcomes) < 0.8
+
+
+def test_step_backs_off_into_the_neighborhood():
+    # a cold solve at the fourth outer iterate of this market takes a full
+    # fraction-to-the-boundary step that would collapse a complementarity
+    # product below 1e-4 mu, and must shorten it
+    inst = random_instance(3, 100, 7, ((0, 1), (2, 3), (4, 5)))
+    lam = fixedpoint.run(inst, max_iter=4).trace.iterates[3]
+    _, _, stats = solve_bpsop(inst, lam, start=CentralPath())
+    assert stats.status == "degenerate_tight"
+    for v, w, _, mu in stats.path.iterates[1:]:
+        assert (v * w).min() >= 1e-4 * mu
+
+
+@pytest.mark.parametrize("gen_seed", range(1, 11))
+def test_partial_participation_markets(gen_seed):
+    # each agent joins each type with probability 0.7
+    base = random_instance(gen_seed, 40, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(2, 12))
+    inst = MarketInstance(
+        utilities=base.utilities,
+        budgets=base.budgets,
+        capacities=base.capacities,
+        types=base.types,
+        participation=np.random.default_rng(100 + gen_seed).random((40, 3)) < 0.7,
+    )
+    x, duals, stats = solve_sop1(inst)
+    assert stats.status == "converged"
+    assert kkt_residuals(inst, np.zeros(40), x, duals).max_residual <= 1e-6
+    assert np.all(duals.r[~inst.participation] == 0.0)
+    res = fixedpoint.run(inst)
+    assert res.trace.status == "converged"
+    assert check_equilibrium(inst, res.prices, res.allocation).passed
