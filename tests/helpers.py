@@ -7,7 +7,13 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from typedfisher import DemandResult, MarketInstance, UnboundedDemandError
+from typedfisher import (
+    DemandResult,
+    EquilibriumReport,
+    MarketInstance,
+    UnboundedDemandError,
+    demand,
+)
 from typedfisher.demand import _check_prices
 
 
@@ -144,6 +150,50 @@ def random_feasible_market(rng, n=None, m=None, allow_types=True):
     for j in range(used, m):
         caps[j] = rng.uniform(0.1, 2.0 * n)
     return MarketInstance(utilities=u, budgets=w, capacities=caps, types=tuple(types))
+
+
+def later_free_good_market() -> MarketInstance:
+    """Three agents; only agent 3 ignores the type of goods 1 and 2.
+
+    At prices [1, 0, 1] only agent 3's demand is unbounded: of its valued
+    cap-free goods 1, 2 and 3, only good 2 is priced zero.
+    """
+    return MarketInstance(
+        utilities=[[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [2.0, 3.0, 1.0]],
+        budgets=[1.0, 1.0, 1.0], capacities=[0.5, 0.5, 2.0],
+        types=((0, 1),), participation=[[True], [True], [False]],
+    )
+
+
+def check_equilibrium_by_agent(
+    inst: MarketInstance, p, x, tol_clearing=1e-5, tol_budget=1e-5, tol_opt=1e-6
+) -> EquilibriumReport:
+    """Reference for ``check_equilibrium``: the same report, with each
+    agent's gap from one call of the scalar ``demand``."""
+    p = _check_prices(p, inst.n_goods)
+    x = np.asarray(x, dtype=float)
+    clearing = np.abs(x.sum(axis=0) - inst.capacities)
+    budget = np.abs(x @ p - inst.budgets)
+    gaps = np.array([
+        demand(inst, i, p).utility - float(inst.utilities[i] @ x[i])
+        for i in range(inst.n_agents)
+    ])
+    violations = []
+    if np.any(x < -tol_clearing):
+        i, j = np.argwhere(x < -tol_clearing)[0]
+        violations.append(f"negative allocation x[{i + 1}][{j + 1}] = {x[i, j]:g}")
+    sums = x @ inst.incidence.T
+    for t, i in np.argwhere(inst.participation.T & (sums.T > 1.0 + tol_clearing)):
+        violations.append(f"agent {i + 1} holds {sums[i, t]:g} units of type {t + 1}")
+    passed = (
+        not violations
+        and bool(np.all(clearing <= tol_clearing))
+        and bool(np.all(budget <= tol_budget))
+        and bool(np.all(gaps <= tol_opt))
+    )
+    return EquilibriumReport(
+        clearing, budget, gaps, violations, passed, tol_clearing, tol_budget, tol_opt
+    )
 
 
 def brute_force_demand(

@@ -4,8 +4,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from typedfisher import fixedpoint, load_instance, solver
+from typedfisher import fixedpoint, instance_to_dict, load_instance, solver
 from typedfisher.cli import main
+
+from helpers import later_free_good_market
 
 
 @pytest.fixture
@@ -254,6 +256,9 @@ BAD_INPUT_FILES = {
     "alloc": {"allocation": [[1, 0, 1], [0, 1, 0], [0, 1, 0]]},
     "wrong_shape": [[1, 0], [0, 1]],
     "no_key": {"alloc": [[1, 0, 1], [0, 1, 0], [0, 1, 0]]},
+    "nan_alloc": {"allocation": [[1, 0, 1], [0, 1, 0], [0, 1, float("nan")]]},
+    "inf_alloc": {"allocation": [[1, 0, 1], [0, 1, 0], [0, float("inf"), 0]]},
+    "later_free": instance_to_dict(later_free_good_market()),
 }
 
 
@@ -323,6 +328,12 @@ BAD_INPUT_FILES = {
         (["gen", "-n", "3", "-m", "3", "-o", "@nodir/g"],
          2, "nodir/g.json: No such file or directory"),
         (["validate", "--instance", "@missing"], 2, "cannot read instance file"),
+        (["check", "--instance", "@later_free", "--prices", "[1,0,1]", "--alloc", "@alloc"],
+         1, "agent 3 demands unbounded quantity of free good 2"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@nan_alloc"],
+         2, "allocation must be finite"),
+        (["check", "--builtin", "prop2", "--prices", "[11,10,9]", "--alloc", "@inf_alloc"],
+         2, "allocation must be finite"),
     ],
 )
 def test_bad_input_exits_without_traceback(runner, tmp_path, args, code, cause):

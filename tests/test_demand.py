@@ -11,10 +11,12 @@ from typedfisher import (
     demand_all,
     demand_prices,
 )
+from typedfisher.demand import _demand_agents
 
 from helpers import (
     brute_force_demand,
     finite_floats,
+    later_free_good_market,
     price_vectors,
     random_feasible_market,
     small_markets,
@@ -231,17 +233,33 @@ def test_demand_all_propagates_agent_index():
     inst = builtin_instance("prop2")
     with pytest.raises(UnboundedDemandError) as err:
         demand_all(inst, [1.0, 1.0, 0.0])
-    assert err.value.agent == 0
+    assert (err.value.agent, err.value.good) == (0, 2)
+
+
+def test_demand_all_names_the_agent_and_good_a_scalar_loop_names():
+    inst = later_free_good_market()
+    p = [1.0, 0.0, 1.0]
+    with pytest.raises(UnboundedDemandError) as want:
+        for i in range(inst.n_agents):
+            demand(inst, i, p)
+    with pytest.raises(UnboundedDemandError) as got:
+        demand_all(inst, p)
+    assert (got.value.agent, got.value.good) == (want.value.agent, want.value.good) == (2, 1)
+    assert str(got.value) == str(want.value)
 
 
 # --- batched oracle agreement -------------------------------------------------
 
 
-def assert_rows_match_scalar(inst, agent, P):
-    """Each row of demand_prices equals the scalar oracle exactly."""
-    X, spend, unbounded = demand_prices(inst, agent, P)
-    assert X.shape == (len(P), inst.n_goods)
-    for k, p in enumerate(P):
+def assert_rows_match_scalar(inst, cases, batched):
+    """Row k of a batched demand equals the scalar oracle at cases[k].
+
+    ``batched`` is ``(X, spend, unbounded)`` and each case an (agent,
+    prices) pair; the rows must be ``==``, not close.
+    """
+    X, spend, unbounded = batched
+    assert X.shape == (len(cases), inst.n_goods)
+    for k, (agent, p) in enumerate(cases):
         try:
             d = demand(inst, agent, p)
         except UnboundedDemandError:
@@ -250,7 +268,24 @@ def assert_rows_match_scalar(inst, agent, P):
         assert not unbounded[k], (agent, p)
         assert np.array_equal(X[k], d.x), (agent, p, X[k], d.x)
         assert spend[k] == d.spend, (agent, p)
-    return X, spend, unbounded
+    return batched
+
+
+def assert_batches_match_scalar(inst, P):
+    """Both batched paths, each agent over the rows of P and every agent at
+    each row, match the scalar oracle; returns the unbounded count."""
+    n = inst.n_agents
+    per_price = [
+        assert_rows_match_scalar(inst, [(i, p) for p in P], demand_prices(inst, i, P))
+        for i in range(n)
+    ]
+    per_agent = [
+        assert_rows_match_scalar(inst, [(i, p) for i in range(n)], _demand_agents(inst, p))
+        for p in P
+    ]
+    unbounded = sum(int(b[2].sum()) for b in per_price)
+    assert unbounded == sum(int(b[2].sum()) for b in per_agent)
+    return unbounded
 
 
 def price_rows(rng, m, K=8):
@@ -288,8 +323,7 @@ def test_batched_demand_matches_scalar(inst, data):
                  min_size=1, max_size=8),
         label="prices",
     )
-    for agent in range(inst.n_agents):
-        assert_rows_match_scalar(inst, agent, np.array(rows))
+    assert_batches_match_scalar(inst, np.array(rows))
 
 
 def test_batched_demand_matches_scalar_on_seeded_markets():
@@ -304,8 +338,7 @@ def test_batched_demand_matches_scalar_on_seeded_markets():
         part = rng.random((inst.n_agents, inst.n_types)) < 0.7
         inst = MarketInstance(u, inst.budgets, inst.capacities, inst.types, part)
         P = price_rows(rng, inst.n_goods)
-        for agent in range(inst.n_agents):
-            unbounded += int(assert_rows_match_scalar(inst, agent, P)[2].sum())
+        unbounded += assert_batches_match_scalar(inst, P)
     assert unbounded > 0
 
 
@@ -339,12 +372,16 @@ def one_agent(u, types=((0, 1, 2),), budget=1.5, participation=None):
          [[0, 0, 0], [0, 0, 0]]),
         # equal slopes in two types: the lower type rank buys first, whatever hi is
         (one_agent([1.0, 1.0], types=((1,), (0,))), [[1.0, 1.0]], [[0.5, 1]]),
+        # tiny prices: the bundle's utility overflows to inf, without a warning
+        (one_agent([1.0, 1.0, 1.0, 2.0], types=(), budget=1.0),
+         [[1.1125369292536007e-308] * 4], [[0, 0, 0, 1 / 1.1125369292536007e-308]]),
     ],
     ids=["equal-utility", "equal-price", "collinear", "partial-participation",
-         "untyped-good", "nothing-valued", "slope-tie-across-types"],
+         "untyped-good", "nothing-valued", "slope-tie-across-types", "tiny-prices"],
 )
 def test_batched_demand_edge_cases(inst, P, expect):
-    X, spend, unbounded = assert_rows_match_scalar(inst, 0, np.array(P))
+    assert_batches_match_scalar(inst, np.array(P))
+    X, spend, unbounded = demand_prices(inst, 0, np.array(P))
     for k, row in enumerate(expect):
         assert unbounded[k] == (row is None)
         if row is not None:
@@ -357,7 +394,8 @@ def test_batched_demand_keeps_scalar_order_on_rounded_slope_tie():
     # segment first would leave x = [0.57, 0] at a cost of 5.2
     inst = one_agent([44.73684210526316, 1.736842105263158], types=((0, 1),), budget=5.0)
     P = np.array([[9.090909090909092, 0.35294117647058826]])
-    X, spend, _ = assert_rows_match_scalar(inst, 0, P)
+    assert_batches_match_scalar(inst, P)
+    X, spend, _ = demand_prices(inst, 0, P)
     assert P[0] @ X[0] <= 5.0
     assert spend[0] <= 5.0
 
@@ -373,3 +411,6 @@ def test_batched_demand_checks_prices_like_demand():
         demand_prices(inst, 3, [[1.0, 1.0, 1.0]])
     X, spend, unbounded = demand_prices(inst, 0, np.zeros((0, 3)))
     assert X.shape == (0, 3) and spend.shape == unbounded.shape == (0,)
+    for bad, msg in (([1.0, 1.0], "length 3"), ([-1.0, 1.0, 1.0], "negative price")):
+        with pytest.raises(ValueError, match=msg):
+            demand_all(inst, bad)

@@ -20,6 +20,8 @@ from typedfisher import verify
 from typedfisher.fixedpoint import run
 from typedfisher.verify import NotAtFixedPointError
 
+from helpers import check_equilibrium_by_agent, later_free_good_market
+
 PROP2_ALLOC = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
 
 
@@ -88,8 +90,60 @@ def test_check_rejects_bad_tolerance(name, tol):
 
 def test_check_propagates_unbounded_demand():
     inst = builtin_instance("prop2")
-    with pytest.raises(UnboundedDemandError):
+    with pytest.raises(UnboundedDemandError) as err:
         check_equilibrium(inst, [11.0, 10.0, 0.0], PROP2_ALLOC)
+    assert (err.value.agent, err.value.good) == (0, 2)
+
+
+def test_check_names_the_agent_and_good_a_scalar_loop_names():
+    inst = later_free_good_market()
+    p = [1.0, 0.0, 1.0]
+    with pytest.raises(UnboundedDemandError) as want:
+        check_equilibrium_by_agent(inst, p, PROP2_ALLOC)
+    with pytest.raises(UnboundedDemandError) as got:
+        check_equilibrium(inst, p, PROP2_ALLOC)
+    assert (got.value.agent, got.value.good) == (want.value.agent, want.value.good) == (2, 1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_refuses_non_finite_allocation(bad):
+    x = PROP2_ALLOC.copy()
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="allocation must be finite"):
+        check_equilibrium(builtin_instance("prop2"), [11.0, 10.0, 9.0], x)
+
+
+def assert_reports_equal(got, want):
+    assert np.array_equal(got.clearing_residuals, want.clearing_residuals)
+    assert np.array_equal(got.budget_residuals, want.budget_residuals)
+    assert np.array_equal(got.optimality_gaps, want.optimality_gaps)
+    assert got.feasibility_violations == want.feasibility_violations
+    assert got.passed == want.passed
+
+
+def test_check_matches_the_per_agent_loop():
+    """Equal reports, gaps included, on passing and failing candidates."""
+    rng = np.random.default_rng(5)
+    cases = []
+    inst = builtin_instance("experiment", seed=1)
+    res = run(inst)
+    cases.append((inst, res.prices, res.allocation))
+    inst = random_instance(1, 300, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(15, 90))
+    x, duals, _ = solve_sop1(inst)
+    cases.append((inst, duals.p, x))
+    inst = later_free_good_market()
+    cases.append((inst, [0.5, 1.0, 2.0], rng.uniform(0.0, 0.6, (3, 3))))
+    for inst, p, x in list(cases):
+        # a perturbed allocation fails, with negative entries and full types
+        bumped = x + rng.normal(0.0, 0.3, x.shape)
+        cases.append((inst, p * rng.uniform(0.5, 2.0, len(p)), bumped))
+    for inst, p, x in cases:
+        want = check_equilibrium_by_agent(inst, p, x)
+        got = check_equilibrium(inst, p, x)
+        assert_reports_equal(got, want)
+    # only the fixed point is an equilibrium: the social optimum leaves budgets unspent
+    assert [check_equilibrium(*case).passed for case in cases] == [True] + [False] * 5
 
 
 def test_existence_condition():
