@@ -17,10 +17,13 @@ agent (rank one per block) and every type row touches a single agent, so
 each step solves one block per agent plus one m-by-m Schur system for the
 capacity duals.  Agent i's block is its barrier diagonal plus one rank-one
 term per type row it holds plus beta_i u_i u_i^T; ``structured_newton``
-factors it as LDL^T by rank-one updates, kept as O(m) numbers per agent,
-and ``refined_solve`` refines each direction in working precision only
-until its componentwise backward error is at the rounding level of one
-block row, so an accurate first solve is not repeated.  A type row of a
+factors it as LDL^T by rank-one updates, kept as O(m) numbers per agent.
+Each step solves for two directions with one factor (Mehrotra, SIAM J.
+Optim. 1992).  The predictor only sets the centering and the corrector's
+second-order term, so it is solved once.  The corrector is the direction
+the step takes, and ``refined_solve`` refines it in working precision
+only until its componentwise backward error is at the rounding level of
+one block row, so an accurate first solve is not repeated.  A type row of a
 single good is only a diagonal term, so when no type row holds two goods,
 as in a market of two-good tight types once each has one good substituted
 out (below), the factor's type part is the identity and is skipped.
@@ -141,10 +144,11 @@ class SolveStats:
     # diverged (residuals grew 1e4-fold over the best iterate) or max_iter
     status: str
     tight_types: tuple[int, ...] = ()
-    # largest infinity-norm residual of a Newton direction's linear system
-    # over the solve, measured on the direction that refinement returned;
-    # refinement stops once the direction is backward stable, so an accurate
-    # step keeps it near rounding level
+    # largest infinity-norm residual of the linear system of a direction a
+    # step took (the refined corrector, not the predictor) over the solve,
+    # measured on the direction that refinement returned; refinement stops
+    # once the direction is backward stable, so an accurate step keeps it
+    # near rounding level
     direction_residual: float = 0.0
     # cold (the default interior point), warm (an iterate of ``start``) or
     # fallback (warm, then cold because the warm solve failed or left its
@@ -236,6 +240,14 @@ def _solve(inst, lam, tol, max_iter, start):
     """
     n, m, T = inst.n_agents, inst.n_goods, inst.n_types
 
+    # Each agent's utilities are scaled by the power of two that brings
+    # their largest into [0.5, 1).  That scales yhat_i by the same power
+    # and leaves c_i u_ij / yhat_i, so the program's solution, exactly, and
+    # every rounding of the Newton step; but beta = c / yhat^2 and the
+    # Schur matrix no longer overflow or underflow at extreme scales.
+    _, power = np.frexp(inst.utilities.max(axis=1))
+    U_full = np.ldexp(inst.utilities, -power[:, None])
+
     # Substitute out each tight type t's last good k (module docstring):
     # x_ik = 1 - sum_{j in t \ k} x_ij is the slack of t's row, the utilities
     # on t \ k become u_j - u_k, and the constant u_ik moves into yhat_i.
@@ -245,7 +257,6 @@ def _solve(inst, lam, tol, max_iter, start):
     sub = (incidence[tight] * np.arange(m)).argmax(axis=1)  # the k of each type
     keep = np.ones(m, dtype=bool)
     keep[sub] = False
-    U_full = inst.utilities
     U = U_full.T[keep] - incidence[np.ix_(tight, keep)].T @ U_full.T[sub]
     A = np.ascontiguousarray(incidence[:, keep])
     sbar = inst.capacities[keep]
@@ -365,20 +376,23 @@ def _solve(inst, lam, tol, max_iter, start):
         solve = apply = None  # let the last iterate's system go first
         solve, apply = newton(beta, d, gamma)
 
-        def _direction(target):
-            """The Newton step (dv, dw, dp) toward v * w = target."""
+        def _direction(target, refine):
+            """The Newton step (dv, dw, dp) toward v * w = target, and the
+            residual of its linear system if it was refined, else 0."""
             target_x, target_xi = split(target)
             b = -r_dual + target_x / x
             b -= A.T @ by_pair((target_xi + r * r_ineq) / xi)
-            # the blocks are badly conditioned near degenerate optima;
-            # refinement ends once the direction is backward stable
-            dx, dp, err = refined_solve(solve, apply, b, -r_cap)
+            if refine:
+                dx, dp, err = refined_solve(solve, apply, b, -r_cap)
+            else:
+                (dx, dp), err = solve(b, -r_cap), 0.0
             dv = np.concatenate([dx.ravel(), -r_ineq - row_sums(dx)])
             dw = (target - w * dv) / v
             return (dv, dw, dp), err
 
-        # predictor
-        (dva, dwa, _), err_a = _direction(-vw)
+        # predictor: it only sets sigma and the corrector's second-order
+        # term, so it is solved once with the factor
+        (dva, dwa, _), _ = _direction(-vw, refine=False)
         alpha_aff = min(1.0, _max_step(v, dva), _max_step(w, dwa))
         mu_aff = ((v + alpha_aff * dva) * (w + alpha_aff * dwa)).sum() / N
         sigma = min(0.99, max(1e-8, (mu_aff / mu) ** 3))
@@ -387,9 +401,11 @@ def _solve(inst, lam, tol, max_iter, start):
         if mu < 0.1 * (stat + pfeas):
             sigma = max(sigma, 0.9)  # hold mu while other residuals catch up
 
-        # corrector with centering
-        (dv, dw, dp), err_c = _direction(sigma * mu - vw - dva * dwa)
-        direction_residual = max(direction_residual, err_a, err_c)
+        # corrector with centering, the direction the step takes: the blocks
+        # are badly conditioned near degenerate optima, so it is refined
+        # until it is backward stable
+        (dv, dw, dp), err = _direction(sigma * mu - vw - dva * dwa, refine=True)
+        direction_residual = max(direction_residual, err)
         tau = min(0.9995, max(0.99, 1.0 - mu))
         # fraction to the boundary: alpha = min(1, tau alpha_max)
         alpha = min(1.0, tau * _max_step(v, dv), tau * _max_step(w, dw))
@@ -409,7 +425,7 @@ def _solve(inst, lam, tol, max_iter, start):
     (x, xi), (z, r) = split(v), split(w)
 
     yhat = utility(x)
-    objective = float(c @ np.log(yhat))
+    objective = float(c @ np.log(np.ldexp(yhat, power)))
 
     # back to the unreduced program, agent-major: x_ik is the row's slack and
     # z_ik its dual, and the row's dual gains c_i u_ik / yhat_i, which leaves
@@ -486,9 +502,22 @@ def _duals_pinned(x, z, xi, r, A, rows) -> bool:
 
 
 def _max_step(v, dv):
-    """The largest step s with v + s dv >= 0, inf when no entry of dv < 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))
+    """The largest step s with v + s dv >= 0, inf when no entry of dv < 0.
+
+    v >= 0.  The bound is -v_k / dv_k = -1 / (dv_k / v_k) at the most
+    negative ratio dv_k / v_k; ``fmin`` skips the NaN of 0 / 0, where the
+    step is free.  Rounding is monotone and -1 / rho grows with rho < 0,
+    so an entry whose rounded ratio lies above the least has a rounded
+    bound no smaller than those at the least.  Only those are divided,
+    and the result is that of dividing every decreasing entry.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = dv / v
+        least = np.fmin.reduce(ratio, initial=np.inf)
+        if not least < 0:
+            return np.inf
+        near = ratio == least
+        return float((-v[near] / dv[near]).min())
 
 
 def refined_solve(solve, apply, rhs, rhs_cap):
@@ -509,9 +538,10 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     goods-major (m, n) and ``rhs_cap`` (m,), so the row length is the
     block rows' m, ``rhs.shape[0]``, and the capacity rows, n entries each,
     are held to the same (m + 1) eps on purpose: refinement gets every
-    refined direction below it (185 of 472 directions of the ``experiment``
-    fixed point, 38 of 116 and 60 of 100 of the benchmark's 200 x 60 and
-    1000-4000 x 7 slack solves), while an (n + 1) eps bound there moves
+    refined direction below it (55 of the 149 directions of the
+    ``experiment`` fixed point, 18 of 58 and 13 of 50 of the benchmark's
+    200 x 60 and 1000-4000 x 7 slack solves, counting the correctors that
+    ``_solve`` refines), while an (n + 1) eps bound there moves
     the duals of a structured solve away from a dense one's by more than
     1e-9 (``test_structured_solve_matches_dense_solve``).  |K| |sol| is
     taken as ``apply(|sol|, |dp|)``.  Every block entry is >= 0 except
@@ -528,17 +558,22 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     sol, dp = solve(rhs, rhs_cap)
     err = np.inf
     for refined in range(4):
-        lhs, cap = apply(sol, dp)
-        lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp))
-        res, res_cap = rhs - lhs, rhs_cap - cap
+        res, res_cap = apply(sol, dp)
+        scale, scale_cap = apply(np.abs(sol), np.abs(dp))
+        np.subtract(rhs, res, out=res)
+        np.subtract(rhs_cap, res_cap, out=res_cap)
         res_abs, res_cap_abs = np.abs(res), np.abs(res_cap)
-        # a row that is zero throughout has no error, and a program whose
-        # goods were all substituted out has no rows
-        ratios = (
-            res_abs / np.maximum(lhs_abs + rhs_abs, _TINY),
-            res_cap_abs / np.maximum(cap_abs + rhs_cap_abs, _TINY),
+        # omega's ratios |res| / max(|K| |sol| + |rhs|, tiny), formed in the
+        # scale arrays; a row that is zero throughout has no error, and a
+        # program whose goods were all substituted out has no rows
+        scale += rhs_abs
+        scale_cap += rhs_cap_abs
+        np.maximum(scale, _TINY, out=scale)
+        np.maximum(scale_cap, _TINY, out=scale_cap)
+        omega = max(
+            np.divide(res_abs, scale, out=scale).max(initial=0.0),
+            np.divide(res_cap_abs, scale_cap, out=scale_cap).max(initial=0.0),
         )
-        omega = max(v.max(initial=0.0) for v in ratios)
         new_err = max(
             float(res_abs.max(initial=0.0)), float(res_cap_abs.max(initial=0.0))
         )
@@ -547,8 +582,8 @@ def refined_solve(solve, apply, rhs, rhs_cap):
         if omega <= stable or not halved or refined == 3:
             break
         dsol, ddp = solve(res, res_cap)
-        sol = sol + dsol
-        dp = dp + ddp
+        sol += dsol
+        dp += ddp
     return sol, dp, err
 
 
@@ -617,17 +652,27 @@ def structured_newton(U, A):
         aT = g / (1.0 + g * (in_type.T @ dinv)) if chained else g
         dT = d + aT
 
+        # The kernels below write their temporaries in place, with the same
+        # roundings in the same order as the plain expressions in their
+        # docstrings; none writes its argument or a factor array.
+
         def type_solve(v):
-            """L_T^{-1} v; v itself when L_T = I."""
+            """L_T^{-1} v = v - aT * (in_type.T @ (v * dinv)); v itself when
+            L_T = I."""
             if not chained:
                 return v
-            return v - aT * (in_type.T @ (v * dinv))
+            t = in_type.T @ np.multiply(v, dinv)
+            t *= aT
+            return np.subtract(v, t, out=t)
 
         def type_solve_t(v):
-            """L_T^{-T} v; v itself when L_T = I."""
+            """L_T^{-T} v = v - dinv * (in_type @ (aT * v)); v itself when
+            L_T = I."""
             if not chained:
                 return v
-            return v - dinv * (in_type @ (aT * v))
+            t = in_type @ np.multiply(aT, v)
+            t *= dinv
+            return np.subtract(v, t, out=t)
 
         # L_u: beta u u^T = L_T (beta w w^T) L_T^T with w = L_T^{-1} u, an
         # update of diag(dT)
@@ -638,10 +683,17 @@ def structured_newton(U, A):
         D = dT + aw * w
 
         def solve_block(v):
-            """K_i^{-1} v_i for every agent, through the factors."""
+            """K_i^{-1} v_i for every agent, through the factors:
+            y = (y - aw * (earlier.T @ (wd * y))) / D, then
+            y -= wd * (earlier @ (aw * y)), between the type solves."""
             y = type_solve(v)
-            y = (y - aw * (earlier.T @ (wd * y))) / D
-            y -= wd * (earlier @ (aw * y))
+            t = earlier.T @ np.multiply(wd, y)
+            t *= aw
+            y = np.subtract(y, t, out=t)
+            y /= D
+            t = earlier @ np.multiply(aw, y)
+            t *= wd
+            y -= t
             return type_solve_t(y)
 
         # S = sum_i K_i^{-1}.  Off the diagonal, with
@@ -680,15 +732,25 @@ def structured_newton(U, A):
         S[np.diag_indices(m)] = diag.sum(axis=1)
 
         def solve(rhs, rhs_cap):
-            sol0 = solve_block(rhs)
-            dp = np.linalg.solve(S, sol0.sum(axis=1) - rhs_cap)
-            return sol0 - solve_block(dp[:, None]), dp
+            sol = solve_block(rhs)
+            dp = np.linalg.solve(S, sol.sum(axis=1) - rhs_cap)
+            sol -= solve_block(dp[:, None])
+            return sol, dp
 
         def apply(sol, dp):
-            # sum_t gamma_it a_t a_t^T sol_i is g_i * sol_i when every type
-            # row holds one good
-            typed = A.T @ (gamma * (A @ sol)) if chained else g * sol
-            lhs = d * sol + typed + beta * (U * sol).sum(axis=0) * U + dp[:, None]
+            """lhs = d * sol + typed + beta * (U * sol).sum(axis=0) * U + dp,
+            where typed, sum_t gamma_it a_t a_t^T sol_i, is g_i * sol_i when
+            every type row holds one good."""
+            lhs = d * sol
+            t = np.multiply(U, sol)
+            s = t.sum(axis=0)
+            s *= beta
+            if chained:
+                lhs += A.T @ (gamma * (A @ sol))
+            else:
+                lhs += np.multiply(g, sol, out=t)
+            lhs += np.multiply(U, s, out=t)
+            lhs += dp[:, None]
             return lhs, sol.sum(axis=1)
 
         return solve, apply

@@ -378,3 +378,10 @@ def duals_pinned_by_union_find(x, z, xi, r, A, rows) -> bool:
                 anchors.append(j)
     fixed = {find(a) for a in anchors}
     return all(find(a) in fixed for a in range(len(parent)))
+
+
+def max_step_by_where(v, dv) -> float:
+    """Reference for ``typedfisher.solver._max_step``: -v / dv over every
+    entry with dv < 0, inf elsewhere, and its minimum."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from typedfisher import (
 from helpers import (
     duals_pinned_by_union_find,
     finite_floats,
+    max_step_by_where,
     refine_grid_objective,
     small_markets,
 )
@@ -252,6 +254,23 @@ def permuted(inst, perm):
         types=inst.types,
         participation=inst.participation[perm],
     )
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e150, 1e200])
+def test_solve_is_invariant_to_the_utility_scale(scale):
+    # each agent's utilities are scaled by a power of two inside the solve,
+    # so beta = c / yhat^2 and the Schur matrix stay finite at any scale
+    inst = builtin_instance("experiment")
+    _, ref, ref_stats = solve_sop1(inst)
+    scaled = replace(inst, utilities=inst.utilities * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, duals, stats = solve_sop1(scaled)
+    assert (stats.status, stats.iterations) == (ref_stats.status, ref_stats.iterations)
+    assert np.abs(duals.p - ref.p).max() <= 1e-12
+    # the objective is that of the unscaled utilities
+    shift = inst.budgets.sum() * np.log(scale)
+    assert duals.objective == pytest.approx(ref.objective + shift, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
@@ -504,7 +523,7 @@ def test_warm_start_falls_back_where_duals_are_not_unique():
 
 @pytest.mark.parametrize(
     "name, newton, iterations",
-    [("partly_joined", 647, 54), ("prop2", 28, 3)],
+    [("partly_joined", 659, 55), ("prop2", 28, 3)],
 )
 def test_fixed_point_solves_cold_after_a_fallback(name, newton, iterations):
     # the second solve's warm start falls back, so the duals are not unique
@@ -563,6 +582,25 @@ def test_max_step_to_the_boundary():
         v = np.array([3.0, 1.0, 0.5, 2.0, 0.0])
         dv = np.array([-2.0, 4.0, -0.25, -8.0, 0.0])
         assert solver._max_step(v, dv) == 0.25
+
+
+def test_max_step_matches_where_reference():
+    # random lengths and magnitudes 1e-30 to 1e30, zeros in v and in dv,
+    # 0 / 0, and an entry that is another scaled by 3, exactly or one ulp
+    # off, so that ratios and bounds tie or nearly tie
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5_000):
+            n = int(rng.integers(1, 30))
+            v = 10.0 ** rng.uniform(-30, 30, n) * (rng.random(n) < 0.9)
+            dv = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+            dv *= rng.random(n) < 0.9
+            i, j = rng.integers(0, n, 2)
+            v[j], dv[j] = 3.0 * v[i], 3.0 * dv[i]
+            if v[j] > 0 and rng.random() < 0.5:
+                v[j] = np.nextafter(v[j], rng.choice([0.0, np.inf]))
+            assert solver._max_step(v, dv) == max_step_by_where(v, dv)
 
 
 # One type over good 0 (good 1 untyped).  Agent 0 holds good 0 and fills
