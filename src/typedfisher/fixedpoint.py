@@ -29,16 +29,18 @@ a fixed point changes.  Convergence is an empirical property of the
 instance, so non-convergence is a first-class outcome: the full trace is
 always returned for diagnosis.
 
-Consecutive solves differ only in lam, so each solve after the first
-starts warm from the iterates of the one before (``solve_bpsop``'s
-``start``), and falls back to a cold solve where the warm one would not
-return the same duals.  A market where that happens once has optimal
-duals that are not unique, so a fallback returns no path, and the rest
-of the run's solves start cold.  The trace records how each solve
-started.  A warm solve stops within the solver tolerance at a slightly
-different point than a cold one, and the dual sums q move with it: on
-the ``experiment`` market they moved by up to 1.4e-5 between a warm and
-a cold solve that both met the default tolerance.  The path to a fixed
+Consecutive solves differ only in lam, so a solve may start warm from
+late iterates of the one before (``solve_bpsop``'s ``start``), and falls
+back to a cold solve where the warm one would not return the same
+duals.  Each solve decides its start on its own: it starts warm from the
+previous solve's path only when that solve's duals were pinned by its
+support (``SolveStats.duals_pinned``), else cold, so a run whose solve
+fell back starts warm again once a later solve's duals are pinned.  The
+trace records how each solve started.  A warm solve stops within the
+solver tolerance at a slightly different point than a cold one, and the
+dual sums q move with it: on the ``experiment`` market, seeds 1-20, they
+moved by up to 1.4e-4 between a warm solve of a run and a cold solve at
+the same lam, both within the default tolerance.  The path to a fixed
 point can therefore differ from that of cold solves by a step.
 """
 
@@ -135,8 +137,8 @@ def run(
     within STALL_WINDOW iterations while still above eps, and ``stalled``
     in its place when the residual fell at every one of those iterations:
     the run crawls toward a point it does not reach in reasonable time
-    rather than cycling.  Each solve after the first may start warm from
-    the previous solve's path, until one falls back (module docstring).
+    rather than cycling.  A solve starts warm from the previous solve's
+    path when that solve's duals were pinned (module docstring).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -151,12 +153,11 @@ def run(
     best_iter = 0
     # a zero previous step gives every agent the plain step first
     d_prev, scale = np.zeros(inst.n_agents), np.ones(inst.n_agents)
-    # each solve starts warm from the previous solve's path, and cold from
-    # the first fallback on, which returns no path
     path = CentralPath()
     for k in range(max_iter):
         x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol, start=path)
-        path = stats.path
+        # the next solve starts warm only from a solve whose duals are pinned
+        path = stats.path if stats.duals_pinned else CentralPath()
         q = duals.r.sum(axis=1)
         d = q - lam
         res = float(np.linalg.norm(d))

@@ -63,14 +63,18 @@ from an iterate (v, w, p) of an earlier solve's reduced program
 (Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J.
 Optim. 2002).  Its primal residuals carry over exactly, and it is taken
 when its stationarity residual under the new c is at most WARM_START_GAP
-times its mu, so that it lies near the new central path; the last such
-iterate of the path is used.  The optimal duals need not be unique, and
-where they are not a warm path can end elsewhere on the face of optimal
-duals than the cold path.  So a warm solve is kept only when it converged
-with duals pinned by its support (``_duals_pinned``); otherwise the cold
-solve runs as well and its result is returned, bit for bit that of a
-solve without ``start``, with no path: the duals of such a market are
-not unique, so its later solves should start cold too.
+times its mu, so that it lies near enough to the new central path.  The
+latest such iterate of the path is used, which skips the early steps,
+but never the last, the converged one: its mu is below the solver
+tolerance while the dual sums it gives are good only to about 6e-5, and
+a fixed point whose solves start there wanders within that error for
+extra solves.  The optimal duals need not be unique, and where they are
+not a warm path can end elsewhere on the face of optimal duals than the
+cold path.  So every converged solve given a ``start`` reports whether
+its duals are pinned by its support (``_duals_pinned``), and a warm
+solve is kept only when they are; otherwise the cold solve runs as well
+and its result is returned, bit for bit that of a solve without
+``start``, with the cold solve's path and its own pinned check.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# a stored iterate may start a solve whose objective weights moved when its
-# stationarity residual under the new weights is at most this times its mu
-WARM_START_GAP = 10.0
+# a stored iterate other than the last may start a solve whose objective
+# weights moved when its stationarity residual under the new weights is at
+# most this times its mu, which lets a warm solve skip its early steps
+WARM_START_GAP = 1e4
 
 
 class InfeasibleInstanceError(ValueError):
@@ -156,9 +161,12 @@ class SolveStats:
     # iterate the solve started from
     start: str = "cold"
     start_mu: float = float("nan")
-    # this solve's iterates, recorded only when a ``start`` was passed and
-    # the solve did not fall back
+    # this solve's iterates (a fallback's: its cold solve's), recorded only
+    # when a ``start`` was passed
     path: CentralPath | None = field(default=None, repr=False, compare=False)
+    # whether the support of the returned iterate pins its duals; checked
+    # only on a converged solve given a ``start``, else None
+    duals_pinned: bool | None = None
 
     @property
     def success(self) -> bool:
@@ -199,8 +207,8 @@ def solve_bpsop(
 
     ``start``, the ``stats.path`` of an earlier solve of the same market
     or an empty ``CentralPath()``, lets the solve start warm, with the
-    cold fallback of the module docstring, and records its path in
-    ``stats.path``, or None after a fallback.
+    cold fallback of the module docstring, records its path in
+    ``stats.path`` and checks ``stats.duals_pinned``.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -219,9 +227,9 @@ def solve_bpsop(
         raise ValueError("lam must be finite and nonnegative")
     lam = np.maximum(lam, 0.0)
 
-    x, duals, stats, pinned = _solve(inst, lam, tol, max_iter, start)
-    if stats.start == "warm" and not pinned:
-        x, duals, cold, _ = _solve(inst, lam, tol, max_iter, None)
+    x, duals, stats = _solve(inst, lam, tol, max_iter, start)
+    if stats.start == "warm" and not stats.duals_pinned:
+        x, duals, cold = _solve(inst, lam, tol, max_iter, CentralPath())
         stats = replace(
             cold,
             iterations=stats.iterations + cold.iterations,
@@ -232,12 +240,7 @@ def solve_bpsop(
 
 
 def _solve(inst, lam, tol, max_iter, start):
-    """``solve_bpsop`` for valid arguments, without the cold fallback.
-
-    Returns ``(x, duals, stats, pinned)``; ``pinned`` tells whether a
-    converged warm solve's duals are pinned (``_duals_pinned``), and is
-    None otherwise.
-    """
+    """``solve_bpsop`` for valid arguments, without the cold fallback."""
     n, m, T = inst.n_agents, inst.n_goods, inst.n_types
 
     # Each agent's utilities are scaled by the power of two that brings
@@ -293,11 +296,12 @@ def _solve(inst, lam, tol, max_iter, start):
         return u[:nx].reshape(U.shape), u[nx:]
 
     # --- initial interior point -----------------------------------------
-    # warm: the last stored iterate whose stationarity residual under this
-    # c is within WARM_START_GAP of its mu; its primal residuals carry over
-    # exactly, since lam never enters the constraints
+    # warm: the latest stored iterate before the converged last one whose
+    # stationarity residual under this c is within WARM_START_GAP of its
+    # mu; its primal residuals carry over exactly, since lam never enters
+    # the constraints
     warm = None
-    for state in reversed(start.iterates if start is not None else ()):
+    for state in reversed(start.iterates[:-1] if start is not None else ()):
         vs, ws, ps, mu_s = state
         if len(vs) != N or len(ws) != N or len(ps) != len(sbar):
             raise ValueError("start is not a path of this market")
@@ -447,7 +451,7 @@ def _solve(inst, lam, tol, max_iter, start):
     r_full = r_raw - shift
 
     pinned = None
-    if warm is not None and status == "converged":
+    if start is not None and status == "converged":
         pinned = _duals_pinned(x, z, xi, r, A, rows)
 
     duals = DualBundle(
@@ -469,8 +473,9 @@ def _solve(inst, lam, tol, max_iter, start):
         start="cold" if warm is None else "warm",
         start_mu=start_mu,
         path=None if path is None else CentralPath(tuple(path)),
+        duals_pinned=pinned,
     )
-    return x_full, duals, stats, pinned
+    return x_full, duals, stats
 
 
 def _duals_pinned(x, z, xi, r, A, rows) -> bool:

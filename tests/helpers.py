@@ -13,6 +13,8 @@ from typedfisher import (
     MarketInstance,
     UnboundedDemandError,
     demand,
+    fixedpoint,
+    solve_bpsop,
 )
 from typedfisher.demand import _check_prices
 
@@ -385,3 +387,17 @@ def max_step_by_where(v, dv) -> float:
     entry with dv < 0, inf elsewhere, and its minimum."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))
+
+
+def spy_on_solves(monkeypatch) -> list:
+    """Record ``(start, stats)`` of every solve that ``fixedpoint.run``
+    makes, in order, in the returned list."""
+    calls = []
+
+    def spy(inst, lam, tol, start):
+        x, duals, stats = solve_bpsop(inst, lam, tol=tol, start=start)
+        calls.append((start, stats))
+        return x, duals, stats
+
+    monkeypatch.setattr(fixedpoint, "solve_bpsop", spy)
+    return calls

@@ -18,6 +18,8 @@ from typedfisher import (
 from typedfisher import fixedpoint
 from typedfisher.fixedpoint import DEFAULT_EPS, STALL_WINDOW, run
 
+from helpers import spy_on_solves
+
 
 def test_no_types_converges_immediately():
     inst = random_instance(seed=2, n=2, m=2)  # classical market, no types
@@ -124,8 +126,8 @@ def test_extrapolation_settles_stalled_markets(seed):
 )
 def test_untyped_default_capacity_markets_converge(seed):
     # every agent may buy the untyped last good, so the paper's theorem
-    # gives each market an equilibrium; seeds 1, 2 and 4 reach it in 563,
-    # 292 and 428 outer steps, seed 1 in more than the default max_iter
+    # gives each market an equilibrium; seeds 1, 2 and 4 reach it in 480,
+    # 238 and 441 outer steps
     inst = random_instance(seed, 100, 7, ((0, 1), (2, 3), (4, 5)))
     assert existence_condition(inst)
     res = run(inst, max_iter=1500)
@@ -325,7 +327,7 @@ def test_experiment_converges_fast():
     res = run(inst, eps=1e-6, max_iter=100)
     assert res.trace.status == "converged"
     assert res.trace.iterations == 17
-    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 166
+    assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == 127
     assert np.abs(res.prices - EXPERIMENT_PRICES).max() <= 1e-9
     assert np.abs(res.prices - PLAIN_STEP_PRICES).max() <= 1e-7
     assert len(res.trace.step_scales) == res.trace.iterations - 1
@@ -333,6 +335,21 @@ def test_experiment_converges_fast():
     assert res.trace.residuals[-1] <= 1e-6 < res.trace.residuals[0]
     # strictly positive residual at every pre-convergence iterate
     assert all(r > 1e-6 for r in res.trace.residuals[:-1])
+
+
+def test_warm_solves_start_late_but_not_at_the_last_iterate(monkeypatch):
+    # a warm solve starts from an iterate of the previous solve's path near
+    # its end, so it skips the early steps, but never from its last,
+    # converged iterate
+    calls = spy_on_solves(monkeypatch)
+    assert run(builtin_instance("experiment")).trace.status == "converged"
+    warm = [(start, stats) for start, stats in calls if stats.start == "warm"]
+    assert 2 * len(warm) > len(calls)
+    for start, stats in warm:
+        mus = [mu for *_, mu in start.iterates]
+        assert stats.start_mu in mus[:-1] and stats.start_mu != mus[-1]
+    # the first step's solve starts far below the cold start's mu of 1.5
+    assert calls[1][1].start == "warm" and calls[1][1].start_mu < 1e-3
 
 
 @pytest.mark.parametrize("perm_seed", [7, 31])

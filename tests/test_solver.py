@@ -28,6 +28,7 @@ from helpers import (
     max_step_by_where,
     refine_grid_objective,
     small_markets,
+    spy_on_solves,
 )
 
 
@@ -501,8 +502,21 @@ def test_warm_start_matches_cold_solve_in_fewer_steps():
     assert np.abs(x - x_cold).max() <= 1e-8
     assert np.abs(duals.p - duals_cold.p).max() <= 1e-8
     assert np.abs(duals.r - duals_cold.r).max() <= 1e-8
-    # a solve without a start records no path
+    # a solve without a start records no path and checks no support
     assert stats_cold.start == "cold" and stats_cold.path is None
+    assert stats_cold.duals_pinned is None
+
+
+def test_warm_start_never_takes_the_converged_iterate():
+    # solved again at the same lam, the stored path's last iterate would
+    # pass the start test, but the solve starts from the one before it
+    inst = builtin_instance("experiment")
+    zero = np.zeros(inst.n_agents)
+    _, _, first = solve_bpsop(inst, zero, start=CentralPath())
+    _, _, again = solve_bpsop(inst, zero, start=first.path)
+    mus = [mu for *_, mu in first.path.iterates]
+    assert again.start == "warm" and again.start_mu == mus[-2]
+    assert again.success and again.duals_pinned
 
 
 def test_warm_start_falls_back_where_duals_are_not_unique():
@@ -517,23 +531,48 @@ def test_warm_start_falls_back_where_duals_are_not_unique():
     assert np.array_equal(x, x_cold)
     for name in ("p", "r", "s"):
         assert np.array_equal(getattr(duals, name), getattr(duals_cold, name))
-    # so later solves start cold: a fallback returns no path
-    assert stats.path is None
+    # the fallback reports the cold solve's path and its own pinned check
+    assert stats.duals_pinned is False
+    assert len(stats.path.iterates) == stats_cold.iterations
+
+
+def assert_warm_only_after_pinned(calls):
+    """Each solve starts from the previous one's path when that solve's
+    duals were pinned, and cold from an empty path otherwise."""
+    for (_, prev), (start, stats) in zip(calls, calls[1:]):
+        if prev.duals_pinned:
+            assert start is prev.path
+        else:
+            assert start.iterates == () and stats.start == "cold"
 
 
 @pytest.mark.parametrize(
     "name, newton, iterations",
-    [("partly_joined", 659, 55), ("prop2", 28, 3)],
+    [("partly_joined", 652, 55), ("prop2", 24, 3)],
 )
-def test_fixed_point_solves_cold_after_a_fallback(name, newton, iterations):
-    # the second solve's warm start falls back, so the duals are not unique
-    # and every later solve starts cold, without trying a warm start first
+def test_fixed_point_solves_cold_after_unpinned_solves(monkeypatch, name, newton, iterations):
+    # no solve of these markets has its duals pinned, the first cold one
+    # included, so no solve starts warm and none has to fall back
+    calls = spy_on_solves(monkeypatch)
     inst = partly_joined_market()[0] if name == "partly_joined" else builtin_instance(name)
     res = fixedpoint.run(inst)
     starts = [d.solver_start for d in res.trace.duals_per_iter]
     assert res.trace.status == "converged" and res.trace.iterations == iterations
-    assert starts == ["cold", "fallback"] + ["cold"] * (iterations - 2)
+    assert starts == ["cold"] * iterations
     assert sum(d.solver_iterations for d in res.trace.duals_per_iter) == newton
+    assert not any(stats.duals_pinned for _, stats in calls)
+    assert_warm_only_after_pinned(calls)
+
+
+def test_warm_starts_resume_after_a_fallback(monkeypatch):
+    # the default-capacity untyped market falls back once early in the run,
+    # and starts warm again once a later cold solve's duals are pinned
+    calls = spy_on_solves(monkeypatch)
+    inst = random_instance(2, 100, 7, ((0, 1), (2, 3), (4, 5)))
+    assert fixedpoint.run(inst, max_iter=1500).trace.status == "converged"
+    starts = [stats.start for _, stats in calls]
+    assert "warm" in starts[starts.index("fallback") :]
+    assert_warm_only_after_pinned(calls)
 
 
 def test_stored_path_is_not_written_by_the_next_solve():
