@@ -47,6 +47,7 @@ point can therefore differ from that of cold solves by a step.
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,10 @@ class FixedPointTrace:
     # the per-agent multipliers s of each step taken, one (n,) array per
     # non-final iterate (all 1.0 for the plain step lam <- q)
     step_scales: list[np.ndarray] = field(default_factory=list)
+    # wall seconds of each outer step, one per iterate: from the end of the
+    # previous step (the start of the run for the first) to the end of
+    # this step's solve
+    step_seconds: list[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -154,8 +159,12 @@ def run(
     # a zero previous step gives every agent the plain step first
     d_prev, scale = np.zeros(inst.n_agents), np.ones(inst.n_agents)
     path = CentralPath()
+    clock = time.perf_counter()
     for k in range(max_iter):
         x, duals, stats = solve_bpsop(inst, lam, tol=solver_tol, start=path)
+        now = time.perf_counter()
+        trace.step_seconds.append(now - clock)
+        clock = now
         # the next solve starts warm only from a solve whose duals are pinned
         path = stats.path if stats.duals_pinned else CentralPath()
         q = duals.r.sum(axis=1)

@@ -126,6 +126,11 @@ class MarketInstance:
     def participating_types(self, agent: int) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.participation[agent]).tolist())
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """The report of ``validate_instance``, built on its first call."""
+        return _validate(self)
+
 
 # relative tolerance of the degenerate-tight rule: |capacity - n| <= tol * max(1, n)
 _TIGHT_RTOL = 1e-9
@@ -152,6 +157,9 @@ class ValidationReport:
 def validate_instance(inst: MarketInstance) -> ValidationReport:
     """Check hard invariants and emit structural warnings.
 
+    The checks run once per instance, which is immutable; every call
+    returns a new report with its own lists.
+
     Errors make the instance unusable for solving (overlapping types,
     nonpositive budgets or capacities, an agent valuing nothing, or a type
     that every agent joins with aggregate capacity above n, which makes
@@ -162,6 +170,12 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     guaranteed), exactly tight type capacity, goods nobody values, and
     agents that value goods of types they ignore.
     """
+    rep = inst._validation
+    return ValidationReport(list(rep.errors), list(rep.warnings))
+
+
+def _validate(inst: MarketInstance) -> ValidationReport:
+    """``validate_instance``'s checks."""
     rep = ValidationReport()
     m = inst.n_goods
 

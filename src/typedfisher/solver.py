@@ -43,12 +43,27 @@ Comput. 1993) rather than one agent after another, and the per-agent
 scalings and the Schur diagonal's gathers act on whole rows.  Only the
 returned x, s and r are agent-major, transposed once at the end.
 
+Set-up: solves of one market differ only in the objective weights
+c = w + lam, so all else is built once per market object, on its first
+solve, as its reduced program (``_Program``): each agent's power-of-two
+utility scale, the tight-type substitution below (the kept and
+substituted goods, the reduced utilities U and the substituted goods'
+utility), the kept goods' type incidence A and capacities, the
+participation grid of the slack rows, and the Newton structure that
+``structured_newton`` sets up.  It is kept for that object only, freed
+with it, and written by no solve; ``validate_instance`` likewise checks a
+market once and hands each call a copy of its report.  Once per solve
+come c, the start (warm or cold, below) and the map back to the unreduced
+program; once per iterate, the Newton factor, the predictor and the
+refined corrector, one step bound for the pair (v, w) and the search for
+a step inside the neighborhood.
+
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
 type inequalities are implied equalities with zero slack, which a barrier
 cannot hold.  Every agent then holds exactly one unit of the type, so its
 last good is one minus the type's other goods, and it is substituted out
-once per solve (exact elimination of the equality rows; Nocedal & Wright,
+once per market (exact elimination of the equality rows; Nocedal & Wright,
 Numerical Optimization, section 15.3).  The type becomes an ordinary slack
 row over its other goods whose slack is the substituted good, and that
 good's capacity row, implied by the others, is dropped.  The type duals
@@ -79,7 +94,9 @@ and its result is returned, bit for bit that of a solve without
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -173,6 +190,31 @@ class SolveStats:
         return self.status in ("converged", "degenerate_tight")
 
 
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """One market's reduced program: all of a solve that the objective
+    weights c = w + lam do not enter (module docstring).  ``_program``
+    builds it once per market; no solve writes it."""
+
+    power: np.ndarray  # (n,) agent i's utilities are scaled by 2^-power_i
+    U_full: np.ndarray  # (n, m) the scaled utilities, agent-major
+    incidence: np.ndarray  # (T, m) the market's type incidence
+    tight: list  # the degenerate-tight types
+    sub: np.ndarray  # the good substituted out of each tight type
+    keep: np.ndarray  # (m,) mask of the goods kept
+    U: np.ndarray  # (m', n) reduced utilities of the kept goods, goods-major
+    y_sub: np.ndarray  # (n,) utility of the substituted goods, one unit each
+    A: np.ndarray  # (T, m') type incidence of the kept goods
+    sbar: np.ndarray  # (m',) capacities of the kept goods
+    rows: np.ndarray  # (T, n) participation grid; its True cells are the slack rows
+    K: int  # the number of slack rows
+    newton: Callable  # structured_newton(U, A)
+
+
+# reduced programs by the id of their market (``_program``)
+_PROGRAMS: dict[int, _Program] = {}
+
+
 @dataclass
 class KKTResiduals:
     """Independent residuals of the first-order optimality system."""
@@ -227,9 +269,11 @@ def solve_bpsop(
         raise ValueError("lam must be finite and nonnegative")
     lam = np.maximum(lam, 0.0)
 
-    x, duals, stats = _solve(inst, lam, tol, max_iter, start)
+    program = _program(inst)
+    c = inst.budgets + lam
+    x, duals, stats = _solve(program, c, tol, max_iter, start)
     if stats.start == "warm" and not stats.duals_pinned:
-        x, duals, cold = _solve(inst, lam, tol, max_iter, CentralPath())
+        x, duals, cold = _solve(program, c, tol, max_iter, CentralPath())
         stats = replace(
             cold,
             iterations=stats.iterations + cold.iterations,
@@ -239,9 +283,26 @@ def solve_bpsop(
     return x, duals, stats
 
 
-def _solve(inst, lam, tol, max_iter, start):
-    """``solve_bpsop`` for valid arguments, without the cold fallback."""
-    n, m, T = inst.n_agents, inst.n_goods, inst.n_types
+def _program(inst: MarketInstance) -> _Program:
+    """``inst``'s reduced program, built on its first solve.
+
+    It is kept for that instance object only and freed with it.  The
+    frozen dataclass cannot be hashed, so the key is the object's id, and
+    ``weakref.finalize`` drops the entry when the object is collected,
+    before the id can name another object.  The program holds no
+    reference to the instance, so it does not keep it alive.
+    """
+    key = id(inst)
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS[key] = _reduce(inst)
+        weakref.finalize(inst, _PROGRAMS.pop, key, None)
+    return program
+
+
+def _reduce(inst: MarketInstance) -> _Program:
+    """Build the reduced program of a valid market (``_Program``)."""
+    m = inst.n_goods
 
     # Each agent's utilities are scaled by the power of two that brings
     # their largest into [0.5, 1).  That scales yhat_i by the same power
@@ -264,11 +325,22 @@ def _solve(inst, lam, tol, max_iter, start):
     A = np.ascontiguousarray(incidence[:, keep])
     sbar = inst.capacities[keep]
     y_sub = U_full[:, sub].sum(axis=1)
-    c = inst.budgets + lam
-
     # slack rows: the participating cells of the (T, n) grid, type-major
     rows = np.ascontiguousarray(inst.participation.T)
+    for a in (power, U_full, sub, keep, U, y_sub, A, sbar, rows):
+        a.setflags(write=False)
     K = int(rows.sum())
+    newton = structured_newton(U, A)
+    return _Program(power, U_full, incidence, tight, sub, keep, U, y_sub, A, sbar, rows, K, newton)
+
+
+def _solve(program: _Program, c, tol, max_iter, start):
+    """One solve of ``program`` at objective weights ``c``: ``solve_bpsop``
+    for valid arguments, without the cold fallback."""
+    U, A, sbar, rows, y_sub = program.U, program.A, program.sbar, program.rows, program.y_sub
+    U_full, tight, sub, keep = program.U_full, program.tight, program.sub, program.keep
+    n, m = U_full.shape
+    T = len(rows)
 
     def by_pair(v):
         """(T, n) array of slack-row values v."""
@@ -290,7 +362,7 @@ def _solve(inst, lam, tol, max_iter, start):
 
     # the iterate: v = (x, xi) and w = (z, r), flat (module docstring)
     nx = U.size
-    N = nx + K
+    N = nx + program.K
 
     def split(u):
         return u[:nx].reshape(U.shape), u[nx:]
@@ -299,12 +371,14 @@ def _solve(inst, lam, tol, max_iter, start):
     # warm: the latest stored iterate before the converged last one whose
     # stationarity residual under this c is within WARM_START_GAP of its
     # mu; its primal residuals carry over exactly, since lam never enters
-    # the constraints
+    # the constraints.  Every iterate's shapes are checked first, so that
+    # a path of another market is refused whatever its length.
+    iterates = start.iterates if start is not None else ()
+    if any(len(vs) != N or len(ws) != N or len(ps) != len(sbar) for vs, ws, ps, _ in iterates):
+        raise ValueError("start is not a path of this market")
     warm = None
-    for state in reversed(start.iterates[:-1] if start is not None else ()):
+    for state in reversed(iterates[:-1]):
         vs, ws, ps, mu_s = state
-        if len(vs) != N or len(ws) != N or len(ps) != len(sbar):
-            raise ValueError("start is not a path of this market")
         (xs, _), (zs, rs) = split(vs), split(ws)
         gap = np.abs(dual_residual(zs, rs, ps, utility(xs))).max(initial=0.0)
         if gap <= WARM_START_GAP * mu_s:
@@ -336,8 +410,8 @@ def _solve(inst, lam, tol, max_iter, start):
     best_state = None
     path = [] if start is not None else None
 
-    # one Newton system per iterate; its structure is set up once
-    newton = structured_newton(U, A)
+    # one Newton system per iterate; its structure is the program's
+    newton = program.newton
 
     for it in range(1, max_iter + 1):
         (x, xi), (z, r) = split(v), split(w)
@@ -397,7 +471,7 @@ def _solve(inst, lam, tol, max_iter, start):
         # predictor: it only sets sigma and the corrector's second-order
         # term, so it is solved once with the factor
         (dva, dwa, _), _ = _direction(-vw, refine=False)
-        alpha_aff = min(1.0, _max_step(v, dva), _max_step(w, dwa))
+        alpha_aff = min(1.0, _pair_step(v, dva, w, dwa))
         mu_aff = ((v + alpha_aff * dva) * (w + alpha_aff * dwa)).sum() / N
         sigma = min(0.99, max(1e-8, (mu_aff / mu) ** 3))
         if min_prod < 1e-2 * mu:
@@ -411,17 +485,11 @@ def _solve(inst, lam, tol, max_iter, start):
         (dv, dw, dp), err = _direction(sigma * mu - vw - dva * dwa, refine=True)
         direction_residual = max(direction_residual, err)
         tau = min(0.9995, max(0.99, 1.0 - mu))
-        # fraction to the boundary: alpha = min(1, tau alpha_max)
-        alpha = min(1.0, tau * _max_step(v, dv), tau * _max_step(w, dw))
-        # stay inside a wide central-path neighborhood: no complementarity
-        # product may collapse far below the average
-        for _ in range(50):
-            vwn = (v + alpha * dv) * (w + alpha * dw)
-            if vwn.min(initial=np.inf) >= 1e-4 * (vwn.sum() / N) or alpha <= 1e-8:
-                break
-            alpha *= 0.75
-        v = v + alpha * dv
-        w = w + alpha * dw
+        # fraction to the boundary: alpha = min(1, tau alpha_max); rounding
+        # is monotone, so tau times the pair's bound is the smaller of tau
+        # times each vector's
+        alpha = min(1.0, tau * _pair_step(v, dv, w, dw))
+        v, w, alpha = _neighborhood_step(v, dv, w, dw, alpha)
         p = p + alpha * dp
 
     if status != "converged" and best_state is not None:
@@ -429,7 +497,7 @@ def _solve(inst, lam, tol, max_iter, start):
     (x, xi), (z, r) = split(v), split(w)
 
     yhat = utility(x)
-    objective = float(c @ np.log(np.ldexp(yhat, power)))
+    objective = float(c @ np.log(np.ldexp(yhat, program.power)))
 
     # back to the unreduced program, agent-major: x_ik is the row's slack and
     # z_ik its dual, and the row's dual gains c_i u_ik / yhat_i, which leaves
@@ -455,7 +523,7 @@ def _solve(inst, lam, tol, max_iter, start):
         pinned = _duals_pinned(x, z, xi, r, A, rows)
 
     duals = DualBundle(
-        p=p_full + shift @ incidence,
+        p=p_full + shift @ program.incidence,
         r=r_full,
         s=-z_full,
         objective=objective,
@@ -517,12 +585,45 @@ def _max_step(v, dv):
     and the result is that of dividing every decreasing entry.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = dv / v
-        least = np.fmin.reduce(ratio, initial=np.inf)
-        if not least < 0:
-            return np.inf
-        near = ratio == least
-        return float((-v[near] / dv[near]).min())
+        return _least_step(v, dv)
+
+
+def _pair_step(v, dv, w, dw):
+    """The largest step s with v + s dv >= 0 and w + s dw >= 0: the
+    smaller of ``_max_step(v, dv)`` and ``_max_step(w, dw)``, under one
+    ``errstate``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return min(_least_step(v, dv), _least_step(w, dw))
+
+
+def _least_step(v, dv):
+    """``_max_step`` without its ``errstate``."""
+    ratio = dv / v
+    least = np.fmin.reduce(ratio, initial=np.inf)
+    if not least < 0:
+        return np.inf
+    near = ratio == least
+    return float((-v[near] / dv[near]).min())
+
+
+def _neighborhood_step(v, dv, w, dw, alpha):
+    """The step from (v, w) along (dv, dw) that stays inside a wide
+    central-path neighborhood: ``(v + alpha dv, w + alpha dw, alpha)``.
+
+    No complementarity product may collapse far below the average, so
+    alpha is backed off by 0.75, at most 50 times, until every product is
+    at least 1e-4 times their mean or alpha <= 1e-8.  The iterate that
+    passed the test is the one returned; after the 50th back-off, whose
+    alpha is never tested, the iterate is formed from it.
+    """
+    for _ in range(50):
+        v_new = v + alpha * dv
+        w_new = w + alpha * dw
+        vw = v_new * w_new
+        if vw.min(initial=np.inf) >= 1e-4 * (vw.sum() / len(v)) or alpha <= 1e-8:
+            return v_new, w_new, alpha
+        alpha *= 0.75
+    return v + alpha * dv, w + alpha * dw, alpha
 
 
 def refined_solve(solve, apply, rhs, rhs_cap):

@@ -316,6 +316,23 @@ def _grid_search(p, u, w, active, type_rows, inst, agent, step) -> np.ndarray:
     return X[int(np.argmax(X @ uvec))]
 
 
+def rebuilt(inst: MarketInstance) -> MarketInstance:
+    """An equal market as a new object.
+
+    The solver sets up each market object's reduced program, Newton
+    structure included, on its first solve and reuses it, so a solver
+    function patched in a test takes effect on a market solved first
+    under the patch: solve a rebuilt one.
+    """
+    return MarketInstance(
+        utilities=inst.utilities,
+        budgets=inst.budgets,
+        capacities=inst.capacities,
+        types=inst.types,
+        participation=inst.participation,
+    )
+
+
 def dense_newton(U, A):
     """Reference Newton systems by batched dense block inverses.
 
@@ -387,6 +404,18 @@ def max_step_by_where(v, dv) -> float:
     entry with dv < 0, inf elsewhere, and its minimum."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))
+
+
+def neighborhood_step_by_loop(v, dv, w, dw, alpha):
+    """Reference for ``typedfisher.solver._neighborhood_step``: the back-off
+    loop, which forms the iterate again after it, whether or not its last
+    alpha was tested."""
+    for _ in range(50):
+        vwn = (v + alpha * dv) * (w + alpha * dw)
+        if vwn.min(initial=np.inf) >= 1e-4 * (vwn.sum() / len(v)) or alpha <= 1e-8:
+            break
+        alpha *= 0.75
+    return v + alpha * dv, w + alpha * dw, alpha
 
 
 def spy_on_solves(monkeypatch) -> list:

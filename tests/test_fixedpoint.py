@@ -58,6 +58,13 @@ def test_trace_is_deterministic():
     assert np.array_equal(a.allocation, b.allocation)
 
 
+def test_trace_records_each_step_wall_time():
+    res = run(builtin_instance("prop2"), eps=1e-6)
+    seconds = res.trace.step_seconds
+    assert len(seconds) == res.trace.iterations > 1
+    assert all(isinstance(s, float) and s > 0.0 for s in seconds)
+
+
 def test_trace_duals_satisfy_solver_contract():
     inst = builtin_instance("prop2")
     res = run(inst, eps=1e-6)

@@ -91,6 +91,21 @@ def test_prop1_warns_no_untyped_good():
     assert "no-untyped-good" in rep.warnings
 
 
+def test_each_validation_returns_a_new_report():
+    # the checks run once per instance; no caller's report reaches the next
+    inst = MarketInstance(
+        utilities=[[1.0, 2.0]], budgets=[1.0], capacities=[0.5, 0.5], types=((0, 1), (1,))
+    )
+    first = validate_instance(inst)
+    expected = (list(first.errors), list(first.warnings))
+    assert first.errors
+    first.errors.append("appended")
+    first.warnings.clear()
+    second = validate_instance(inst)
+    assert second is not first
+    assert (second.errors, second.warnings) == expected
+
+
 def test_overlapping_types_is_error():
     inst = MarketInstance(
         utilities=[[1.0, 2.0]],

@@ -12,7 +12,7 @@ import pytest
 
 from typedfisher import MarketInstance, kkt_residuals, random_instance, solve_sop1, solver
 
-from helpers import dense_newton
+from helpers import dense_newton, rebuilt
 
 EPS = np.finfo(float).eps
 
@@ -70,7 +70,8 @@ def backward_error(iterate, rhs, rhs_cap, sol, dp):
 
 
 def captured_iterates(inst, monkeypatch):
-    """Every Newton iterate of a solve, with the first system it solved."""
+    """Every Newton iterate of a solve of (a rebuilt) ``inst``, with the
+    first system it solved."""
     seen = []
     original = solver.structured_newton
 
@@ -91,7 +92,7 @@ def captured_iterates(inst, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "structured_newton", recording)
-        solve_sop1(inst)
+        solve_sop1(rebuilt(inst))
     return seen
 
 
@@ -122,7 +123,7 @@ def test_structured_solve_matches_dense_solve(name, monkeypatch):
     inst = ALL_MARKETS[name]
     with monkeypatch.context() as mp:
         mp.setattr(solver, "structured_newton", dense_newton)
-        x_ref, d_ref, s_ref = solve_sop1(inst)
+        x_ref, d_ref, s_ref = solve_sop1(rebuilt(inst))
     x, duals, stats = solve_sop1(inst)
     lam = np.zeros(inst.n_agents)
     if s_ref.success:

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,8 @@ from helpers import (
     duals_pinned_by_union_find,
     finite_floats,
     max_step_by_where,
+    neighborhood_step_by_loop,
+    rebuilt,
     refine_grid_objective,
     small_markets,
     spy_on_solves,
@@ -214,7 +218,7 @@ def test_divergence_is_reported_as_such(monkeypatch):
         return kicked_factor
 
     monkeypatch.setattr(solver, "structured_newton", kicked)
-    x, duals, stats = solve_bpsop(inst, lam)
+    x, duals, stats = solve_bpsop(rebuilt(inst), lam)
     assert stats.status == "diverged"
     assert stats.iterations == 7
     assert not stats.success
@@ -517,6 +521,9 @@ def test_warm_start_never_takes_the_converged_iterate():
     mus = [mu for *_, mu in first.path.iterates]
     assert again.start == "warm" and again.start_mu == mus[-2]
     assert again.success and again.duals_pinned
+    # a path of the converged iterate alone offers no start
+    _, _, alone = solve_bpsop(inst, zero, start=CentralPath(first.path.iterates[-1:]))
+    assert alone.start == "cold"
 
 
 def test_warm_start_falls_back_where_duals_are_not_unique():
@@ -575,6 +582,47 @@ def test_warm_starts_resume_after_a_fallback(monkeypatch):
     assert_warm_only_after_pinned(calls)
 
 
+def solved(inst, lam):
+    x, duals, stats = solve_bpsop(inst, lam)
+    return x, duals.p, duals.r, duals.s, stats.iterations, stats.direction_residual
+
+
+def assert_same_solve(a, b):
+    assert all(np.array_equal(u, v) for u, v in zip(a[:4], b[:4]))
+    assert a[4:] == b[4:]
+
+
+def test_reduced_program_is_not_seen_from_outside():
+    # each market's program is set up on its first solve and reused: a
+    # second solve of one object, a solve of an equal new object and solves
+    # that alternate between markets, two of them of one shape, match a
+    # first solve bit for bit
+    half = np.full(200, 0.5)
+    markets = [
+        (builtin_instance("experiment", 3), half),
+        (builtin_instance("experiment", 4), half),
+        partly_joined_market(),
+    ]
+    alone = [solved(rebuilt(inst), lam) for inst, lam in markets]
+    for _ in range(2):
+        for (inst, lam), ref in zip(markets, alone):
+            assert_same_solve(solved(inst, lam), ref)
+            assert_same_solve(solved(rebuilt(inst), lam), ref)
+
+
+def test_reduced_program_is_freed_with_its_market():
+    inst = random_instance(4, 30, 5, ((0, 1), (2, 3)), capacity_range=(2.0, 9.0))
+    solve_sop1(inst)
+    key = id(inst)
+    program = weakref.ref(solver._PROGRAMS[key])
+    market = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert market() is None
+    assert program() is None
+    assert key not in solver._PROGRAMS
+
+
 def test_stored_path_is_not_written_by_the_next_solve():
     inst = builtin_instance("experiment")
     _, _, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
@@ -592,8 +640,15 @@ def test_start_from_another_market_rejected():
         builtin_instance("prop2"), np.zeros(3), start=CentralPath()
     )
     assert first.path is None
-    with pytest.raises(ValueError, match="not a path of this market"):
-        solve_bpsop(builtin_instance("experiment"), np.zeros(200), start=other.path)
+    # refused whatever its length, also where the search for a start, which
+    # skips the last iterate, reads none of it
+    for length in (1, 2, len(other.path.iterates)):
+        with pytest.raises(ValueError, match="not a path of this market"):
+            solve_bpsop(
+                builtin_instance("experiment"),
+                np.zeros(200),
+                start=CentralPath(other.path.iterates[:length]),
+            )
     # the same goods and types, one agent fewer, so every iterate is short
     full = builtin_instance("experiment")
     cut = MarketInstance(
@@ -621,6 +676,65 @@ def test_max_step_to_the_boundary():
         v = np.array([3.0, 1.0, 0.5, 2.0, 0.0])
         dv = np.array([-2.0, 4.0, -0.25, -8.0, 0.0])
         assert solver._max_step(v, dv) == 0.25
+
+
+def test_pair_step_is_the_smaller_max_step():
+    # the same fuzz as below, plus vectors of no entries and inf entries
+    # in v and dv, each bound tied with the other's in some cases
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5_000):
+            pair = []
+            for _ in range(2):
+                n = int(rng.integers(0, 12))
+                v = 10.0 ** rng.uniform(-30, 30, n) * (rng.random(n) < 0.8)
+                dv = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+                dv *= rng.random(n) < 0.8
+                v[rng.random(n) < 0.05] = np.inf
+                dv[rng.random(n) < 0.05] = -np.inf
+                pair += [v, dv]
+            v, dv, w, dw = pair
+            if len(v) and len(w) and rng.random() < 0.3:
+                i, j = rng.integers(0, len(v)), rng.integers(0, len(w))
+                w[j], dw[j] = 2.0 * v[i], 2.0 * dv[i]
+            expected = min(solver._max_step(v, dv), solver._max_step(w, dw))
+            assert solver._pair_step(v, dv, w, dw) == expected
+            tau = rng.uniform(0.99, 0.9995)
+            assert min(1.0, tau * solver._pair_step(v, dv, w, dw)) == min(
+                1.0, tau * solver._max_step(v, dv), tau * solver._max_step(w, dw)
+            )
+
+
+def test_neighborhood_step_matches_the_loop():
+    cases = [
+        # a product stuck at zero fails every test: all 50 back-offs run,
+        # and the last alpha, 0.75^50 > 1e-8, is never tested
+        (np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, -0.5]), np.array([1.0, 1.0, 1.0]),
+         np.array([0.0, -0.2, 0.3]), 1.0),
+        # the same from alpha 1e-7: the back-offs stop at alpha <= 1e-8
+        (np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.zeros(2), 1e-7),
+        # the full step is taken
+        (np.ones(3), np.full(3, 0.5), np.ones(3), np.full(3, -0.5), 1.0),
+    ]
+    rng = np.random.default_rng(2)
+    for _ in range(500):
+        n = int(rng.integers(1, 20))
+        v, w = 10.0 ** rng.uniform(-6, 2, (2, n))
+        dv, dw = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3, 2, (2, n))
+        cases.append((v, dv, w, dw, float(rng.uniform(0.1, 1.0))))
+    exhausted = []
+    for k, (v, dv, w, dw, alpha) in enumerate(cases):
+        v_new, w_new, a = solver._neighborhood_step(v, dv, w, dw, alpha)
+        v_ref, w_ref, a_ref = neighborhood_step_by_loop(v, dv, w, dw, alpha)
+        assert a == a_ref
+        assert np.array_equal(v_new, v_ref) and np.array_equal(w_new, w_ref)
+        last = alpha
+        for _ in range(50):
+            last *= 0.75
+        if a == last:
+            exhausted.append(k)
+    assert exhausted[0] == 0
 
 
 def test_max_step_matches_where_reference():
