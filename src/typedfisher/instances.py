@@ -62,13 +62,13 @@ class MarketInstance:
             part = np.array(part, dtype=bool)
             if part.shape != (n, len(types)):
                 raise ValueError(f"participation must have shape ({n}, {len(types)})")
-        for arr in (u, w, s, part):
+        # each array is a read-only view of a private read-only copy, which
+        # numpy never makes writeable again, so no cache outlives its market
+        arrays = {"utilities": u, "budgets": w, "capacities": s, "participation": part}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "utilities", u)
-        object.__setattr__(self, "budgets", w)
-        object.__setattr__(self, "capacities", s)
+            object.__setattr__(self, name, arr.view())
         object.__setattr__(self, "types", types)
-        object.__setattr__(self, "participation", part)
 
     @property
     def n_agents(self) -> int:
@@ -84,7 +84,7 @@ class MarketInstance:
 
     @cached_property
     def incidence(self) -> np.ndarray:
-        """(T, m) 0/1 type incidence, read-only.
+        """(T, m) 0/1 type incidence, a read-only view like the market's arrays.
 
         ``x @ incidence.T`` gives each agent's type sums and
         ``R @ incidence`` spreads an (n, T) array of type duals over goods.
@@ -94,7 +94,7 @@ class MarketInstance:
         for t, goods in enumerate(self.types):
             inc[t, [j for j in goods if 0 <= j < self.n_goods]] = 1.0
         inc.setflags(write=False)
-        return inc
+        return inc.view()
 
     @cached_property
     def tight_types(self) -> tuple[int, ...]:

@@ -50,13 +50,15 @@ utility scale, the tight-type substitution below (the kept and
 substituted goods, the reduced utilities U and the substituted goods'
 utility), the kept goods' type incidence A and capacities, the
 participation grid of the slack rows, and the Newton structure that
-``structured_newton`` sets up.  It is kept for that object only, freed
-with it, and written by no solve; ``validate_instance`` likewise checks a
-market once and hands each call a copy of its report.  Once per solve
-come c, the start (warm or cold, below) and the map back to the unreduced
-program; once per iterate, the Newton factor, the predictor and the
-refined corrector, one step bound for the pair (v, w) and the search for
-a step inside the neighborhood.
+``structured_newton`` sets up; its methods hold the iterate's algebra.
+It is kept for that object only, freed with it, and written by no solve;
+``validate_instance`` likewise checks a market once and hands each call a
+copy of its report.  Once per solve come c, the start (``_warm_start`` or
+``_cold_start``, below), the Newton loop of ``_solve`` and the map back
+to the unreduced program, ``_unreduce``; once per iterate, in that loop,
+the Newton factor, the predictor and the refined corrector, one step
+bound for the pair (v, w) and the search for a step inside the
+neighborhood.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -193,8 +195,10 @@ class SolveStats:
 @dataclass(frozen=True, eq=False)
 class _Program:
     """One market's reduced program: all of a solve that the objective
-    weights c = w + lam do not enter (module docstring).  ``_program``
-    builds it once per market; no solve writes it."""
+    weights c = w + lam do not enter (module docstring), and the algebra of
+    its iterate (v, w) = ((x, xi), (z, r)), with x and z goods-major (m', n)
+    and xi and r on the slack rows.  ``_program`` builds it once per market;
+    no solve writes it."""
 
     power: np.ndarray  # (n,) agent i's utilities are scaled by 2^-power_i
     U_full: np.ndarray  # (n, m) the scaled utilities, agent-major
@@ -209,6 +213,30 @@ class _Program:
     rows: np.ndarray  # (T, n) participation grid; its True cells are the slack rows
     K: int  # the number of slack rows
     newton: Callable  # structured_newton(U, A)
+
+    def split(self, u):
+        """The (m', n) view and the slack-row entries of a flat v or w."""
+        nx = self.U.size
+        return u[:nx].reshape(self.U.shape), u[nx:]
+
+    def by_pair(self, v):
+        """(T, n) array of slack-row values v."""
+        out = np.zeros(self.rows.shape)
+        out[self.rows] = v
+        return out
+
+    def row_sums(self, v):
+        """Sums of v over the goods of each slack row."""
+        return (self.A @ v)[self.rows]
+
+    def utility(self, x):
+        """yhat, each agent's aggregate utility in the unreduced program."""
+        return (self.U * x).sum(axis=0) + self.y_sub
+
+    def dual_residual(self, c, z, r, p, yhat):
+        """The stationarity residual at objective weights c."""
+        # types are disjoint, so each (good, agent) carries at most one dual
+        return -(c / yhat) * self.U + p[:, None] + self.A.T @ self.by_pair(r) - z
 
 
 # reduced programs by the id of their market (``_program``)
@@ -337,88 +365,28 @@ def _reduce(inst: MarketInstance) -> _Program:
 def _solve(program: _Program, c, tol, max_iter, start):
     """One solve of ``program`` at objective weights ``c``: ``solve_bpsop``
     for valid arguments, without the cold fallback."""
-    U, A, sbar, rows, y_sub = program.U, program.A, program.sbar, program.rows, program.y_sub
-    U_full, tight, sub, keep = program.U_full, program.tight, program.sub, program.keep
-    n, m = U_full.shape
-    T = len(rows)
-
-    def by_pair(v):
-        """(T, n) array of slack-row values v."""
-        out = np.zeros((T, n))
-        out[rows] = v
-        return out
-
-    def row_sums(v):
-        """Sums of v over the goods of each slack row."""
-        return (A @ v)[rows]
-
-    def dual_residual(z, r, p, yhat):
-        # types are disjoint, so each (good, agent) carries at most one dual
-        return -(c / yhat) * U + p[:, None] + A.T @ by_pair(r) - z
-
-    def utility(x):
-        """yhat, each agent's aggregate utility in the unreduced program."""
-        return (U * x).sum(axis=0) + y_sub
-
-    # the iterate: v = (x, xi) and w = (z, r), flat (module docstring)
-    nx = U.size
-    N = nx + program.K
-
-    def split(u):
-        return u[:nx].reshape(U.shape), u[nx:]
-
-    # --- initial interior point -----------------------------------------
-    # warm: the latest stored iterate before the converged last one whose
-    # stationarity residual under this c is within WARM_START_GAP of its
-    # mu; its primal residuals carry over exactly, since lam never enters
-    # the constraints.  Every iterate's shapes are checked first, so that
-    # a path of another market is refused whatever its length.
-    iterates = start.iterates if start is not None else ()
-    if any(len(vs) != N or len(ws) != N or len(ps) != len(sbar) for vs, ws, ps, _ in iterates):
-        raise ValueError("start is not a path of this market")
-    warm = None
-    for state in reversed(iterates[:-1]):
-        vs, ws, ps, mu_s = state
-        (xs, _), (zs, rs) = split(vs), split(ws)
-        gap = np.abs(dual_residual(zs, rs, ps, utility(xs))).max(initial=0.0)
-        if gap <= WARM_START_GAP * mu_s:
-            warm = state
-            break
-    if warm is not None:
-        v, w, p, _ = warm
-    else:
-        # cold: every agent holds an equal share of each kept good
-        x = np.repeat((sbar / n)[:, None], n, axis=1)
-        # the duals of the unreduced program: a substituted good's z starts
-        # its type row's dual
-        grad_scale = (c / utility(x)) * U_full.T
-        delta0 = 0.1 * max(1.0, float(grad_scale.max()))
-        z = grad_scale[keep] + delta0
-        r = by_pair(delta0)
-        r[tight] += grad_scale[sub]
-        r = r[rows]
-        p = np.zeros(len(sbar))
-        xi = np.maximum(1.0 - row_sums(x), 0.005)
-        v = np.concatenate([x.ravel(), xi])
-        w = np.concatenate([z.ravel(), r])
+    warm = _warm_start(program, c, start)
+    v, w, p = warm if warm is not None else _cold_start(program, c)
+    N = len(v)
 
     stat = pfeas = comp = np.inf
-    it = 0
     status = "max_iter"
     direction_residual = 0.0
     best_metric = np.inf
     best_state = None
     path = [] if start is not None else None
 
-    # one Newton system per iterate; its structure is the program's
-    newton = program.newton
+    # the Newton loop's lookups, bound once; its structure is the program's
+    A, sbar, newton = program.A, program.sbar, program.newton
+    split, by_pair, row_sums = program.split, program.by_pair, program.row_sums
+    utility, dual_residual = program.utility, program.dual_residual
 
     for it in range(1, max_iter + 1):
         (x, xi), (z, r) = split(v), split(w)
         yhat = utility(x)
         if np.any(yhat <= 0.0):
             raise ZeroUtilityError(int(np.argmin(yhat)))
-        r_dual = dual_residual(z, r, p, yhat)
+        r_dual = dual_residual(c, z, r, p, yhat)
         r_cap = x.sum(axis=1) - sbar
         r_ineq = row_sums(x) + xi - 1.0
         vw = v * w
@@ -494,41 +462,12 @@ def _solve(program: _Program, c, tol, max_iter, start):
 
     if status != "converged" and best_state is not None:
         v, w, p, stat, pfeas, comp = best_state
-    (x, xi), (z, r) = split(v), split(w)
-
-    yhat = utility(x)
-    objective = float(c @ np.log(np.ldexp(yhat, program.power)))
-
-    # back to the unreduced program, agent-major: x_ik is the row's slack and
-    # z_ik its dual, and the row's dual gains c_i u_ik / yhat_i, which leaves
-    # good k's price at zero until the shift below
-    r_raw = np.zeros((n, T))
-    r_raw.T[rows] = r
-    x_full = np.zeros((n, m))
-    z_full = np.zeros((n, m))
-    x_full[:, keep] = x.T
-    z_full[:, keep] = z.T
-    x_full[:, sub] = by_pair(xi)[tight].T
-    z_full[:, sub] = r_raw[:, tight]
-    r_raw[:, tight] += (c / yhat)[:, None] * U_full[:, sub]
-    p_full = np.zeros(m)
-    p_full[keep] = p
-
-    shift = np.zeros(T)
-    shift[tight] = r_raw[:, tight].min(axis=0)
-    r_full = r_raw - shift
-
     pinned = None
     if start is not None and status == "converged":
-        pinned = _duals_pinned(x, z, xi, r, A, rows)
-
-    duals = DualBundle(
-        p=p_full + shift @ program.incidence,
-        r=r_full,
-        s=-z_full,
-        objective=objective,
-    )
-    if status == "converged" and tight:
+        (x, xi), (z, r) = split(v), split(w)
+        pinned = _duals_pinned(x, z, xi, r, A, program.rows)
+    x_full, duals = _unreduce(program, c, v, w, p)
+    if status == "converged" and program.tight:
         status = "degenerate_tight"
     stats = SolveStats(
         iterations=it,
@@ -536,7 +475,7 @@ def _solve(program: _Program, c, tol, max_iter, start):
         primal_feasibility_residual=pfeas,
         complementarity_residual=comp,
         status=status,
-        tight_types=tuple(tight),
+        tight_types=tuple(program.tight),
         direction_residual=direction_residual,
         start="cold" if warm is None else "warm",
         start_mu=start_mu,
@@ -544,6 +483,73 @@ def _solve(program: _Program, c, tol, max_iter, start):
         duals_pinned=pinned,
     )
     return x_full, duals, stats
+
+
+def _warm_start(program: _Program, c, start):
+    """``(v, w, p)`` of the latest iterate of the path ``start`` but its
+    converged last one whose stationarity residual under the weights ``c``
+    is within WARM_START_GAP of its mu, else None (module docstring).  A
+    path of another market is refused whatever its length."""
+    iterates = start.iterates if start is not None else ()
+    N, m = program.U.size + program.K, len(program.sbar)
+    if any(len(vs) != N or len(ws) != N or len(ps) != m for vs, ws, ps, _ in iterates):
+        raise ValueError("start is not a path of this market")
+    for vs, ws, ps, mu_s in reversed(iterates[:-1]):
+        (xs, _), (zs, rs) = program.split(vs), program.split(ws)
+        gap = program.dual_residual(c, zs, rs, ps, program.utility(xs))
+        if np.abs(gap).max(initial=0.0) <= WARM_START_GAP * mu_s:
+            return vs, ws, ps
+    return None
+
+
+def _cold_start(program: _Program, c):
+    """``(v, w, p)`` of the default interior point at the weights ``c``:
+    every agent holds an equal share of each kept good, z and r are the
+    unreduced objective's gradient (a substituted good's on its type row's
+    r) plus 0.1 max(1, its largest entry), and p = 0."""
+    sbar = program.sbar
+    n = program.U_full.shape[0]
+    x = np.repeat((sbar / n)[:, None], n, axis=1)
+    grad_scale = (c / program.utility(x)) * program.U_full.T
+    delta0 = 0.1 * max(1.0, float(grad_scale.max()))
+    z = grad_scale[program.keep] + delta0
+    r = program.by_pair(delta0)
+    r[program.tight] += grad_scale[program.sub]
+    r = r[program.rows]
+    xi = np.maximum(1.0 - program.row_sums(x), 0.005)
+    v = np.concatenate([x.ravel(), xi])
+    w = np.concatenate([z.ravel(), r])
+    return v, w, np.zeros(len(sbar))
+
+
+def _unreduce(program: _Program, c, v, w, p):
+    """The agent-major allocation and ``DualBundle`` of the unreduced
+    program at the reduced iterate (v, w, p) and the weights ``c``."""
+    (x, xi), (z, r) = program.split(v), program.split(w)
+    tight, sub, keep, rows = program.tight, program.sub, program.keep, program.rows
+    n, m = program.U_full.shape
+    yhat = program.utility(x)
+    objective = float(c @ np.log(np.ldexp(yhat, program.power)))
+
+    # the substitution maps back: x_ik is the row's slack and z_ik its dual,
+    # and the row's dual gains c_i u_ik / yhat_i, which leaves good k's
+    # price at zero until the shift to min_i r[i, t] = 0 (module docstring)
+    r_raw = np.zeros((n, len(rows)))
+    r_raw.T[rows] = r
+    x_full = np.zeros((n, m))
+    z_full = np.zeros((n, m))
+    x_full[:, keep] = x.T
+    z_full[:, keep] = z.T
+    x_full[:, sub] = program.by_pair(xi)[tight].T
+    z_full[:, sub] = r_raw[:, tight]
+    r_raw[:, tight] += (c / yhat)[:, None] * program.U_full[:, sub]
+    p_full = np.zeros(m)
+    p_full[keep] = p
+
+    shift = np.zeros(len(rows))
+    shift[tight] = r_raw[:, tight].min(axis=0)
+    p_full += shift @ program.incidence
+    return x_full, DualBundle(p=p_full, r=r_raw - shift, s=-z_full, objective=objective)
 
 
 def _duals_pinned(x, z, xi, r, A, rows) -> bool:
@@ -574,30 +580,24 @@ def _duals_pinned(x, z, xi, r, A, rows) -> bool:
         good_fixed, row_fixed = goods, grid
 
 
-def _max_step(v, dv):
-    """The largest step s with v + s dv >= 0, inf when no entry of dv < 0.
-
-    v >= 0.  The bound is -v_k / dv_k = -1 / (dv_k / v_k) at the most
-    negative ratio dv_k / v_k; ``fmin`` skips the NaN of 0 / 0, where the
-    step is free.  Rounding is monotone and -1 / rho grows with rho < 0,
-    so an entry whose rounded ratio lies above the least has a rounded
-    bound no smaller than those at the least.  Only those are divided,
-    and the result is that of dividing every decreasing entry.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _least_step(v, dv)
-
-
 def _pair_step(v, dv, w, dw):
     """The largest step s with v + s dv >= 0 and w + s dw >= 0: the
-    smaller of ``_max_step(v, dv)`` and ``_max_step(w, dw)``, under one
+    smaller of ``_least_step(v, dv)`` and ``_least_step(w, dw)``, under one
     ``errstate``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return min(_least_step(v, dv), _least_step(w, dw))
 
 
 def _least_step(v, dv):
-    """``_max_step`` without its ``errstate``."""
+    """The largest step s with v + s dv >= 0, inf when no dv_k < 0, under
+    the caller's ``errstate``.  v >= 0.  The bound is -v_k / dv_k =
+    -1 / (dv_k / v_k) at the most negative ratio dv_k / v_k; ``fmin``
+    skips the NaN of 0 / 0, where the step is free.  Rounding is monotone
+    and -1 / rho grows with rho < 0, so an entry whose rounded ratio lies
+    above the least has a rounded bound no smaller than those at the
+    least.  Only those are divided, and the result is that of dividing
+    every decreasing entry.
+    """
     ratio = dv / v
     least = np.fmin.reduce(ratio, initial=np.inf)
     if not least < 0:

@@ -400,7 +400,8 @@ def duals_pinned_by_union_find(x, z, xi, r, A, rows) -> bool:
 
 
 def max_step_by_where(v, dv) -> float:
-    """Reference for ``typedfisher.solver._max_step``: -v / dv over every
+    """Reference for the step bound of ``typedfisher.solver._pair_step``
+    on one vector, ``_pair_step(v, dv, v, dv)``: -v / dv over every
     entry with dv < 0, inf elsewhere, and its minimum."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))

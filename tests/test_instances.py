@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -308,6 +309,26 @@ def test_layout_is_cached_and_read_only():
     assert inst.incidence is inst.incidence
     with pytest.raises(ValueError):
         inst.incidence[0, 0] = 0.0
+
+
+def test_market_arrays_cannot_be_made_writeable(tmp_path):
+    # a market's caches (incidence, tight types, validation, the solver's
+    # program) are built once, so no array they derive from may change
+    path = tmp_path / "inst.json"
+    save_instance(random_instance(4, 6, 4, ((0, 1),)), path)
+    markets = [
+        builtin_instance("prop2"),
+        random_instance(3, 5, 4, ((0, 1), (2, 3)), capacity_range=(1.0, 3.0)),
+        load_instance(path),
+    ]
+    for inst in markets:
+        solve_sop1(inst)
+        arrays = [getattr(inst, f.name) for f in dataclasses.fields(inst)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4
+        for a in arrays + [inst.incidence]:
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
 
 # --- random instances ----------------------------------------------------------

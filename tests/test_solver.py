@@ -191,6 +191,22 @@ def test_tight_substitution_maps_back(name):
         assert duals.r.min(axis=0)[t] == 0.0
 
 
+@pytest.mark.parametrize("name", [*TIGHT_MARKETS, "slack_1000x7"])
+def test_cold_start_is_interior(name):
+    # one entry of v = (x, xi) and of w = (z, r) per kept (good, agent) pair
+    # and per slack row, each strictly positive, and one price per kept good
+    if name == "slack_1000x7":
+        inst = random_instance(9, 1000, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(50.0, 300.0))
+        lam = np.zeros(inst.n_agents)
+    else:
+        inst, lam = TIGHT_MARKETS[name]
+    kept = inst.n_goods - len(inst.tight_types)
+    v, w, p = solver._cold_start(solver._program(inst), inst.budgets + lam)
+    assert len(v) == len(w) == kept * inst.n_agents + int(inst.participation.sum())
+    assert np.all(v > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(p, np.zeros(kept))
+
+
 def test_divergence_is_reported_as_such(monkeypatch):
     # from the sixth Newton step on, every direction moves the prices 1e6
     # off, so the residuals grow and the divergence guard ends the solve
@@ -663,19 +679,25 @@ def test_start_from_another_market_rejected():
         solve_bpsop(full, np.zeros(200), start=shorter.path)
 
 
+def max_step(v, dv):
+    """The step bound of v alone, as the solver takes it: its pair with
+    itself."""
+    return solver._pair_step(v, dv, v, dv)
+
+
 def test_max_step_to_the_boundary():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # no entry decreases: nothing bounds the step
         v = np.array([1.0, 0.0, 2.0])
-        assert solver._max_step(v, np.array([0.0, 1.0, 0.0])) == np.inf
-        assert solver._max_step(np.zeros(0), np.zeros(0)) == np.inf
+        assert max_step(v, np.array([0.0, 1.0, 0.0])) == np.inf
+        assert max_step(np.zeros(0), np.zeros(0)) == np.inf
         # an entry already at zero that decreases allows no step
-        assert solver._max_step(np.array([0.0, 1.0]), np.array([-1.0, -1.0])) == 0.0
+        assert max_step(np.array([0.0, 1.0]), np.array([-1.0, -1.0])) == 0.0
         # the smallest ratio over the decreasing entries, the others ignored
         v = np.array([3.0, 1.0, 0.5, 2.0, 0.0])
         dv = np.array([-2.0, 4.0, -0.25, -8.0, 0.0])
-        assert solver._max_step(v, dv) == 0.25
+        assert max_step(v, dv) == 0.25
 
 
 def test_pair_step_is_the_smaller_max_step():
@@ -698,11 +720,11 @@ def test_pair_step_is_the_smaller_max_step():
             if len(v) and len(w) and rng.random() < 0.3:
                 i, j = rng.integers(0, len(v)), rng.integers(0, len(w))
                 w[j], dw[j] = 2.0 * v[i], 2.0 * dv[i]
-            expected = min(solver._max_step(v, dv), solver._max_step(w, dw))
+            expected = min(max_step(v, dv), max_step(w, dw))
             assert solver._pair_step(v, dv, w, dw) == expected
             tau = rng.uniform(0.99, 0.9995)
             assert min(1.0, tau * solver._pair_step(v, dv, w, dw)) == min(
-                1.0, tau * solver._max_step(v, dv), tau * solver._max_step(w, dw)
+                1.0, tau * max_step(v, dv), tau * max_step(w, dw)
             )
 
 
@@ -753,7 +775,7 @@ def test_max_step_matches_where_reference():
             v[j], dv[j] = 3.0 * v[i], 3.0 * dv[i]
             if v[j] > 0 and rng.random() < 0.5:
                 v[j] = np.nextafter(v[j], rng.choice([0.0, np.inf]))
-            assert solver._max_step(v, dv) == max_step_by_where(v, dv)
+            assert max_step(v, dv) == max_step_by_where(v, dv)
 
 
 # One type over good 0 (good 1 untyped).  Agent 0 holds good 0 and fills
