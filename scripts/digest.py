@@ -1,4 +1,5 @@
-"""Print a SHA-256 digest of the outputs of a fixed set of solver runs.
+"""Print a SHA-256 digest of the outputs of a fixed set of solver runs,
+grid scans and demand calls.
 
     python3 scripts/digest.py
 
@@ -9,22 +10,29 @@ running this at both commits on one machine and comparing the lines.
 The digests depend on the machine's numpy build and BLAS, so only lines
 printed on one machine are compared.
 
-Each run prints one line: its name and the SHA-256 of its outputs, taken
-over the bytes of x, p, r and s, the objective, lam, the statuses, the
-Newton counts and ``direction_residual``.  A fixed point adds its whole
-trace: every iterate lam and its residual, and each inner solve's status,
-start and Newton count.  Wall times are left out.  The last line is the
-SHA-256 of all the runs' digests, in order.
+Each run prints one line: its kind, its name and the SHA-256 of its
+outputs.  A solve's outputs are the bytes of x, p, r and s, the
+objective, lam, the statuses, the Newton counts and
+``direction_residual``.  A fixed point adds its whole trace: every
+iterate lam and its residual, and each inner solve's status, start and
+Newton count.  Wall times are left out.  A grid scan's are every field
+of its ``GridScanResult``; a demand run's are ``demand_all``'s X and
+excess demand at each of its price vectors, or the agent and good that
+its UnboundedDemandError names.  The last line is the SHA-256 of all
+the runs' digests, in order.
 
-The set is 123 runs: ``fixedpoint.run`` on the ``experiment`` market at
+The set is 145 runs: ``fixedpoint.run`` on the ``experiment`` market at
 seeds 1-20, on ``prop1`` and ``prop2`` and on the untyped 100 x 7 markets
 with capacities from (5, 14) at seeds 1-4; ``solve_sop1`` on the untyped
 1000 x 7 markets with capacities from (50, 300) at seeds 1-20 and on the
 200 x 60 markets of 18 three-good types at seeds 1-16; 30 markets of
 40 x 7 whose agents each join each type with probability 0.7, each
-solved by ``solve_sop1`` and run to its fixed point; and
-``partly_joined_market``'s fixed point (from ``robustness.py``).  It
-takes about 7 s on a 2-vCPU machine.
+solved by ``solve_sop1`` and run to its fixed point;
+``partly_joined_market``'s fixed point (from ``robustness.py``); the
+``price-scan`` benchmark's grid scans of ``prop1`` and ``prop2``; and
+``demand_all`` on 20 of those partly joined 40 x 7 markets with zero and
+repeated utilities, each at 8 seeded price vectors.  It takes about 5 s
+on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -40,11 +48,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from robustness import TYPES, partly_joined_market  # noqa: E402
 from typedfisher import (  # noqa: E402
     MarketInstance,
+    UnboundedDemandError,
     builtin_instance,
+    demand_all,
     random_instance,
     solve_sop1,
 )
-from typedfisher import fixedpoint  # noqa: E402
+from typedfisher import fixedpoint, verify  # noqa: E402
+
+# the price-scan benchmark's grids: p_max, step, record_below
+SCAN_GRIDS = {"prop1": (30.0, 0.5, None), "prop2": (12.0, 1.0, 1e-9)}
 
 
 def partial_participation_market(seed: int) -> MarketInstance:
@@ -59,9 +72,35 @@ def partial_participation_market(seed: int) -> MarketInstance:
     )
 
 
+def demand_market(seed: int) -> MarketInstance:
+    """``partial_participation_market(seed)`` with a fifth of its utilities
+    zero and the rest rounded to one decimal, so many repeat."""
+    base = partial_participation_market(seed)
+    rng = np.random.default_rng(200 + seed)
+    u = np.where(rng.random(base.utilities.shape) < 0.2, 0.0, np.round(base.utilities, 1))
+    return MarketInstance(u, base.budgets, base.capacities, base.types, base.participation)
+
+
+def seeded_prices(seed: int, m: int) -> np.ndarray:
+    """8 price vectors: uniform, integer (ties), zero-heavy and rounded,
+    two of each."""
+    rng = np.random.default_rng(300 + seed)
+    return np.array([
+        row
+        for _ in range(2)
+        for row in (
+            rng.uniform(0.0, 5.0, m),
+            rng.integers(1, 4, m).astype(float),
+            np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 5.0, m)),
+            np.round(rng.uniform(0.0, 3.0, m), 1),
+        )
+    ])
+
+
 def runs():
-    """(name, kind, market) of every run, in printed order; kind is
-    ``fixed_point`` or ``solve``."""
+    """(name, kind, subject) of every run, in printed order.  The subject
+    of kind ``fixed_point`` or ``solve`` is a market, of ``scan`` a market
+    and its grid, of ``demand`` a market and its price vectors."""
     for seed in range(1, 21):
         yield f"experiment seed {seed}", "fixed_point", builtin_instance("experiment", seed)
     for name in ("prop1", "prop2"):
@@ -81,6 +120,11 @@ def runs():
         yield f"partial 40x7 seed {seed}", "solve", inst
         yield f"partial 40x7 seed {seed}", "fixed_point", inst
     yield "partly_joined_market", "fixed_point", partly_joined_market()
+    for name, grid in SCAN_GRIDS.items():
+        yield name, "scan", (builtin_instance(name), grid)
+    for seed in range(1, 21):
+        yield f"zeros and repeats 40x7 seed {seed}", "demand", (
+            demand_market(seed), seeded_prices(seed, 7))
 
 
 class Digest:
@@ -109,8 +153,29 @@ def outputs(digest: Digest, x, duals, stats, lam) -> None:
         digest.scalar(v)
 
 
-def run_digest(kind: str, inst: MarketInstance) -> str:
+def run_digest(kind: str, subject) -> str:
     digest = Digest()
+    if kind == "scan":
+        inst, (p_max, step, record_below) = subject
+        scan = verify.grid_nonexistence(inst, p_max, step, record_below=record_below)
+        digest.scalar(scan.min_residual)
+        digest.array(scan.argmin_price)
+        digest.scalar(scan.points_evaluated)
+        digest.scalar(scan.points_skipped)
+        digest.scalar(len(scan.near_clearing))
+        for p in scan.near_clearing:
+            digest.array(p)
+        return digest.hexdigest()
+    if kind == "demand":
+        inst, prices = subject
+        for p in prices:
+            try:
+                for a in demand_all(inst, p):
+                    digest.array(a)
+            except UnboundedDemandError as err:
+                digest.scalar(("unbounded", err.agent, err.good))
+        return digest.hexdigest()
+    inst = subject
     if kind == "solve":
         x, duals, stats = solve_sop1(inst)
         outputs(digest, x, duals, stats, np.zeros(inst.n_agents))
@@ -131,8 +196,8 @@ def run_digest(kind: str, inst: MarketInstance) -> str:
 def main() -> None:
     total = hashlib.sha256()
     count = 0
-    for name, kind, inst in runs():
-        h = run_digest(kind, inst)
+    for name, kind, subject in runs():
+        h = run_digest(kind, subject)
         total.update(h.encode())
         count += 1
         print(f"{kind:<12}{name:<34}{h}", flush=True)

@@ -13,7 +13,12 @@ frontier vertex.
 at once, and ``demand_all`` for every agent at one price vector.  Both
 build each type's hulls as arrays with one row per (agent, prices) pair
 and share one masked purchase loop, with the same float operations in
-the same order, so each row equals the scalar ``demand`` exactly.
+the same order, so each row equals the scalar ``demand`` exactly.  The
+loop's columns are the products in a fixed layout: each participating
+type by ascending id, its hull segments by strictly increasing slope,
+then the cap-free goods by ascending index.  Among equal slopes that
+layout already is ``agent_products``' (type rank, high good) order, so
+one stable sort on the slope alone orders every row.
 """
 
 from __future__ import annotations
@@ -182,17 +187,17 @@ def _demand_agents(inst: MarketInstance, p) -> tuple[np.ndarray, np.ndarray, np.
     """
     U = inst.utilities
     slots = [
-        _segments(*_agent_hulls(U, p, goods, inst.participation[:, t]), t)
-        for t, goods in enumerate(inst.types)
+        _segments(*_agent_hulls(U, p, goods, part))
+        for goods, part in zip(inst.types, inst.participation.T)
     ]
     free = _free_goods(inst)
     shape = U.shape
     slots.append((
-        np.divide(p, U, out=np.zeros(shape), where=free), np.full(shape, inst.n_types),
+        np.divide(p, U, out=np.zeros(shape), where=free), np.zeros(shape, dtype=bool),
         np.full(shape, -1), np.broadcast_to(np.arange(inst.n_goods), shape),
         np.broadcast_to(p, shape), free,
     ))
-    return _buy(inst, slots, inst.budgets, np.any(free & (p == 0.0), axis=1))
+    return _buy(inst.n_goods, slots, inst.budgets, np.any(free & (p == 0.0), axis=1))
 
 
 # float overflow gives inf silently, as Python float arithmetic does in demand
@@ -212,17 +217,17 @@ def demand_prices(
     P = _check_prices(P, inst.n_goods, ndim=2)
     u = inst.utilities[agent]
     slots = [
-        _segments(*_hulls(u, P, inst.types[t]), t) for t in inst.participating_types(agent)
+        _segments(*_hulls(u, P, inst.types[t])) for t in inst.participating_types(agent)
     ]
     free = [j for j in inst.unbounded_goods(agent) if u[j] > 0.0]
     shape = (len(P), len(free))
     slots.append((
-        P[:, free] / u[free], np.full(shape, inst.n_types), np.full(shape, -1),
+        P[:, free] / u[free], np.zeros(shape, dtype=bool), np.full(shape, -1),
         np.broadcast_to(np.array(free, dtype=int), shape), P[:, free],
         np.ones(shape, dtype=bool),
     ))
     unbounded = np.any(P[:, free] == 0.0, axis=1)
-    return _buy(inst, slots, float(inst.budgets[agent]), unbounded)
+    return _buy(inst.n_goods, slots, float(inst.budgets[agent]), unbounded)
 
 
 def _free_goods(inst: MarketInstance) -> np.ndarray:
@@ -230,43 +235,48 @@ def _free_goods(inst: MarketInstance) -> np.ndarray:
     return (inst.participation @ inst.incidence == 0) & (inst.utilities > 0.0)
 
 
-def _segments(hu, hp, hj, size, t) -> tuple[np.ndarray, ...]:
+def _segments(hu, hp, hj, size) -> tuple[np.ndarray, ...]:
     """One type's frontier products as slot columns, one row per hull.
 
-    Returns ``(slope, rank, lo, hi, cost, valid)`` from the vertices that
+    Returns ``(slope, capped, lo, hi, cost, valid)`` from the vertices that
     ``_hulls`` or ``_agent_hulls`` returns; a row's segments past its
-    vertex count are not valid.
+    vertex count are not valid.  A row's valid slopes strictly increase:
+    ``_push`` pops every vertex after which the slope, computed with the
+    float operations used here, would not rise.
     """
     dp = np.diff(hp, axis=1)
     ok = np.arange(1, hu.shape[1]) < size[:, None]
     slope = np.divide(dp, np.diff(hu, axis=1), out=np.zeros_like(dp), where=ok)
-    return slope, np.full(dp.shape, t), hj[:, :-1], hj[:, 1:], dp, ok
+    return slope, np.ones(dp.shape, dtype=bool), hj[:, :-1], hj[:, 1:], dp, ok
 
 
-def _buy(inst: MarketInstance, slots, w, unbounded) -> tuple[np.ndarray, ...]:
+def _buy(m: int, slots, w, unbounded) -> tuple[np.ndarray, ...]:
     """``demand``'s greedy purchase, one row per (agent, prices) pair.
 
-    ``slots`` lists every product as column blocks ``(slope, rank, lo, hi,
-    cost, valid)`` in any order: lexsort puts every row in agent_products'
-    (slope, type rank, hi) order, rank ``n_types`` marking the cap-free
-    products and lo -1 the hull origin.  ``w`` is the budget of every row,
-    or of each; rows in ``unbounded`` buy nothing.  Each step of the scalar
-    path runs as a masked array operation over the rows, with the same
-    float operations in the same order.  Returns ``(X, spend,
-    unbounded)`` as ``demand_prices`` does.
+    ``slots`` lists every product as column blocks ``(slope, capped, lo,
+    hi, cost, valid)``, lo -1 marking the hull origin, in a fixed layout:
+    each participating type by ascending id, its segments by strictly
+    increasing slope, then the cap-free products (``capped`` False) by
+    ascending good.  Among equal slopes that layout already is
+    agent_products' (type rank, hi) order, so ``_buy_order``'s stable sort
+    on the slope alone puts each row's valid slots in that order, ahead of
+    the invalid ones, which the loop never reads.  ``m`` is the number of
+    goods; ``w`` is the budget of every row, or of each; rows in
+    ``unbounded`` buy nothing.  Each step of the scalar path runs as a
+    masked array operation over the rows, with the same float operations
+    in the same order.  Returns ``(X, spend, unbounded)`` as
+    ``demand_prices`` does.
     """
-    slope, rank, lo, hi, cost, valid = (np.concatenate(c, axis=1) for c in zip(*slots))
-    order = np.lexsort((hi, rank, slope, ~valid), axis=1)
-    rank, lo, hi, cost, valid = (
-        np.take_along_axis(a, order, axis=1) for a in (rank, lo, hi, cost, valid)
-    )
-    capped = rank < inst.n_types
+    slope, capped, lo, hi, cost, valid = (np.concatenate(c, axis=1) for c in zip(*slots))
+    order = _buy_order(slope, valid)
+    flat = _flat(order, order.shape[1])
+    capped, lo, hi, cost, valid = (a.ravel()[flat] for a in (capped, lo, hi, cost, valid))
 
     rows = np.arange(len(unbounded))
-    X = np.zeros((len(unbounded), inst.n_goods))
+    X = np.zeros((len(unbounded), m))
     budget = np.full(len(unbounded), w)
     active = ~unbounded
-    for s in range(order.shape[1]):
+    for s in range(flat.shape[1]):
         active &= valid[:, s]
         if not active.any():
             break
@@ -282,6 +292,18 @@ def _buy(inst: MarketInstance, slots, w, unbounded) -> tuple[np.ndarray, ...]:
 
     X = np.maximum(X, 0.0)  # clip float dust, as the scalar path does
     return X, w - budget, unbounded
+
+
+def _buy_order(slope: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Each row's slots in buy order: a stable sort on the slope, with the
+    invalid slots as NaN, which sorts after every number, +inf included."""
+    return np.argsort(np.where(valid, slope, np.nan), axis=1, kind="stable")
+
+
+def _flat(index: np.ndarray, width: int) -> np.ndarray:
+    """Flat indices of the column ``index[k]`` of each row k of a C-ordered
+    array with ``width`` columns."""
+    return index + np.arange(len(index))[:, None] * width
 
 
 def _move(X, r, lo, hi, units) -> None:
@@ -309,8 +331,8 @@ def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
     good = np.empty((K, D), dtype=int)
     for g, level in enumerate(levels):
         group = np.array([j for j in goods if u[j] == level])
-        good[:, g] = group[np.argmin(P[:, group], axis=1)]
-    price = np.take_along_axis(P, good, axis=1)
+        good[:, g] = group[np.argmin(P[:, group], axis=1)] if len(group) > 1 else group[0]
+    price = P.ravel()[_flat(good, P.shape[1])]
 
     hull = (np.zeros((K, D + 1)), np.zeros((K, D + 1)), np.full((K, D + 1), -1))
     size = np.ones(K, dtype=int)
@@ -325,16 +347,19 @@ def _agent_hulls(U: np.ndarray, p: np.ndarray, type_goods, part) -> tuple[np.nda
     one row per agent.
 
     Same return as ``_hulls``, with D the type's size; rows outside the
-    mask ``part`` keep only the origin.  One stable lexsort orders each
-    row's goods by (u, p, j).  Zero utilities are skipped, and so is every
-    good but the first of a run of equal utilities, which is the cheapest,
-    the lowest index on a price tie: the chain then sees the points that
-    ``build_frontier``'s dedup keeps, in its order.
+    mask ``part`` keep only the origin.  Each row's goods are ordered by
+    (u, p, j): the goods, ascending, are stable-sorted once by price, which
+    every row shares, then each row stable-sorted by u.  Zero utilities
+    are skipped, and so is every good but the first of a run of equal
+    utilities, which is the cheapest, the lowest index on a price tie: the
+    chain then sees the points that ``build_frontier``'s dedup keeps, in
+    its order.
     """
     goods = np.array(sorted(int(j) for j in type_goods), dtype=int)
+    goods = goods[np.argsort(p[goods], kind="stable")]
     u = U[:, goods]
-    order = np.lexsort((np.broadcast_to(p[goods], u.shape), u), axis=1)
-    u = np.take_along_axis(u, order, axis=1)
+    order = np.argsort(u, axis=1, kind="stable")
+    u = u.ravel()[_flat(order, len(goods))]
     q, j = p[goods][order], goods[order]
     keep = (u > 0.0) & part[:, None]
     keep[:, 1:] &= u[:, 1:] != u[:, :-1]
@@ -355,13 +380,15 @@ def _push(hull, size, rows, level, q, good) -> None:
     ``build_frontier``'s test and its float operations in its order.
     ``level`` is one utility for every row or one per row.
     """
-    hu, hp, hj = hull
+    # flat views of the C-contiguous hull arrays, and each row's origin in them
+    hu, hp, hj = (h.reshape(-1) for h in hull)
+    at = rows * hull[0].shape[1]
     s = size[rows]
     pop = s >= 2
     while pop.any():
-        a, b = np.maximum(s - 2, 0), s - 1
-        au, ap = hu[rows, a], hp[rows, a]
-        bu, bp = hu[rows, b], hp[rows, b]
+        a, b = at + np.maximum(s - 2, 0), at + s - 1
+        au, ap = hu[a], hp[a]
+        bu, bp = hu[b], hp[b]
         # rows with a single vertex divide by zero here but are already out
         # of ``pop``, and an overflowing slope is inf, as in the scalar path
         with np.errstate(all="ignore"):
@@ -370,7 +397,7 @@ def _push(hull, size, rows, level, q, good) -> None:
             )
         s -= pop
         pop &= s >= 2
-    hu[rows, s] = level
-    hp[rows, s] = q
-    hj[rows, s] = good
+    hu[at + s] = level
+    hp[at + s] = q
+    hj[at + s] = good
     size[rows] = s + 1

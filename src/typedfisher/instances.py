@@ -70,6 +70,12 @@ class MarketInstance:
             object.__setattr__(self, name, arr.view())
         object.__setattr__(self, "types", types)
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so each gets
+        # read-only arrays of its own and none of the original's caches
+        fields = (self.utilities, self.budgets, self.capacities, self.types, self.participation)
+        return type(self), fields
+
     @property
     def n_agents(self) -> int:
         return self.utilities.shape[0]

@@ -431,3 +431,11 @@ def spy_on_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(fixedpoint, "solve_bpsop", spy)
     return calls
+
+
+def buy_order_by_lexsort(slope, rank, hi, valid) -> np.ndarray:
+    """Reference for ``typedfisher.demand._buy_order``: each row's slots
+    sorted on four keys, the valid ones first, then by ``agent_products``'
+    (slope, type rank, high good), rank ``n_types`` marking the cap-free
+    products."""
+    return np.lexsort((hi, rank, slope, ~valid), axis=1)

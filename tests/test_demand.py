@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,11 @@ from typedfisher import (
     demand_all,
     demand_prices,
 )
-from typedfisher.demand import _demand_agents
+from typedfisher.demand import _buy, _buy_order, _demand_agents
 
 from helpers import (
     brute_force_demand,
+    buy_order_by_lexsort,
     finite_floats,
     later_free_good_market,
     price_vectors,
@@ -414,3 +417,86 @@ def test_batched_demand_checks_prices_like_demand():
     for bad, msg in (([1.0, 1.0], "length 3"), ([-1.0, 1.0, 1.0], "negative price")):
         with pytest.raises(ValueError, match=msg):
             demand_all(inst, bad)
+
+
+@pytest.mark.parametrize("types", [(), ((0,),)], ids=["cap-free", "typed"])
+def test_worthless_only_good_leaves_no_product_column(types):
+    # the one good has utility 0, so demand_prices' rows have no slot at all
+    inst = MarketInstance(utilities=[[0.0]], budgets=[1.0], capacities=[1.0], types=types)
+    P = np.array([[0.0], [1.0]])
+    assert_batches_match_scalar(inst, P)
+    X, spend, unbounded = demand_prices(inst, 0, P)
+    assert X.tolist() == [[0.0], [0.0]] and spend.tolist() == [0.0, 0.0]
+    assert not unbounded.any()
+
+
+# --- the buy order --------------------------------------------------------------
+
+SLOPES = np.array([0.0, 0.5, 1.0, 2.0, np.inf])
+
+
+def random_slots(rng, R):
+    """Random slot blocks in ``_buy``'s layout over R rows, each column's
+    type rank, and the number of goods.
+
+    Up to two types of 1-3 goods each take strictly increasing slopes from
+    SLOPES on a valid prefix of each row (none where the agent skips the
+    type) and any slope past it; up to two cap-free goods take slopes from
+    SLOPES with repeats and a valid mask with gaps.  So equal slopes fall
+    across types, between a type and a cap-free good and between two
+    cap-free goods, +inf recurs, invalid slots sit between valid ones, and
+    some layouts have no column at all.
+    """
+    n_types, n_free = rng.integers(0, 3, 2)
+    blocks, ranks, m = [], [], 0
+    for t in range(n_types):
+        D = int(rng.integers(1, 4))
+        goods = np.arange(m, m + D)
+        m += D
+        slope = np.sort([rng.choice(SLOPES, D, replace=False) for _ in range(R)], axis=1)
+        valid = np.arange(D) < rng.integers(0, D + 1, (R, 1))
+        slope = np.where(valid, slope, rng.choice(SLOPES, (R, D)))
+        hj = np.hstack([np.full((R, 1), -1), [rng.permutation(goods) for _ in range(R)]])
+        blocks.append((slope, np.ones((R, D), dtype=bool), hj[:, :-1], hj[:, 1:],
+                       rng.uniform(0.1, 3.0, (R, D)), valid))
+        ranks.append(np.full((R, D), t))
+    shape = (R, n_free)
+    blocks.append((rng.choice(SLOPES, shape), np.zeros(shape, dtype=bool), np.full(shape, -1),
+                   np.broadcast_to(np.arange(m, m + n_free), shape),
+                   rng.uniform(0.1, 3.0, shape), rng.random(shape) < 0.7))
+    ranks.append(np.full(shape, n_types))
+    return blocks, np.concatenate(ranks, axis=1), m + n_free
+
+
+def slot_ties(slope, capped, valid) -> Counter:
+    """Which of random_slots' cases the layout holds, row by row."""
+    seen = Counter({"no column": slope.shape[1] == 0})
+    for s, c, v in zip(slope, capped, valid):
+        typed, free = s[v & c], s[v & ~c]
+        seen["tie across types"] += len(np.unique(typed)) < len(typed)
+        seen["tie of a type and a cap-free good"] += len(np.intersect1d(typed, free)) > 0
+        seen["tie of two cap-free goods"] += len(np.unique(free)) < len(free)
+        seen["+inf slope"] += bool(np.isinf(s[v]).any())
+        seen["invalid between valid"] += bool((~v[:-1] & v[1:]).any())
+    return seen
+
+
+def test_slope_sort_buys_in_the_four_key_order():
+    rng = np.random.default_rng(5)
+    seen = Counter()
+    for _ in range(400):
+        R = int(rng.integers(1, 8))
+        blocks, rank, m = random_slots(rng, R)
+        columns = [np.concatenate(c, axis=1) for c in zip(*blocks)]
+        slope, capped, lo, hi, cost, valid = columns
+        seen += slot_ties(slope, capped, valid)
+        got, want = _buy_order(slope, valid), buy_order_by_lexsort(slope, rank, hi, valid)
+        for r, n in enumerate(valid.sum(axis=1)):
+            assert np.array_equal(got[r, :n], want[r, :n]), (slope[r], valid[r])
+        # a row already in the reference order stays as it is under the
+        # stable sort, so the second call buys in the four-key order
+        w, unbounded = rng.uniform(0.0, 4.0, R), rng.random(R) < 0.1
+        ordered = [tuple(np.take_along_axis(a, want, axis=1) for a in columns)]
+        for a, b in zip(_buy(m, blocks, w, unbounded), _buy(m, ordered, w, unbounded)):
+            assert np.array_equal(a, b)
+    assert len(seen) == 6 and all(seen.values()), seen

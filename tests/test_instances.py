@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -329,6 +331,31 @@ def test_market_arrays_cannot_be_made_writeable(tmp_path):
         for a in arrays + [inst.incidence]:
             with pytest.raises(ValueError):
                 a.setflags(write=True)
+
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda inst: pickle.loads(pickle.dumps(inst)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_rebuild_through_the_constructor(copy_of):
+    inst = builtin_instance("prop2")
+    validate_instance(inst)
+    solve_sop1(inst)
+    cached = ("incidence", "tight_types", "untyped_goods", "_validation")
+    assert all(name in vars(inst) for name in cached)
+    dup = copy_of(inst)
+    assert dup is not inst and not any(name in vars(dup) for name in cached)
+    for f in dataclasses.fields(inst):
+        a, b = getattr(inst, f.name), getattr(dup, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert not np.shares_memory(a, b)
+            with pytest.raises(ValueError):
+                b.setflags(write=True)
+        else:
+            assert a == b
+    assert dup.tight_types == inst.tight_types
+    assert np.array_equal(dup.incidence, inst.incidence)
 
 
 # --- random instances ----------------------------------------------------------
