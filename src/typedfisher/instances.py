@@ -24,9 +24,10 @@ import numpy as np
 BUILTIN_NAMES = ("prop1", "prop2", "iop_ex1", "iop_ex2", "experiment")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
-    """Immutable description of one constrained Fisher market.
+    """Immutable description of one constrained Fisher market, which
+    compares and hashes by identity, so that it can key a cache.
 
     Attributes:
         utilities: (n, m) array, utility of agent i per unit of good j, >= 0.

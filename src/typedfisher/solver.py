@@ -51,7 +51,7 @@ substituted goods, the reduced utilities U and the substituted goods'
 utility), the kept goods' type incidence A and capacities, the
 participation grid of the slack rows, and the Newton structure that
 ``structured_newton`` sets up; its methods hold the iterate's algebra.
-It is kept for that object only, freed with it, and written by no solve;
+It is weakly keyed by that object, freed with it and written by no solve;
 ``validate_instance`` likewise checks a market once and hands each call a
 copy of its report.  Once per solve come c, the start (``_warm_start`` or
 ``_cold_start``, below), the Newton loop of ``_solve`` and the map back
@@ -239,8 +239,8 @@ class _Program:
         return -(c / yhat) * self.U + p[:, None] + self.A.T @ self.by_pair(r) - z
 
 
-# reduced programs by the id of their market (``_program``)
-_PROGRAMS: dict[int, _Program] = {}
+# each market's reduced program, keyed weakly by the market (``_program``)
+_PROGRAMS = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -314,17 +314,12 @@ def solve_bpsop(
 def _program(inst: MarketInstance) -> _Program:
     """``inst``'s reduced program, built on its first solve.
 
-    It is kept for that instance object only and freed with it.  The
-    frozen dataclass cannot be hashed, so the key is the object's id, and
-    ``weakref.finalize`` drops the entry when the object is collected,
-    before the id can name another object.  The program holds no
-    reference to the instance, so it does not keep it alive.
+    It is weakly keyed by that market object and freed with it.  It holds
+    no reference to the market, so it does not keep its key alive.
     """
-    key = id(inst)
-    program = _PROGRAMS.get(key)
+    program = _PROGRAMS.get(inst)
     if program is None:
-        program = _PROGRAMS[key] = _reduce(inst)
-        weakref.finalize(inst, _PROGRAMS.pop, key, None)
+        program = _PROGRAMS[inst] = _reduce(inst)
     return program
 
 

@@ -64,12 +64,14 @@ def check_equilibrium(
     Optimality gaps compare each agent's achieved utility with the utility
     of its exact greedy demand at p, taken for all agents at once by
     ``demand_all``; a gap within tol_opt certifies the bundle optimal
-    (slightly negative gaps are float noise).  Prices must pass the demand
-    oracle's own check (length, finite, nonnegative), the allocation must
-    be a finite (n, m) array, and each tolerance must be finite and
-    nonnegative, else ValueError.  Unbounded demand at p propagates as
-    UnboundedDemandError, naming the same agent and good as ``demand``
-    called agent by agent.
+    (slightly negative gaps are float noise).  tol_opt is absolute, in
+    utility units: with utilities times 1e150 a fixed point's gaps reach
+    1e140-1e142 (ROADMAP.md, item 4, plans a scaled optimality error).
+    Prices must pass the demand oracle's own check (length, finite,
+    nonnegative), the allocation must be a finite (n, m) array, and each
+    tolerance must be finite and nonnegative, else ValueError.  Unbounded
+    demand at p propagates as UnboundedDemandError, naming the same agent
+    and good as ``demand`` called agent by agent.
     """
     tols = {"tol_clearing": tol_clearing, "tol_budget": tol_budget, "tol_opt": tol_opt}
     for name, tol in tols.items():

@@ -317,12 +317,14 @@ def _grid_search(p, u, w, active, type_rows, inst, agent, step) -> np.ndarray:
 
 
 def rebuilt(inst: MarketInstance) -> MarketInstance:
-    """An equal market as a new object.
+    """A new market object with ``inst``'s arrays, types and participation.
 
-    The solver sets up each market object's reduced program, Newton
-    structure included, on its first solve and reuses it, so a solver
-    function patched in a test takes effect on a market solved first
-    under the patch: solve a rebuilt one.
+    Markets compare and hash by identity, so the rebuilt one is a market
+    of its own, unequal to ``inst``, with none of its caches.  The solver
+    keeps each market object's reduced program, Newton structure
+    included, from its first solve, so a solver function patched in a
+    test takes effect on a market solved first under the patch: solve a
+    rebuilt one.
     """
     return MarketInstance(
         utilities=inst.utilities,

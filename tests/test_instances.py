@@ -21,7 +21,7 @@ from typedfisher import (
     validate_instance,
 )
 
-from helpers import small_markets
+from helpers import rebuilt, small_markets
 
 
 # --- builtin tables, field by field ------------------------------------------
@@ -356,6 +356,32 @@ def test_copies_rebuild_through_the_constructor(copy_of):
             assert a == b
     assert dup.tight_types == inst.tight_types
     assert np.array_equal(dup.incidence, inst.incidence)
+
+
+def _saved_and_loaded(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(random_instance(4, 6, 4, ((0, 1),)), path)
+    return load_instance(path)
+
+
+@pytest.mark.parametrize("market", [
+    lambda tmp_path: builtin_instance("prop2"),
+    lambda tmp_path: random_instance(3, 20, 6, ((0, 1), (2, 3))),
+    _saved_and_loaded,
+], ids=["prop2", "random", "loaded"])
+def test_markets_compare_and_hash_by_identity(market, tmp_path):
+    a = market(tmp_path)
+    others = [
+        rebuilt(a), copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+    ]
+    assert a == a and not a != a
+    assert hash(a) == hash(a)
+    for b in others:
+        assert a != b and not a == b
+    markets = [a, *others]
+    assert len(set(markets)) == 5
+    keyed = {inst: k for k, inst in enumerate(markets)}
+    assert [keyed[inst] for inst in markets] == [0, 1, 2, 3, 4]
 
 
 # --- random instances ----------------------------------------------------------

@@ -628,15 +628,16 @@ def test_reduced_program_is_not_seen_from_outside():
 
 def test_reduced_program_is_freed_with_its_market():
     inst = random_instance(4, 30, 5, ((0, 1), (2, 3)), capacity_range=(2.0, 9.0))
+    gc.collect()
     solve_sop1(inst)
-    key = id(inst)
-    program = weakref.ref(solver._PROGRAMS[key])
+    program = weakref.ref(solver._PROGRAMS[inst])
     market = weakref.ref(inst)
+    kept = len(solver._PROGRAMS)
     del inst
     gc.collect()
     assert market() is None
     assert program() is None
-    assert key not in solver._PROGRAMS
+    assert len(solver._PROGRAMS) == kept - 1
 
 
 def test_stored_path_is_not_written_by_the_next_solve():
