@@ -18,10 +18,13 @@ iterate lam and its residual, and each inner solve's status, start and
 Newton count.  Wall times are left out.  A grid scan's are every field
 of its ``GridScanResult``; a demand run's are ``demand_all``'s X and
 excess demand at each of its price vectors, or the agent and good that
-its UnboundedDemandError names.  The last line is the SHA-256 of all
-the runs' digests, in order.
+its UnboundedDemandError names.  A warm-start run solves a market at
+lam = 0 with an empty ``start``, then at a second lam from the first
+solve's ``stats.path``; its outputs are both solves', and its line also
+prints each solve's ``start`` and Newton count.  The last line is the
+SHA-256 of all the runs' digests, in order.
 
-The set is 145 runs: ``fixedpoint.run`` on the ``experiment`` market at
+The set is 147 runs: ``fixedpoint.run`` on the ``experiment`` market at
 seeds 1-20, on ``prop1`` and ``prop2`` and on the untyped 100 x 7 markets
 with capacities from (5, 14) at seeds 1-4; ``solve_sop1`` on the untyped
 1000 x 7 markets with capacities from (50, 300) at seeds 1-20 and on the
@@ -31,8 +34,12 @@ solved by ``solve_sop1`` and run to its fixed point;
 ``partly_joined_market``'s fixed point (from ``robustness.py``); the
 ``price-scan`` benchmark's grid scans of ``prop1`` and ``prop2``; and
 ``demand_all`` on 20 of those partly joined 40 x 7 markets with zero and
-repeated utilities, each at 8 seeded price vectors.  It takes about 5 s
-on a 2-vCPU machine.
+repeated utilities, each at 8 seeded price vectors; and two warm-start
+runs: the ``experiment`` market at seed 1, warm at lam = 1e-3 U(0, 1)
+drawn with seed 0, and the untyped 1000 x 7 market at seed 1 with the
+default capacities, at the fixed point's next lam = q, where the warm
+solve falls back to a cold one.  It takes about 5 s on a 2-vCPU
+machine.
 """
 
 from __future__ import annotations
@@ -47,11 +54,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from robustness import TYPES, partly_joined_market  # noqa: E402
 from typedfisher import (  # noqa: E402
+    CentralPath,
     MarketInstance,
     UnboundedDemandError,
     builtin_instance,
     demand_all,
     random_instance,
+    solve_bpsop,
     solve_sop1,
 )
 from typedfisher import fixedpoint, verify  # noqa: E402
@@ -100,7 +109,9 @@ def seeded_prices(seed: int, m: int) -> np.ndarray:
 def runs():
     """(name, kind, subject) of every run, in printed order.  The subject
     of kind ``fixed_point`` or ``solve`` is a market, of ``scan`` a market
-    and its grid, of ``demand`` a market and its price vectors."""
+    and its grid, of ``demand`` a market and its price vectors, of
+    ``warm_start`` a market and the second lam as a function of the first
+    solve's duals."""
     for seed in range(1, 21):
         yield f"experiment seed {seed}", "fixed_point", builtin_instance("experiment", seed)
     for name in ("prop1", "prop2"):
@@ -125,6 +136,10 @@ def runs():
     for seed in range(1, 21):
         yield f"zeros and repeats 40x7 seed {seed}", "demand", (
             demand_market(seed), seeded_prices(seed, 7))
+    lam = 1e-3 * np.random.default_rng(0).uniform(0.0, 1.0, 200)
+    yield "experiment seed 1", "warm_start", (builtin_instance("experiment", 1), lambda _: lam)
+    yield "untyped 1000x7 default seed 1", "warm_start", (
+        random_instance(1, 1000, 7, TYPES), lambda duals: duals.r.sum(axis=1))
 
 
 class Digest:
@@ -175,6 +190,16 @@ def run_digest(kind: str, subject) -> str:
             except UnboundedDemandError as err:
                 digest.scalar(("unbounded", err.agent, err.good))
         return digest.hexdigest()
+    if kind == "warm_start":
+        inst, second_lam = subject
+        lam = np.zeros(inst.n_agents)
+        x, duals, first = solve_bpsop(inst, lam, start=CentralPath())
+        outputs(digest, x, duals, first, lam)
+        lam = second_lam(duals)
+        x, duals, second = solve_bpsop(inst, lam, start=first.path)
+        outputs(digest, x, duals, second, lam)
+        starts = " ".join(f"{stats.start} {stats.iterations}" for stats in (first, second))
+        return f"{starts:<20}{digest.hexdigest()}"
     inst = subject
     if kind == "solve":
         x, duals, stats = solve_sop1(inst)

@@ -29,13 +29,12 @@ a fixed point changes.  Convergence is an empirical property of the
 instance, so non-convergence is a first-class outcome: the full trace is
 always returned for diagnosis.
 
-Consecutive solves differ only in lam, so a solve may start warm from
-late iterates of the one before (``solve_bpsop``'s ``start``), and falls
-back to a cold solve where the warm one would not return the same
-duals.  Each solve decides its start on its own: it starts warm from the
-previous solve's path only when that solve's duals were pinned by its
-support (``SolveStats.duals_pinned``), else cold, so a run whose solve
-fell back starts warm again once a later solve's duals are pinned.  The
+Consecutive solves differ only in lam, so each solve is passed the
+previous solve's ``stats.path`` as its ``start``.  The solver decides
+which paths are offered: only a solve whose duals are pinned offers its
+path, else an empty one, which starts cold, and a warm solve that would
+not return the same duals falls back to a cold one.  So a run whose
+solve fell back starts warm again once a later solve is pinned.  The
 trace records how each solve started.  A warm solve stops within the
 solver tolerance at a slightly different point than a cold one, and the
 dual sums q move with it: on the ``experiment`` market, seeds 1-20, they
@@ -142,8 +141,7 @@ def run(
     within STALL_WINDOW iterations while still above eps, and ``stalled``
     in its place when the residual fell at every one of those iterations:
     the run crawls toward a point it does not reach in reasonable time
-    rather than cycling.  A solve starts warm from the previous solve's
-    path when that solve's duals were pinned (module docstring).
+    rather than cycling.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -165,8 +163,7 @@ def run(
         now = time.perf_counter()
         trace.step_seconds.append(now - clock)
         clock = now
-        # the next solve starts warm only from a solve whose duals are pinned
-        path = stats.path if stats.duals_pinned else CentralPath()
+        path = stats.path
         q = duals.r.sum(axis=1)
         d = q - lam
         res = float(np.linalg.norm(d))

@@ -91,7 +91,9 @@ cold path.  So every converged solve given a ``start`` reports whether
 its duals are pinned by its support (``_duals_pinned``), and a warm
 solve is kept only when they are; otherwise the cold solve runs as well
 and its result is returned, bit for bit that of a solve without
-``start``, with the cold solve's path and its own pinned check.
+``start``.  The solver decides which paths are offered: a solve given a
+``start`` offers its path (a fallback's cold one) only when its duals are
+pinned, and the path belongs to that market object alone.
 """
 
 from __future__ import annotations
@@ -150,12 +152,14 @@ class CentralPath:
     Each is ``(v, w, p, mu)``: the primal v = (x, xi) and the dual
     w = (z, r), flat and of one length, the capacity duals p, and
     mu = v . w / len(v) (module docstring).  The arrays are never written
-    after they are stored.  Pass one back to ``solve_bpsop`` as ``start``
-    to solve the same market at other perturbations; an empty path starts
-    cold and records.
+    after they are stored.  Only a solve whose duals are pinned offers its
+    path, bound to its ``market`` object.  Pass it back to ``solve_bpsop``
+    as ``start`` to solve that object at other perturbations; a non-empty
+    path of another object is refused, and an empty path starts cold.
     """
 
     iterates: tuple = ()
+    market: MarketInstance | None = None
 
 
 @dataclass
@@ -180,8 +184,8 @@ class SolveStats:
     # iterate the solve started from
     start: str = "cold"
     start_mu: float = float("nan")
-    # this solve's iterates (a fallback's: its cold solve's), recorded only
-    # when a ``start`` was passed
+    # given a ``start``: this solve's path (a fallback's: its cold solve's)
+    # when its duals are pinned, else an empty one; None without a ``start``
     path: CentralPath | None = field(default=None, repr=False, compare=False)
     # whether the support of the returned iterate pins its duals; checked
     # only on a converged solve given a ``start``, else None
@@ -211,7 +215,6 @@ class _Program:
     A: np.ndarray  # (T, m') type incidence of the kept goods
     sbar: np.ndarray  # (m',) capacities of the kept goods
     rows: np.ndarray  # (T, n) participation grid; its True cells are the slack rows
-    K: int  # the number of slack rows
     newton: Callable  # structured_newton(U, A)
 
     def split(self, u):
@@ -276,9 +279,9 @@ def solve_bpsop(
     """Solve the program at perturbations ``lam`` (module docstring).
 
     ``start``, the ``stats.path`` of an earlier solve of the same market
-    or an empty ``CentralPath()``, lets the solve start warm, with the
-    cold fallback of the module docstring, records its path in
-    ``stats.path`` and checks ``stats.duals_pinned``.
+    object or an empty ``CentralPath()``, lets the solve start warm, with
+    the cold fallback of the module docstring, checks
+    ``stats.duals_pinned`` and offers ``stats.path`` only when it holds.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -295,13 +298,13 @@ def solve_bpsop(
         raise ValueError(f"lam must have length {inst.n_agents}")
     if not np.all(np.isfinite(lam)) or np.any(lam < -1e-12):
         raise ValueError("lam must be finite and nonnegative")
-    lam = np.maximum(lam, 0.0)
+    if start is not None and start.iterates and start.market is not inst:
+        raise ValueError("start is not a path of this market")
 
-    program = _program(inst)
-    c = inst.budgets + lam
-    x, duals, stats = _solve(program, c, tol, max_iter, start)
+    c = inst.budgets + np.maximum(lam, 0.0)
+    x, duals, stats = _solve(inst, c, tol, max_iter, start)
     if stats.start == "warm" and not stats.duals_pinned:
-        x, duals, cold = _solve(program, c, tol, max_iter, CentralPath())
+        x, duals, cold = _solve(inst, c, tol, max_iter, CentralPath())
         stats = replace(
             cold,
             iterations=stats.iterations + cold.iterations,
@@ -352,14 +355,14 @@ def _reduce(inst: MarketInstance) -> _Program:
     rows = np.ascontiguousarray(inst.participation.T)
     for a in (power, U_full, sub, keep, U, y_sub, A, sbar, rows):
         a.setflags(write=False)
-    K = int(rows.sum())
     newton = structured_newton(U, A)
-    return _Program(power, U_full, incidence, tight, sub, keep, U, y_sub, A, sbar, rows, K, newton)
+    return _Program(power, U_full, incidence, tight, sub, keep, U, y_sub, A, sbar, rows, newton)
 
 
-def _solve(program: _Program, c, tol, max_iter, start):
-    """One solve of ``program`` at objective weights ``c``: ``solve_bpsop``
-    for valid arguments, without the cold fallback."""
+def _solve(inst: MarketInstance, c, tol, max_iter, start):
+    """One solve of ``inst``'s reduced program at objective weights ``c``:
+    ``solve_bpsop`` for valid arguments, without the cold fallback."""
+    program = _program(inst)
     warm = _warm_start(program, c, start)
     v, w, p = warm if warm is not None else _cold_start(program, c)
     N = len(v)
@@ -461,6 +464,8 @@ def _solve(program: _Program, c, tol, max_iter, start):
     if start is not None and status == "converged":
         (x, xi), (z, r) = split(v), split(w)
         pinned = _duals_pinned(x, z, xi, r, A, program.rows)
+    if path is not None:
+        path = CentralPath(tuple(path), inst) if pinned else CentralPath()
     x_full, duals = _unreduce(program, c, v, w, p)
     if status == "converged" and program.tight:
         status = "degenerate_tight"
@@ -474,7 +479,7 @@ def _solve(program: _Program, c, tol, max_iter, start):
         direction_residual=direction_residual,
         start="cold" if warm is None else "warm",
         start_mu=start_mu,
-        path=None if path is None else CentralPath(tuple(path)),
+        path=path,
         duals_pinned=pinned,
     )
     return x_full, duals, stats
@@ -483,13 +488,9 @@ def _solve(program: _Program, c, tol, max_iter, start):
 def _warm_start(program: _Program, c, start):
     """``(v, w, p)`` of the latest iterate of the path ``start`` but its
     converged last one whose stationarity residual under the weights ``c``
-    is within WARM_START_GAP of its mu, else None (module docstring).  A
-    path of another market is refused whatever its length."""
-    iterates = start.iterates if start is not None else ()
-    N, m = program.U.size + program.K, len(program.sbar)
-    if any(len(vs) != N or len(ws) != N or len(ps) != m for vs, ws, ps, _ in iterates):
-        raise ValueError("start is not a path of this market")
-    for vs, ws, ps, mu_s in reversed(iterates[:-1]):
+    is within WARM_START_GAP of its mu, else None (module docstring): a
+    path of this market object, checked by ``solve_bpsop``."""
+    for vs, ws, ps, mu_s in reversed(start.iterates[:-1] if start is not None else ()):
         (xs, _), (zs, rs) = program.split(vs), program.split(ws)
         gap = program.dual_residual(c, zs, rs, ps, program.utility(xs))
         if np.abs(gap).max(initial=0.0) <= WARM_START_GAP * mu_s:

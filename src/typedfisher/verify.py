@@ -254,12 +254,14 @@ def grid_nonexistence(
     m = inst.n_goods
     if m > 3:
         raise ValueError("grid scan supports at most 3 goods")
-    if step <= 0 or p_max <= 0:
-        raise ValueError("p_max and step must be positive")
-    axis = np.arange(0.0, p_max + step / 2, step)
-    size = len(axis) ** m
+    if not (0 < step < np.inf and 0 < p_max < np.inf):
+        raise ValueError("p_max and step must be positive and finite")
+    with np.errstate(over="ignore"):  # arange's length, before the axis is built
+        size = np.ceil((p_max + step / 2) / step) ** m
     if size > MAX_GRID_POINTS:
         raise ValueError(f"grid too large ({size:.3g} points > {MAX_GRID_POINTS:g})")
+    axis = np.arange(0.0, p_max + step / 2, step)
+    size = len(axis) ** m
 
     best = np.inf
     argmin = None

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import warnings
 import weakref
 from dataclasses import replace
@@ -538,15 +539,18 @@ def test_warm_start_never_takes_the_converged_iterate():
     assert again.start == "warm" and again.start_mu == mus[-2]
     assert again.success and again.duals_pinned
     # a path of the converged iterate alone offers no start
-    _, _, alone = solve_bpsop(inst, zero, start=CentralPath(first.path.iterates[-1:]))
-    assert alone.start == "cold"
+    alone = replace(first.path, iterates=first.path.iterates[-1:])
+    assert solve_bpsop(inst, zero, start=alone)[2].start == "cold"
 
 
 def test_warm_start_falls_back_where_duals_are_not_unique():
-    # every agent holds good 0 at 0 or 1, so p_0 lies in an interval; the
-    # warm solve's duals are not pinned and the cold solve is returned
-    inst, lam = partly_joined_market()
-    _, _, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
+    # the cold solve at lam = 0 is pinned and offers its path; from it, the
+    # solve at the fixed point's next lam = q leaves its duals unpinned, so
+    # the cold solve runs as well and is returned
+    inst = random_instance(1, 1000, 7, ((0, 1), (2, 3), (4, 5)))
+    _, at_zero, first = solve_bpsop(inst, np.zeros(inst.n_agents), start=CentralPath())
+    assert first.duals_pinned
+    lam = at_zero.r.sum(axis=1)
     x, duals, stats = solve_bpsop(inst, lam, start=first.path)
     x_cold, duals_cold, stats_cold = solve_bpsop(inst, lam)
     assert stats.start == "fallback"
@@ -554,9 +558,10 @@ def test_warm_start_falls_back_where_duals_are_not_unique():
     assert np.array_equal(x, x_cold)
     for name in ("p", "r", "s"):
         assert np.array_equal(getattr(duals, name), getattr(duals_cold, name))
-    # the fallback reports the cold solve's path and its own pinned check
+    # the fallback reports its cold solve's pinned check, and offers that
+    # solve's path only when it holds, which here it does not
     assert stats.duals_pinned is False
-    assert len(stats.path.iterates) == stats_cold.iterations
+    assert stats.path.iterates == ()
 
 
 def assert_warm_only_after_pinned(calls):
@@ -654,9 +659,9 @@ def test_stored_path_is_not_written_by_the_next_solve():
 def test_start_from_another_market_rejected():
     _, _, first = solve_sop1(builtin_instance("prop2"))
     _, _, other = solve_bpsop(
-        builtin_instance("prop2"), np.zeros(3), start=CentralPath()
+        builtin_instance("prop1"), np.zeros(2), start=CentralPath()
     )
-    assert first.path is None
+    assert first.path is None and other.duals_pinned
     # refused whatever its length, also where the search for a start, which
     # skips the last iterate, reads none of it
     for length in (1, 2, len(other.path.iterates)):
@@ -664,7 +669,7 @@ def test_start_from_another_market_rejected():
             solve_bpsop(
                 builtin_instance("experiment"),
                 np.zeros(200),
-                start=CentralPath(other.path.iterates[:length]),
+                start=replace(other.path, iterates=other.path.iterates[:length]),
             )
     # the same goods and types, one agent fewer, so every iterate is short
     full = builtin_instance("experiment")
@@ -678,6 +683,43 @@ def test_start_from_another_market_rejected():
     assert shorter.success
     with pytest.raises(ValueError, match="not a path of this market"):
         solve_bpsop(full, np.zeros(200), start=shorter.path)
+
+
+def test_start_of_a_same_shape_market_rejected():
+    # seeds 1 and 2 of the experiment share every length, and a rebuilt
+    # copy of seed 2 holds its very arrays, yet the path of seed 2 belongs
+    # to that market object alone
+    seed1, seed2 = builtin_instance("experiment", 1), builtin_instance("experiment", 2)
+    zero = np.zeros(200)
+    _, _, other = solve_bpsop(seed2, zero, start=CentralPath())
+    assert other.duals_pinned and other.path.iterates
+    for inst in (seed1, rebuilt(seed2)):
+        with pytest.raises(ValueError, match="not a path of this market"):
+            solve_bpsop(inst, zero, start=other.path)
+    assert other.path.market is seed2
+    assert solve_bpsop(seed2, zero, start=other.path)[2].start == "warm"
+
+
+def test_unpinned_solve_offers_an_empty_path():
+    # prop2's duals are not pinned by its support, so its cold solve, which
+    # records 8 iterates, offers none of them
+    _, _, stats = solve_bpsop(builtin_instance("prop2"), np.zeros(3), start=CentralPath())
+    assert stats.start == "cold" and stats.success and stats.iterations == 8
+    assert stats.duals_pinned is False
+    assert stats.path.iterates == ()
+
+
+def test_fixed_point_result_pickles_with_its_path():
+    # the path holds its market, not the market's reduced program, whose
+    # Newton closure does not pickle; the market and its path unpickle
+    # together, so the copy's path starts a solve of the copy's market
+    res = fixedpoint.run(builtin_instance("experiment"))
+    back = pickle.loads(pickle.dumps(res))
+    assert np.array_equal(back.prices, res.prices)
+    path = back.solve_stats.path
+    assert len(path.iterates) == len(res.solve_stats.path.iterates) > 0
+    _, duals, stats = solve_bpsop(path.market, back.lam, start=path)
+    assert stats.start == "warm" and np.array_equal(duals.p, res.prices)
 
 
 def max_step(v, dv):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,20 @@ def test_grid_scan_guards():
     for step in (0.0, -0.5):
         with pytest.raises(ValueError, match="p_max and step must be positive"):
             grid_nonexistence(inst3, p_max=10.0, step=step)
+    # NaN and inf are refused with the library's message, not numpy's
+    for p_max, step in ((np.nan, 0.1), (10.0, np.nan), (np.inf, 0.1), (10.0, np.inf)):
+        with pytest.raises(ValueError, match="p_max and step must be positive"):
+            grid_nonexistence(inst3, p_max=p_max, step=step)
+    # a grid too large is refused before its axis is built, which at a step
+    # of 1e-7 would take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid too large"):
+            grid_nonexistence(builtin_instance("prop1"), p_max=1.0, step=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_converged_runs_with_existence_condition_verify():
