@@ -31,17 +31,23 @@ out (below), the factor's type part is the identity and is skipped.
 Layout: the reduced program's iterate is one complementary pair, the
 primal v = (x, xi) and the dual w = (z, r), each a flat vector of length
 N, the kept goods times the agents plus the slack rows (Wright,
-Primal-Dual Interior-Point Methods, 1997).  So mu, the step bound, the
-neighborhood test and the update each act once on v and w.  x and z are
-goods-major views of the first entries, and so is the whole Newton
-system: every (good, agent) array is (m, n), m the kept goods and n the
-agents, contiguous along agents.  The slack rows are the True cells of
-the participation mask's (T, n) grid, in its type-major order.  Sums
-over agents (the capacity rows and the Schur matrix's diagonal) run
-along contiguous rows, where numpy sums pairwise (Higham, SIAM J. Sci.
-Comput. 1993) rather than one agent after another, and the per-agent
-scalings and the Schur diagonal's gathers act on whole rows.  Only the
-returned x, s and r are agent-major, transposed once at the end.
+Primal-Dual Interior-Point Methods, 1997).  The pair is held as one
+array y = (v, w) of length 2N, v and w its halves, and each Newton
+direction is written into one array dy = (dv, dw) of the same layout.
+So mu is one product of the halves, and the step bound, the
+neighborhood test and the update each act once on y.  x and z are
+goods-major views of the first entries of v and w, and so is the whole
+Newton system: every (good, agent) array is (m, n), m the kept goods and
+n the agents, contiguous along agents.  The slack rows are the True
+cells of the participation mask's (T, n) grid, in its type-major order;
+when every cell is True, as when every agent joins every type, a (T, n)
+array of slack-row values is a reshape of the flat one, with no
+scatter or gather.  Sums over agents (the capacity rows and the Schur
+matrix's diagonal) run along contiguous rows, where numpy sums pairwise
+(Higham, SIAM J. Sci. Comput. 1993) rather than one agent after
+another, and the per-agent scalings and the Schur diagonal's gathers
+act on whole rows.  Only the returned x, s and r are agent-major,
+transposed once at the end.
 
 Set-up: solves of one market differ only in the objective weights
 c = w + lam, so all else is built once per market object, on its first
@@ -56,9 +62,10 @@ It is weakly keyed by that object, freed with it and written by no solve;
 copy of its report.  Once per solve come c, the start (``_warm_start`` or
 ``_cold_start``, below), the Newton loop of ``_solve`` and the map back
 to the unreduced program, ``_unreduce``; once per iterate, in that loop,
-the Newton factor, the predictor and the refined corrector, one step
-bound for the pair (v, w) and the search for a step inside the
-neighborhood.
+the Newton factor, the parts of the right-hand side that both
+directions share, the predictor and the refined corrector, one step
+bound for the pair y = (v, w) per direction and the search for a step
+inside the neighborhood.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -150,8 +157,9 @@ class CentralPath:
     """The iterates of one solve's reduced program, first to last.
 
     Each is ``(v, w, p, mu)``: the primal v = (x, xi) and the dual
-    w = (z, r), flat and of one length, the capacity duals p, and
-    mu = v . w / len(v) (module docstring).  The arrays are never written
+    w = (z, r), flat and of one length (the two halves of the solver's
+    array y), the capacity duals p, and mu = v . w / len(v) (module
+    docstring).  The arrays are never written
     after they are stored.  Only a solve whose duals are pinned offers its
     path, bound to its ``market`` object.  Pass it back to ``solve_bpsop``
     as ``start`` to solve that object at other perturbations; a non-empty
@@ -215,6 +223,7 @@ class _Program:
     A: np.ndarray  # (T, m') type incidence of the kept goods
     sbar: np.ndarray  # (m',) capacities of the kept goods
     rows: np.ndarray  # (T, n) participation grid; its True cells are the slack rows
+    full: bool  # every cell of ``rows`` is True, so the slack rows are the grid
     newton: Callable  # structured_newton(U, A)
 
     def split(self, u):
@@ -223,14 +232,17 @@ class _Program:
         return u[:nx].reshape(self.U.shape), u[nx:]
 
     def by_pair(self, v):
-        """(T, n) array of slack-row values v."""
+        """(T, n) array of slack-row values v, zero off the slack rows; a
+        view of v when the grid is full, so no caller writes it."""
+        if self.full:
+            return v.reshape(self.rows.shape)
         out = np.zeros(self.rows.shape)
         out[self.rows] = v
         return out
 
     def row_sums(self, v):
         """Sums of v over the goods of each slack row."""
-        return (self.A @ v)[self.rows]
+        return (self.A @ v).ravel() if self.full else (self.A @ v)[self.rows]
 
     def utility(self, x):
         """yhat, each agent's aggregate utility in the unreduced program."""
@@ -356,7 +368,10 @@ def _reduce(inst: MarketInstance) -> _Program:
     for a in (power, U_full, sub, keep, U, y_sub, A, sbar, rows):
         a.setflags(write=False)
     newton = structured_newton(U, A)
-    return _Program(power, U_full, incidence, tight, sub, keep, U, y_sub, A, sbar, rows, newton)
+    full = bool(rows.all())
+    return _Program(
+        power, U_full, incidence, tight, sub, keep, U, y_sub, A, sbar, rows, full, newton
+    )
 
 
 def _solve(inst: MarketInstance, c, tol, max_iter, start):
@@ -365,7 +380,12 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
     program = _program(inst)
     warm = _warm_start(program, c, start)
     v, w, p = warm if warm is not None else _cold_start(program, c)
+    # the pair y = (v, w) and each direction dy = (dv, dw), one array each
     N = len(v)
+    y = np.concatenate([v, w])
+    dy = np.empty_like(y)
+    dv, dw = dy[:N], dy[N:]
+    dv_x, dv_xi = program.split(dv)
 
     stat = pfeas = comp = np.inf
     status = "max_iter"
@@ -380,9 +400,10 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
     utility, dual_residual = program.utility, program.dual_residual
 
     for it in range(1, max_iter + 1):
+        v, w = y[:N], y[N:]
         (x, xi), (z, r) = split(v), split(w)
         yhat = utility(x)
-        if np.any(yhat <= 0.0):
+        if yhat.min() <= 0.0:
             raise ZeroUtilityError(int(np.argmin(yhat)))
         r_dual = dual_residual(c, z, r, p, yhat)
         r_cap = x.sum(axis=1) - sbar
@@ -395,17 +416,16 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
             # the iterates are rebound at each step, never written in place
             path.append((v, w, p, mu))
         # a market whose goods were all substituted keeps no capacity row
-        stat = float(np.max(np.abs(r_dual), initial=0.0))
+        stat = float(np.abs(r_dual).max(initial=0.0))
         pfeas = max(
-            float(np.max(np.abs(r_cap), initial=0.0)),
-            float(np.max(np.abs(r_ineq), initial=0.0)),
+            float(np.abs(r_cap).max(initial=0.0)), float(np.abs(r_ineq).max(initial=0.0))
         )
         comp = float(vw.max(initial=0.0))
         metric = max(stat, pfeas, comp)
         if metric <= best_metric:
             best_metric = metric
             # the iterates are rebound at each step, never written in place
-            best_state = (v, w, p, stat, pfeas, comp)
+            best_state = (y, p, stat, pfeas, comp)
         if stat <= tol and pfeas <= tol and comp <= tol:
             status = "converged"
             break
@@ -419,26 +439,30 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
         gamma = by_pair(r / xi)
         solve = apply = None  # let the last iterate's system go first
         solve, apply = newton(beta, d, gamma)
+        # the right-hand sides' parts that both directions share
+        r_r_ineq, neg_r_cap, neg_r_ineq = r * r_ineq, -r_cap, -r_ineq
 
         def _direction(target, refine):
-            """The Newton step (dv, dw, dp) toward v * w = target, and the
-            residual of its linear system if it was refined, else 0."""
+            """The Newton step toward v * w = target, written into dy =
+            (dv, dw), with dp, and the residual of its linear system if it
+            was refined, else 0."""
             target_x, target_xi = split(target)
-            b = -r_dual + target_x / x
-            b -= A.T @ by_pair((target_xi + r * r_ineq) / xi)
+            b = target_x / x - r_dual
+            b -= A.T @ by_pair((target_xi + r_r_ineq) / xi)
             if refine:
-                dx, dp, err = refined_solve(solve, apply, b, -r_cap)
+                dx, dp, err = refined_solve(solve, apply, b, neg_r_cap)
             else:
-                (dx, dp), err = solve(b, -r_cap), 0.0
-            dv = np.concatenate([dx.ravel(), -r_ineq - row_sums(dx)])
-            dw = (target - w * dv) / v
-            return (dv, dw, dp), err
+                (dx, dp), err = solve(b, neg_r_cap), 0.0
+            dv_x[...] = dx
+            np.subtract(neg_r_ineq, row_sums(dx), out=dv_xi)
+            np.divide(target - w * dv, v, out=dw)
+            return dp, err
 
         # predictor: it only sets sigma and the corrector's second-order
         # term, so it is solved once with the factor
-        (dva, dwa, _), _ = _direction(-vw, refine=False)
-        alpha_aff = min(1.0, _pair_step(v, dva, w, dwa))
-        mu_aff = ((v + alpha_aff * dva) * (w + alpha_aff * dwa)).sum() / N
+        _direction(-vw, refine=False)
+        y_aff = y + min(1.0, _least_step(y, dy)) * dy
+        mu_aff = (y_aff[:N] * y_aff[N:]).sum() / N
         sigma = min(0.99, max(1e-8, (mu_aff / mu) ** 3))
         if min_prod < 1e-2 * mu:
             sigma = max(sigma, 0.5)  # recenter when products are unbalanced
@@ -447,26 +471,27 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
 
         # corrector with centering, the direction the step takes: the blocks
         # are badly conditioned near degenerate optima, so it is refined
-        # until it is backward stable
-        (dv, dw, dp), err = _direction(sigma * mu - vw - dva * dwa, refine=True)
+        # until it is backward stable; its target is formed from the
+        # predictor before the corrector overwrites dy
+        dp, err = _direction(sigma * mu - vw - dv * dw, refine=True)
         direction_residual = max(direction_residual, err)
         tau = min(0.9995, max(0.99, 1.0 - mu))
         # fraction to the boundary: alpha = min(1, tau alpha_max); rounding
         # is monotone, so tau times the pair's bound is the smaller of tau
         # times each vector's
-        alpha = min(1.0, tau * _pair_step(v, dv, w, dw))
-        v, w, alpha = _neighborhood_step(v, dv, w, dw, alpha)
+        alpha = min(1.0, tau * _least_step(y, dy))
+        y, alpha = _neighborhood_step(y, dy, alpha)
         p = p + alpha * dp
 
     if status != "converged" and best_state is not None:
-        v, w, p, stat, pfeas, comp = best_state
+        y, p, stat, pfeas, comp = best_state
     pinned = None
     if start is not None and status == "converged":
-        (x, xi), (z, r) = split(v), split(w)
+        (x, xi), (z, r) = split(y[:N]), split(y[N:])
         pinned = _duals_pinned(x, z, xi, r, A, program.rows)
     if path is not None:
         path = CentralPath(tuple(path), inst) if pinned else CentralPath()
-    x_full, duals = _unreduce(program, c, v, w, p)
+    x_full, duals = _unreduce(program, c, y[:N], y[N:], p)
     if status == "converged" and program.tight:
         status = "degenerate_tight"
     stats = SolveStats(
@@ -509,7 +534,7 @@ def _cold_start(program: _Program, c):
     grad_scale = (c / program.utility(x)) * program.U_full.T
     delta0 = 0.1 * max(1.0, float(grad_scale.max()))
     z = grad_scale[program.keep] + delta0
-    r = program.by_pair(delta0)
+    r = np.where(program.rows, delta0, 0.0)
     r[program.tight] += grad_scale[program.sub]
     r = r[program.rows]
     xi = np.maximum(1.0 - program.row_sums(x), 0.005)
@@ -576,50 +601,45 @@ def _duals_pinned(x, z, xi, r, A, rows) -> bool:
         good_fixed, row_fixed = goods, grid
 
 
-def _pair_step(v, dv, w, dw):
-    """The largest step s with v + s dv >= 0 and w + s dw >= 0: the
-    smaller of ``_least_step(v, dv)`` and ``_least_step(w, dw)``, under one
-    ``errstate``."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return min(_least_step(v, dv), _least_step(w, dw))
-
-
 def _least_step(v, dv):
-    """The largest step s with v + s dv >= 0, inf when no dv_k < 0, under
-    the caller's ``errstate``.  v >= 0.  The bound is -v_k / dv_k =
-    -1 / (dv_k / v_k) at the most negative ratio dv_k / v_k; ``fmin``
-    skips the NaN of 0 / 0, where the step is free.  Rounding is monotone
-    and -1 / rho grows with rho < 0, so an entry whose rounded ratio lies
-    above the least has a rounded bound no smaller than those at the
-    least.  Only those are divided, and the result is that of dividing
-    every decreasing entry.
+    """The largest step s with v + s dv >= 0, inf when no dv_k < 0.
+    v >= 0.  The bound is -v_k / dv_k = -1 / (dv_k / v_k) at the most
+    negative ratio dv_k / v_k; ``fmin`` skips the NaN of 0 / 0, where the
+    step is free.  Rounding is monotone and -1 / rho grows with rho < 0,
+    so an entry whose rounded ratio lies above the least has a rounded
+    bound no smaller than those at the least.  Only those are divided, and
+    the result is that of dividing every decreasing entry.  For the same
+    reason the bound of a pair (v, w) held as one array is the smaller of
+    the bounds of v and of w.
     """
-    ratio = dv / v
-    least = np.fmin.reduce(ratio, initial=np.inf)
-    if not least < 0:
-        return np.inf
-    near = ratio == least
-    return float((-v[near] / dv[near]).min())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = dv / v
+        least = np.fmin.reduce(ratio, initial=np.inf)
+        if not least < 0:
+            return np.inf
+        near = ratio == least
+        return float((-v[near] / dv[near]).min())
 
 
-def _neighborhood_step(v, dv, w, dw, alpha):
-    """The step from (v, w) along (dv, dw) that stays inside a wide
-    central-path neighborhood: ``(v + alpha dv, w + alpha dw, alpha)``.
+def _neighborhood_step(y, dy, alpha):
+    """The step from the pair y = (v, w) along dy = (dv, dw), each one
+    array of two equal halves, that stays inside a wide central-path
+    neighborhood: ``(y + alpha dy, alpha)``.
 
-    No complementarity product may collapse far below the average, so
+    No complementarity product v w may collapse far below the average, so
     alpha is backed off by 0.75, at most 50 times, until every product is
     at least 1e-4 times their mean or alpha <= 1e-8.  The iterate that
     passed the test is the one returned; after the 50th back-off, whose
     alpha is never tested, the iterate is formed from it.
     """
+    N = len(y) // 2
     for _ in range(50):
-        v_new = v + alpha * dv
-        w_new = w + alpha * dw
-        vw = v_new * w_new
-        if vw.min(initial=np.inf) >= 1e-4 * (vw.sum() / len(v)) or alpha <= 1e-8:
-            return v_new, w_new, alpha
+        y_new = y + alpha * dy
+        vw = y_new[:N] * y_new[N:]
+        if vw.min(initial=np.inf) >= 1e-4 * (vw.sum() / N) or alpha <= 1e-8:
+            return y_new, alpha
         alpha *= 0.75
-    return v + alpha * dv, w + alpha * dw, alpha
+    return y + alpha * dy, alpha
 
 
 def refined_solve(solve, apply, rhs, rhs_cap):
@@ -640,10 +660,10 @@ def refined_solve(solve, apply, rhs, rhs_cap):
     goods-major (m, n) and ``rhs_cap`` (m,), so the row length is the
     block rows' m, ``rhs.shape[0]``, and the capacity rows, n entries each,
     are held to the same (m + 1) eps on purpose: refinement gets every
-    refined direction below it (55 of the 149 directions of the
-    ``experiment`` fixed point, 18 of 58 and 13 of 50 of the benchmark's
-    200 x 60 and 1000-4000 x 7 slack solves, counting the correctors that
-    ``_solve`` refines), while an (n + 1) eps bound there moves
+    refined direction below it (74 of the 110 directions of the
+    ``experiment`` fixed point at seed 1, 18 of 58 and 13 of 50 of the
+    benchmark's 200 x 60 and 1000-4000 x 7 slack solves, counting the
+    correctors that ``_solve`` refines), while an (n + 1) eps bound there moves
     the duals of a structured solve away from a dense one's by more than
     1e-9 (``test_structured_solve_matches_dense_solve``).  |K| |sol| is
     taken as ``apply(|sol|, |dp|)``.  Every block entry is >= 0 except
@@ -749,7 +769,7 @@ def structured_newton(U, A):
 
     def factor(beta, d, gamma):
         # L_T: each type's update along a_t from diag(d)
-        dinv = 1.0 / d
+        dinv = 1.0 / d if chained else None  # read only where L_T is not I
         g = A.T @ gamma
         aT = g / (1.0 + g * (in_type.T @ dinv)) if chained else g
         dT = d + aT
@@ -831,7 +851,7 @@ def structured_newton(U, A):
             step = x - aw[j] * sig[k]
             diag[k] += step * step / D[j]
             sig[k] += wd[j] * x
-        S[np.diag_indices(m)] = diag.sum(axis=1)
+        S.flat[:: m + 1] = diag.sum(axis=1)
 
         def solve(rhs, rhs_cap):
             sol = solve_block(rhs)

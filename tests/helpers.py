@@ -402,17 +402,18 @@ def duals_pinned_by_union_find(x, z, xi, r, A, rows) -> bool:
 
 
 def max_step_by_where(v, dv) -> float:
-    """Reference for the step bound of ``typedfisher.solver._pair_step``
-    on one vector, ``_pair_step(v, dv, v, dv)``: -v / dv over every
-    entry with dv < 0, inf elsewhere, and its minimum."""
+    """Reference for the step bound ``typedfisher.solver._least_step(v,
+    dv)``: -v / dv over every entry with dv < 0, inf elsewhere, and its
+    minimum."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf))
 
 
 def neighborhood_step_by_loop(v, dv, w, dw, alpha):
-    """Reference for ``typedfisher.solver._neighborhood_step``: the back-off
-    loop, which forms the iterate again after it, whether or not its last
-    alpha was tested."""
+    """Reference for ``typedfisher.solver._neighborhood_step`` on the pair
+    y = (v, w) held as one array: the back-off loop on v and w apart, which
+    forms the iterate again after it, whether or not its last alpha was
+    tested."""
     for _ in range(50):
         vwn = (v + alpha * dv) * (w + alpha * dw)
         if vwn.min(initial=np.inf) >= 1e-4 * (vwn.sum() / len(v)) or alpha <= 1e-8:

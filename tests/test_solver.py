@@ -631,6 +631,68 @@ def test_reduced_program_is_not_seen_from_outside():
             assert_same_solve(solved(rebuilt(inst), lam), ref)
 
 
+def partial_40x7(gen_seed):
+    """A 40 x 7 market of three two-good types, each of which each agent
+    joins with probability 0.7."""
+    base = random_instance(gen_seed, 40, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(2, 12))
+    return MarketInstance(
+        utilities=base.utilities,
+        budgets=base.budgets,
+        capacities=base.capacities,
+        types=base.types,
+        participation=np.random.default_rng(100 + gen_seed).random((40, 3)) < 0.7,
+    )
+
+
+@pytest.mark.parametrize("name", ["experiment", "slack_1000x7", "partly_joined", "partial_40x7"])
+def test_slack_rows_of_a_full_grid_are_views(name):
+    # when every (type, agent) cell is a slack row, by_pair is a reshape of
+    # its argument and row_sums a ravel of the type sums; a partly joined
+    # grid scatters and gathers through its mask.  Both give the same values
+    inst = {
+        "experiment": lambda: builtin_instance("experiment"),
+        "slack_1000x7": lambda: random_instance(9, 1000, 7, ((0, 1), (2, 3), (4, 5))),
+        "partly_joined": lambda: partly_joined_market()[0],
+        "partial_40x7": lambda: partial_40x7(1),
+    }[name]()
+    program = solver._program(inst)
+    full = name in ("experiment", "slack_1000x7")
+    assert program.full is full and inst.participation.all() == full
+    rng = np.random.default_rng(0)
+    v = rng.random(int(program.rows.sum()))
+    x = rng.random(program.U.shape)
+    scattered = np.zeros(program.rows.shape)
+    scattered[program.rows] = v
+    grid = program.by_pair(v)
+    assert np.array_equal(grid, scattered)
+    assert np.shares_memory(grid, v) is full
+    sums = program.row_sums(x)
+    assert np.array_equal(sums, (program.A @ x)[program.rows])
+    assert (sums.base is not None) is full
+
+
+def test_no_caller_writes_a_by_pair_grid(monkeypatch):
+    # with a full grid by_pair returns a view of its argument, so nothing
+    # may write what it returns: the cold start's r, which gains the
+    # substituted goods' gradient at the tight types, is an array of its
+    # own.  Solves whose grids are read-only match plain solves bit for bit
+    markets = [(builtin_instance("experiment", 2), np.full(200, 0.5)), partly_joined_market()]
+    plain = [solved(rebuilt(inst), lam) for inst, lam in markets]
+    cold = [solver._cold_start(solver._program(inst), inst.budgets + lam) for inst, lam in markets]
+    by_pair = solver._Program.by_pair
+
+    def read_only(program, v):
+        grid = by_pair(program, v).view()
+        grid.setflags(write=False)
+        return grid
+
+    monkeypatch.setattr(solver._Program, "by_pair", read_only)
+    for (inst, lam), ref, start in zip(markets, plain, cold):
+        assert_same_solve(solved(rebuilt(inst), lam), ref)
+        again = solver._cold_start(solver._program(inst), inst.budgets + lam)
+        assert all(np.array_equal(a, b) for a, b in zip(again, start))
+
+
 def test_reduced_program_is_freed_with_its_market():
     inst = random_instance(4, 30, 5, ((0, 1), (2, 3)), capacity_range=(2.0, 9.0))
     gc.collect()
@@ -723,9 +785,14 @@ def test_fixed_point_result_pickles_with_its_path():
 
 
 def max_step(v, dv):
-    """The step bound of v alone, as the solver takes it: its pair with
-    itself."""
-    return solver._pair_step(v, dv, v, dv)
+    """The step bound of v alone, as the solver takes it."""
+    return solver._least_step(v, dv)
+
+
+def pair_step(v, dv, w, dw):
+    """The step bound of the pair (v, w), as the solver takes it: on the
+    two joined into one array."""
+    return solver._least_step(np.concatenate([v, w]), np.concatenate([dv, dw]))
 
 
 def test_max_step_to_the_boundary():
@@ -764,11 +831,44 @@ def test_pair_step_is_the_smaller_max_step():
                 i, j = rng.integers(0, len(v)), rng.integers(0, len(w))
                 w[j], dw[j] = 2.0 * v[i], 2.0 * dv[i]
             expected = min(max_step(v, dv), max_step(w, dw))
-            assert solver._pair_step(v, dv, w, dw) == expected
+            assert pair_step(v, dv, w, dw) == expected
             tau = rng.uniform(0.99, 0.9995)
-            assert min(1.0, tau * solver._pair_step(v, dv, w, dw)) == min(
+            assert min(1.0, tau * pair_step(v, dv, w, dw)) == min(
                 1.0, tau * max_step(v, dv), tau * max_step(w, dw)
             )
+
+
+def test_joined_pair_bound_is_the_smaller_half_bound():
+    # halves of one length, as the solver's v and w are: zero directions,
+    # halves where nothing decreases (bound inf), and halves that share
+    # their least ratio, exactly or one ulp apart, at bounds of 1e-30 to 1e30
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5_000):
+            n = int(rng.integers(1, 20))
+            v, w = 10.0 ** rng.uniform(-30, 30, (2, n)) * (rng.random((2, n)) < 0.9)
+            dv, dw = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-30, 30, (2, n))
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                (dv if rng.random() < 0.5 else dw)[:] = 0.0
+            elif kind == 1:
+                np.abs(dv, out=dv)
+                if rng.random() < 0.5:
+                    np.abs(dw, out=dw)
+            elif kind == 2:
+                # w's least ratio is v's, at a bound scaled by a power of two
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    i = int(np.nanargmin(np.where(dv < 0, dv / v, np.inf)))
+                j = int(rng.integers(0, n))
+                scale = 2.0 ** rng.integers(-4, 5)
+                w[j], dw[j] = scale * v[i], scale * dv[i]
+                if w[j] > 0 and rng.random() < 0.3:
+                    w[j] = np.nextafter(w[j], rng.choice([0.0, np.inf]))
+            bound = pair_step(v, dv, w, dw)
+            assert bound == min(max_step(v, dv), max_step(w, dw))
+            if kind == 1 and (dw >= 0).all():
+                assert bound == np.inf
 
 
 def test_neighborhood_step_matches_the_loop():
@@ -790,10 +890,12 @@ def test_neighborhood_step_matches_the_loop():
         cases.append((v, dv, w, dw, float(rng.uniform(0.1, 1.0))))
     exhausted = []
     for k, (v, dv, w, dw, alpha) in enumerate(cases):
-        v_new, w_new, a = solver._neighborhood_step(v, dv, w, dw, alpha)
+        # the solver holds the pair (v, w) and its direction as one array each
+        y, dy = np.concatenate([v, w]), np.concatenate([dv, dw])
+        y_new, a = solver._neighborhood_step(y, dy, alpha)
         v_ref, w_ref, a_ref = neighborhood_step_by_loop(v, dv, w, dw, alpha)
         assert a == a_ref
-        assert np.array_equal(v_new, v_ref) and np.array_equal(w_new, w_ref)
+        assert np.array_equal(y_new[: len(v)], v_ref) and np.array_equal(y_new[len(v) :], w_ref)
         last = alpha
         for _ in range(50):
             last *= 0.75
@@ -886,14 +988,7 @@ def test_step_backs_off_into_the_neighborhood():
 @pytest.mark.parametrize("gen_seed", range(1, 11))
 def test_partial_participation_markets(gen_seed):
     # each agent joins each type with probability 0.7
-    base = random_instance(gen_seed, 40, 7, ((0, 1), (2, 3), (4, 5)), capacity_range=(2, 12))
-    inst = MarketInstance(
-        utilities=base.utilities,
-        budgets=base.budgets,
-        capacities=base.capacities,
-        types=base.types,
-        participation=np.random.default_rng(100 + gen_seed).random((40, 3)) < 0.7,
-    )
+    inst = partial_40x7(gen_seed)
     x, duals, stats = solve_sop1(inst)
     assert stats.status == "converged"
     assert kkt_residuals(inst, np.zeros(40), x, duals).max_residual <= 1e-6
