@@ -14,8 +14,13 @@ alternating which side goes first, and times each round with
 ``time.process_time``, the CPU time of this process alone.
 
 It prints each side's median round time, the median of the paired ratios
-B / A with their quartiles and interquartile range, and in how many pairs
-B was faster.  Both sides run at the same stretch of the machine's speed,
+B / A with their quartiles and interquartile range, in how many pairs B
+was faster, and each side's median count of minor page faults per round,
+the change in ``resource.getrusage(RUSAGE_SELF).ru_minflt`` of this
+process over the round.  Both sides share this process's heap, so a
+side's faults depend on what the other left mapped or gave back to the
+OS: they show how often a side's rounds fault their memory back in here,
+not what the side would take in a process of its own.  Both sides run at the same stretch of the machine's speed,
 so a ratio whose quartiles lie below 1 shows a gain of a few percent that
 the machine's speed steps hide from separate runs of ``bench/run.py``.
 A round with a failed operation is counted, per side, and still timed.
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 import time
@@ -73,14 +79,22 @@ def side(root: Path, tag: str, workload: str, seed: int):
     return module.build(workload, seed), module
 
 
-def round_seconds(wl) -> tuple[float, int]:
-    """CPU seconds of one round of ``wl``'s operations, and how many failed."""
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def round_seconds(wl) -> tuple[float, int, int]:
+    """CPU seconds of one round of ``wl``'s operations, how many failed,
+    and the minor page faults this process took over the round."""
     failed = 0
+    faults = minor_faults()
     t0 = time.process_time()
     for op in wl.ops:
         ok, _ = op.run()
         failed += not ok
-    return time.process_time() - t0, failed
+    seconds = time.process_time() - t0
+    return seconds, failed, minor_faults() - faults
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,11 +123,13 @@ def main(argv=None) -> int:
         sides[tag] = wl
 
     times = {"a": [], "b": []}
+    faults = {"a": [], "b": []}
     failed = {"a": 0, "b": 0}
     for k in range(args.pairs):
         for tag in ("ab" if k % 2 == 0 else "ba"):
-            seconds, fails = round_seconds(sides[tag])
+            seconds, fails, round_faults = round_seconds(sides[tag])
             times[tag].append(seconds)
+            faults[tag].append(round_faults)
             failed[tag] += fails
 
     ratios = [b / a for a, b in zip(times["a"], times["b"])]
@@ -125,6 +141,8 @@ def main(argv=None) -> int:
               f"{failed[tag]} failed operations")
     print(f"  B / A: median {median:.4f}, quartiles {q1:.4f}-{q3:.4f}, IQR {q3 - q1:.4f}; "
           f"B faster in {faster} of {args.pairs} pairs")
+    print(f"  minor page faults per round, median: A {statistics.median(faults['a']):g}, "
+          f"B {statistics.median(faults['b']):g}")
     return 0
 
 

@@ -60,12 +60,22 @@ participation grid of the slack rows, and the Newton structure that
 It is weakly keyed by that object, freed with it and written by no solve;
 ``validate_instance`` likewise checks a market once and hands each call a
 copy of its report.  Once per solve come c, the start (``_warm_start`` or
-``_cold_start``, below), the Newton loop of ``_solve`` and the map back
-to the unreduced program, ``_unreduce``; once per iterate, in that loop,
-the Newton factor, the parts of the right-hand side that both
-directions share, the predictor and the refined corrector, one step
-bound for the pair y = (v, w) per direction and the search for a step
-inside the neighborhood.
+``_cold_start``, below), the solve's storage, the Newton loop
+(``_newton_loop``) and the map back to the unreduced program,
+``_unreduce``.  The storage is one block that the solve's Newton system
+(``newton._Newton``) allocates when the loop starts and that is dropped when it
+returns, before the map back: the factor's arrays, a pool of work arrays
+that the factor, the block solves, the product and the refinement share,
+and the loop's direction, targets, step-bound ratios, trial iterates,
+products v w, stationarity residual and right-hand side.  Each iterate
+writes over it, so the heap neither grows nor shrinks inside the loop,
+and no two solves share it.
+Once per iterate, in that loop, come the Newton factor, in place, the
+parts of the right-hand side that both directions share, the predictor
+and the refined corrector, one step bound for the pair y = (v, w) per
+direction and the search for a step inside the neighborhood; the
+accepted iterate and what ``solve`` returns are new arrays, because the
+path and the best iterate keep them.
 
 Degenerate-tight types: when a type's goods have total capacity exactly
 equal to its participating-agent count and every agent participates, the
@@ -112,11 +122,10 @@ from typing import Callable
 import numpy as np
 
 from .instances import MarketInstance, validate_instance
+from .newton import refined_solve, structured_newton
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 # a stored iterate other than the last may start a solve whose objective
 # weights moved when its stationarity residual under the new weights is at
 # most this times its mu, which lets a warm solve skip its early steps
@@ -224,7 +233,7 @@ class _Program:
     sbar: np.ndarray  # (m',) capacities of the kept goods
     rows: np.ndarray  # (T, n) participation grid; its True cells are the slack rows
     full: bool  # every cell of ``rows`` is True, so the slack rows are the grid
-    newton: Callable  # structured_newton(U, A)
+    newton: Callable  # structured_newton(U, A); newton(extra) is one solve's system
 
     def split(self, u):
         """The (m', n) view and the slack-row entries of a flat v or w."""
@@ -248,10 +257,15 @@ class _Program:
         """yhat, each agent's aggregate utility in the unreduced program."""
         return (self.U * x).sum(axis=0) + self.y_sub
 
-    def dual_residual(self, c, z, r, p, yhat):
-        """The stationarity residual at objective weights c."""
+    def dual_residual(self, c, z, r, p, yhat, out):
+        """The stationarity residual at objective weights c,
+        -(c / yhat) * U + p + A.T @ by_pair(r) - z, written into ``out``."""
         # types are disjoint, so each (good, agent) carries at most one dual
-        return -(c / yhat) * self.U + p[:, None] + self.A.T @ self.by_pair(r) - z
+        np.multiply(-(c / yhat), self.U, out=out)
+        out += p[:, None]
+        out += self.A.T @ self.by_pair(r)
+        out -= z
+        return out
 
 
 # each market's reduced program, keyed weakly by the market (``_program``)
@@ -379,23 +393,57 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
     ``solve_bpsop`` for valid arguments, without the cold fallback."""
     program = _program(inst)
     warm = _warm_start(program, c, start)
+    path = [] if start is not None else None
+    y, p, stats = _newton_loop(program, c, warm, tol, max_iter, path)
+    N = len(y) // 2
+    pinned = None
+    if start is not None and stats.status == "converged":
+        (x, xi), (z, r) = program.split(y[:N]), program.split(y[N:])
+        pinned = _duals_pinned(x, z, xi, r, program.A, program.rows)
+    if path is not None:
+        path = CentralPath(tuple(path), inst) if pinned else CentralPath()
+    x_full, duals = _unreduce(program, c, y[:N], y[N:], p)
+    if stats.status == "converged" and program.tight:
+        stats.status = "degenerate_tight"
+    stats.tight_types = tuple(program.tight)
+    stats.start = "cold" if warm is None else "warm"
+    stats.path, stats.duals_pinned = path, pinned
+    return x_full, duals, stats
+
+
+def _newton_loop(program: _Program, c, warm, tol, max_iter, path):
+    """The Newton loop of one solve from the iterate ``warm``, else from
+    the cold start: the converged iterate, else the best one, as
+    ``(y, p, stats)`` with y = (v, w) one array and stats' status
+    converged, diverged or max_iter.  Each iterate is appended to ``path``
+    unless it is None.  The loop's storage is dropped when it returns,
+    before the map back allocates, so that the next solve finds the heap's
+    space for its block whole; the start's pair, held only here, goes once
+    the loop holds it as y."""
     v, w, p = warm if warm is not None else _cold_start(program, c)
-    # the pair y = (v, w) and each direction dy = (dv, dw), one array each
+    # the pair y = (v, w), and the solve's storage, one block that the
+    # Newton system allocates with its own: each direction dy = (dv, dw),
+    # a work array of y's length for the targets, the step bounds' ratios
+    # and the trial iterates, the products v * w, and the stationarity
+    # residual and the right-hand side b, both (m', n)
     N = len(v)
     y = np.concatenate([v, w])
-    dy = np.empty_like(y)
+    system = program.newton(5 * N + 2 * program.U.size)
+    dy, work = system.extra[: 4 * N].reshape(2, 2 * N)
+    vw = system.extra[4 * N : 5 * N]
+    r_dual, b = system.extra[5 * N :].reshape((2,) + program.U.shape)
     dv, dw = dy[:N], dy[N:]
     dv_x, dv_xi = program.split(dv)
+    target = work[:N]
 
     stat = pfeas = comp = np.inf
     status = "max_iter"
     direction_residual = 0.0
     best_metric = np.inf
     best_state = None
-    path = [] if start is not None else None
 
     # the Newton loop's lookups, bound once; its structure is the program's
-    A, sbar, newton = program.A, program.sbar, program.newton
+    A, sbar = program.A, program.sbar
     split, by_pair, row_sums = program.split, program.by_pair, program.row_sums
     utility, dual_residual = program.utility, program.dual_residual
 
@@ -405,10 +453,10 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
         yhat = utility(x)
         if yhat.min() <= 0.0:
             raise ZeroUtilityError(int(np.argmin(yhat)))
-        r_dual = dual_residual(c, z, r, p, yhat)
+        dual_residual(c, z, r, p, yhat, r_dual)
         r_cap = x.sum(axis=1) - sbar
         r_ineq = row_sums(x) + xi - 1.0
-        vw = v * w
+        np.multiply(v, w, out=vw)
         mu = vw.sum() / N
         if it == 1:
             start_mu = float(mu)
@@ -437,32 +485,38 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
         beta = c / yhat**2
         d = z / x
         gamma = by_pair(r / xi)
-        solve = apply = None  # let the last iterate's system go first
-        solve, apply = newton(beta, d, gamma)
+        solve, apply = system.factor(beta, d, gamma)
         # the right-hand sides' parts that both directions share
         r_r_ineq, neg_r_cap, neg_r_ineq = r * r_ineq, -r_cap, -r_ineq
 
-        def _direction(target, refine):
+        def _direction(refine):
             """The Newton step toward v * w = target, written into dy =
             (dv, dw), with dp, and the residual of its linear system if it
-            was refined, else 0."""
+            was refined, else 0; dy is free while b is formed."""
             target_x, target_xi = split(target)
-            b = target_x / x - r_dual
-            b -= A.T @ by_pair((target_xi + r_r_ineq) / xi)
+            np.divide(target_x, x, out=b)
+            np.subtract(b, r_dual, out=b)
+            grid = by_pair((target_xi + r_r_ineq) / xi)
+            np.subtract(b, np.matmul(A.T, grid, out=dv_x), out=b)
             if refine:
-                dx, dp, err = refined_solve(solve, apply, b, neg_r_cap)
+                dx, dp, err = refined_solve(solve, apply, b, neg_r_cap, system.spare)
             else:
                 (dx, dp), err = solve(b, neg_r_cap), 0.0
             dv_x[...] = dx
             np.subtract(neg_r_ineq, row_sums(dx), out=dv_xi)
-            np.divide(target - w * dv, v, out=dw)
+            # dw = (target - w * dv) / v
+            np.multiply(w, dv, out=dw)
+            np.subtract(target, dw, out=dw)
+            np.divide(dw, v, out=dw)
             return dp, err
 
         # predictor: it only sets sigma and the corrector's second-order
-        # term, so it is solved once with the factor
-        _direction(-vw, refine=False)
-        y_aff = y + min(1.0, _least_step(y, dy)) * dy
-        mu_aff = (y_aff[:N] * y_aff[N:]).sum() / N
+        # term, so it is solved once with the factor; y_aff = y + step * dy
+        np.negative(vw, out=target)
+        _direction(refine=False)
+        step = min(1.0, _least_step(y, dy, work))
+        y_aff = np.add(y, np.multiply(dy, step, out=work), out=work)
+        mu_aff = np.multiply(y_aff[:N], y_aff[N:], out=work[:N]).sum() / N
         sigma = min(0.99, max(1e-8, (mu_aff / mu) ** 3))
         if min_prod < 1e-2 * mu:
             sigma = max(sigma, 0.5)  # recenter when products are unbalanced
@@ -471,43 +525,31 @@ def _solve(inst: MarketInstance, c, tol, max_iter, start):
 
         # corrector with centering, the direction the step takes: the blocks
         # are badly conditioned near degenerate optima, so it is refined
-        # until it is backward stable; its target is formed from the
-        # predictor before the corrector overwrites dy
-        dp, err = _direction(sigma * mu - vw - dv * dw, refine=True)
+        # until it is backward stable; its target sigma mu - vw - dv dw is
+        # formed from the predictor before the corrector overwrites dy
+        np.subtract(sigma * mu, vw, out=target)
+        target -= np.multiply(dv, dw, out=dv)
+        dp, err = _direction(refine=True)
         direction_residual = max(direction_residual, err)
         tau = min(0.9995, max(0.99, 1.0 - mu))
         # fraction to the boundary: alpha = min(1, tau alpha_max); rounding
         # is monotone, so tau times the pair's bound is the smaller of tau
         # times each vector's
-        alpha = min(1.0, tau * _least_step(y, dy))
-        y, alpha = _neighborhood_step(y, dy, alpha)
+        alpha = min(1.0, tau * _least_step(y, dy, work))
+        y, alpha = _neighborhood_step(y, dy, alpha, work)
         p = p + alpha * dp
 
     if status != "converged" and best_state is not None:
         y, p, stat, pfeas, comp = best_state
-    pinned = None
-    if start is not None and status == "converged":
-        (x, xi), (z, r) = split(y[:N]), split(y[N:])
-        pinned = _duals_pinned(x, z, xi, r, A, program.rows)
-    if path is not None:
-        path = CentralPath(tuple(path), inst) if pinned else CentralPath()
-    x_full, duals = _unreduce(program, c, y[:N], y[N:], p)
-    if status == "converged" and program.tight:
-        status = "degenerate_tight"
-    stats = SolveStats(
+    return y, p, SolveStats(
         iterations=it,
         stationarity_residual=stat,
         primal_feasibility_residual=pfeas,
         complementarity_residual=comp,
         status=status,
-        tight_types=tuple(program.tight),
         direction_residual=direction_residual,
-        start="cold" if warm is None else "warm",
         start_mu=start_mu,
-        path=path,
-        duals_pinned=pinned,
     )
-    return x_full, duals, stats
 
 
 def _warm_start(program: _Program, c, start):
@@ -517,7 +559,7 @@ def _warm_start(program: _Program, c, start):
     path of this market object, checked by ``solve_bpsop``."""
     for vs, ws, ps, mu_s in reversed(start.iterates[:-1] if start is not None else ()):
         (xs, _), (zs, rs) = program.split(vs), program.split(ws)
-        gap = program.dual_residual(c, zs, rs, ps, program.utility(xs))
+        gap = program.dual_residual(c, zs, rs, ps, program.utility(xs), np.empty_like(xs))
         if np.abs(gap).max(initial=0.0) <= WARM_START_GAP * mu_s:
             return vs, ws, ps
     return None
@@ -601,11 +643,12 @@ def _duals_pinned(x, z, xi, r, A, rows) -> bool:
         good_fixed, row_fixed = goods, grid
 
 
-def _least_step(v, dv):
+def _least_step(v, dv, work):
     """The largest step s with v + s dv >= 0, inf when no dv_k < 0.
-    v >= 0.  The bound is -v_k / dv_k = -1 / (dv_k / v_k) at the most
-    negative ratio dv_k / v_k; ``fmin`` skips the NaN of 0 / 0, where the
-    step is free.  Rounding is monotone and -1 / rho grows with rho < 0,
+    v >= 0, and the ratios are formed in ``work``, an array of v's length.
+    The bound is -v_k / dv_k = -1 / (dv_k / v_k) at the most negative
+    ratio dv_k / v_k; ``fmin`` skips the NaN of 0 / 0, where the step is
+    free.  Rounding is monotone and -1 / rho grows with rho < 0,
     so an entry whose rounded ratio lies above the least has a rounded
     bound no smaller than those at the least.  Only those are divided, and
     the result is that of dividing every decreasing entry.  For the same
@@ -613,7 +656,7 @@ def _least_step(v, dv):
     the bounds of v and of w.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = dv / v
+        ratio = np.divide(dv, v, out=work)
         least = np.fmin.reduce(ratio, initial=np.inf)
         if not least < 0:
             return np.inf
@@ -621,10 +664,11 @@ def _least_step(v, dv):
         return float((-v[near] / dv[near]).min())
 
 
-def _neighborhood_step(y, dy, alpha):
+def _neighborhood_step(y, dy, alpha, work):
     """The step from the pair y = (v, w) along dy = (dv, dw), each one
     array of two equal halves, that stays inside a wide central-path
-    neighborhood: ``(y + alpha dy, alpha)``.
+    neighborhood: ``(y + alpha dy, alpha)``, the iterate a new array.
+    ``work``, an array of y's length, holds alpha dy and the products.
 
     No complementarity product v w may collapse far below the average, so
     alpha is backed off by 0.75, at most 50 times, until every product is
@@ -634,272 +678,12 @@ def _neighborhood_step(y, dy, alpha):
     """
     N = len(y) // 2
     for _ in range(50):
-        y_new = y + alpha * dy
-        vw = y_new[:N] * y_new[N:]
+        y_new = np.add(y, np.multiply(dy, alpha, out=work))
+        vw = np.multiply(y_new[:N], y_new[N:], out=work[:N])
         if vw.min(initial=np.inf) >= 1e-4 * (vw.sum() / N) or alpha <= 1e-8:
             return y_new, alpha
         alpha *= 0.75
-    return y + alpha * dy, alpha
-
-
-def refined_solve(solve, apply, rhs, rhs_cap):
-    """Solve one Newton system, refined until it is backward stable.
-
-    ``solve`` and ``apply`` are those of a ``factor`` of
-    ``structured_newton``.  After every solve the componentwise backward
-    error of the block system (Oettli & Prager 1964; the stopping rule of
-    LAPACK's xGERFS)
-
-        omega = max_k |res|_k / (|K| |sol| + |rhs|)_k,
-
-    over the agent rows and the capacity rows, is measured.  Refinement
-    stops once omega is within (row length + 1) eps, the rounding bound of
-    one block row's product (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sections 12.1-12.2), once the infinity norm of the
-    residual no longer halves, or after 3 refinement steps.  ``rhs`` is
-    goods-major (m, n) and ``rhs_cap`` (m,), so the row length is the
-    block rows' m, ``rhs.shape[0]``, and the capacity rows, n entries each,
-    are held to the same (m + 1) eps on purpose: refinement gets every
-    refined direction below it (74 of the 110 directions of the
-    ``experiment`` fixed point at seed 1, 18 of 58 and 13 of 50 of the
-    benchmark's 200 x 60 and 1000-4000 x 7 slack solves, counting the
-    correctors that ``_solve`` refines), while an (n + 1) eps bound there moves
-    the duals of a structured solve away from a dense one's by more than
-    1e-9 (``test_structured_solve_matches_dense_solve``).  |K| |sol| is
-    taken as ``apply(|sol|, |dp|)``.  Every block entry is >= 0 except
-    those of beta u u^T once a tight type is substituted out, whose
-    utilities u_j - u_k can be negative; there ``apply(|sol|)`` can fall
-    below |K| |sol|, so omega can only read high and the stop can only
-    refine more, never less.
-
-    Returns ``(sol, dp, residual)``, the residual's infinity norm as last
-    measured (inf when it is not finite).
-    """
-    stable = (rhs.shape[0] + 1) * _EPS
-    rhs_abs, rhs_cap_abs = np.abs(rhs), np.abs(rhs_cap)
-    sol, dp = solve(rhs, rhs_cap)
-    err = np.inf
-    for refined in range(4):
-        res, res_cap = apply(sol, dp)
-        scale, scale_cap = apply(np.abs(sol), np.abs(dp))
-        np.subtract(rhs, res, out=res)
-        np.subtract(rhs_cap, res_cap, out=res_cap)
-        res_abs, res_cap_abs = np.abs(res), np.abs(res_cap)
-        # omega's ratios |res| / max(|K| |sol| + |rhs|, tiny), formed in the
-        # scale arrays; a row that is zero throughout has no error, and a
-        # program whose goods were all substituted out has no rows
-        scale += rhs_abs
-        scale_cap += rhs_cap_abs
-        np.maximum(scale, _TINY, out=scale)
-        np.maximum(scale_cap, _TINY, out=scale_cap)
-        omega = max(
-            np.divide(res_abs, scale, out=scale).max(initial=0.0),
-            np.divide(res_cap_abs, scale_cap, out=scale_cap).max(initial=0.0),
-        )
-        new_err = max(
-            float(res_abs.max(initial=0.0)), float(res_cap_abs.max(initial=0.0))
-        )
-        halved = new_err < 0.5 * err
-        err = new_err if np.isfinite(new_err) else np.inf
-        if omega <= stable or not halved or refined == 3:
-            break
-        dsol, ddp = solve(res, res_cap)
-        sol += dsol
-        dp += ddp
-    return sol, dp, err
-
-
-def structured_newton(U, A):
-    """The Newton systems of a program without tight types, by an LDL^T
-    factor of every block kept as O(m) numbers per agent.
-
-    Every (good, agent) array is goods-major (module docstring): ``U`` is
-    (m, n), agent i's utilities its column i, and ``A`` the (T, m) type
-    incidence.  Returns ``factor(beta, d, gamma)``, which builds the system
-    of one iterate from beta (n,), the barrier diagonals d (m, n) and the
-    type-row weights gamma (T, n).  Agent i's block K_i = diag(d_i) +
-    sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T, with a_t row t of ``A``;
-    the capacity rows couple the blocks.  ``factor`` returns
-    ``solve(rhs, rhs_cap) -> (sol, dp)``, which solves the system for
-    per-agent right-hand sides ``rhs`` (m, n) and the capacity right-hand
-    side ``rhs_cap`` (m,), and ``apply(sol, dp) -> (lhs, cap)``, its
-    product, with ``sol`` and ``lhs`` (m, n).
-
-    K_i is factored by positive rank-one updates (method C1 of Gill,
-    Golub, Murray & Saunders, Math. Comp. 1974), which stay accurate where
-    a Sherman-Morrison inverse of the same matrix does not.  Starting from
-    diag(d_i), the disjoint type terms give a unit lower triangular factor
-    L_T that couples each good only with the earlier goods of its type, and
-    beta_i u_i u_i^T then gives one more, L_u, over all goods:
-
-        K_i = L_T L_u D_i L_u^T L_T^T.
-
-    A type of one good only adds gamma_it to that good's diagonal, so when
-    no type row of ``A`` holds two goods, L_T = I exactly: its solves return
-    their argument, and the products with the in-type pairs, all zero, are
-    not taken.
-
-    An update of a diagonal c by weight alpha along v gives the factor
-    I + strictly-lower(v b^T), with the update weight before good j,
-    alpha_j = alpha / (1 + alpha sum_{k<j} v_k^2 / c_k), and
-    b_j = v_j alpha_j / (c_j + alpha_j v_j^2).  A triangular solve with it
-    is a running sum that each good scales by alpha_{j+1} / alpha_j, so it
-    takes the closed form
-
-        (L^{-1} y)_j   = y_j - v_j alpha_j sum_{k<j} v_k y_k / c_k
-        (L^{-T} y)_j   = y_j - (v_j / c_j) sum_{k>j} alpha_k v_k y_k,
-
-    a product with a fixed 0/1 triangular matrix, ``earlier.T @ v``.  Those
-    products cost O(m^2) per agent but run as one (m, m) by (m, n) matrix
-    product over all agents, which is faster than O(m) running sums over
-    the goods up to about a hundred goods.  Nothing of size n x m x m is
-    formed.  The capacity Schur matrix sum_i K_i^{-1} is summed from the
-    same quantities, along the rows.
-    """
-    m = U.shape[0]
-    # earlier[k, j] = 1 when good k comes before good j; in_type keeps the
-    # pairs within one type (types are disjoint)
-    same_type = A.T @ A
-    in_type = np.triu(same_type, 1)
-    earlier = np.triu(np.ones((m, m)), 1)
-    chain, gap = _type_chains(A)
-    # masks of the goods k that have an (i + 1)-th later good in their type
-    later = [nxt < m for nxt in chain.T[1:]]
-    chained = in_type.any()  # else L_T = I
-
-    def factor(beta, d, gamma):
-        # L_T: each type's update along a_t from diag(d)
-        dinv = 1.0 / d if chained else None  # read only where L_T is not I
-        g = A.T @ gamma
-        aT = g / (1.0 + g * (in_type.T @ dinv)) if chained else g
-        dT = d + aT
-
-        # The kernels below write their temporaries in place, with the same
-        # roundings in the same order as the plain expressions in their
-        # docstrings; none writes its argument or a factor array.
-
-        def type_solve(v):
-            """L_T^{-1} v = v - aT * (in_type.T @ (v * dinv)); v itself when
-            L_T = I."""
-            if not chained:
-                return v
-            t = in_type.T @ np.multiply(v, dinv)
-            t *= aT
-            return np.subtract(v, t, out=t)
-
-        def type_solve_t(v):
-            """L_T^{-T} v = v - dinv * (in_type @ (aT * v)); v itself when
-            L_T = I."""
-            if not chained:
-                return v
-            t = in_type @ np.multiply(aT, v)
-            t *= dinv
-            return np.subtract(v, t, out=t)
-
-        # L_u: beta u u^T = L_T (beta w w^T) L_T^T with w = L_T^{-1} u, an
-        # update of diag(dT)
-        w = type_solve(U)
-        wd = w / dT
-        cum = earlier.T @ (w * wd)
-        aw = w * (beta / (1.0 + beta * cum))
-        D = dT + aw * w
-
-        def solve_block(v):
-            """K_i^{-1} v_i for every agent, through the factors:
-            y = (y - aw * (earlier.T @ (wd * y))) / D, then
-            y -= wd * (earlier @ (aw * y)), between the type solves."""
-            y = type_solve(v)
-            t = earlier.T @ np.multiply(wd, y)
-            t *= aw
-            y = np.subtract(y, t, out=t)
-            y /= D
-            t = earlier @ np.multiply(aw, y)
-            t *= wd
-            y -= t
-            return type_solve_t(y)
-
-        # S = sum_i K_i^{-1}.  Off the diagonal, with
-        # M_i = K_i - beta_i u_i u_i^T,
-        # M_i^{-1} = diag(1 / d_i) - sum_t coef_it (a_t / d_i)(a_t / d_i)^T,
-        # coef_it the type update weight after its last good, and
-        # K_i^{-1} = M_i^{-1} - omega_i h_i h_i^T with h_i = M_i^{-1} u_i and
-        # omega_i = beta_i / (1 + beta_i u_i . h_i), the last weight of L_u
-        # u_i . h_i, the weight sum through the last good, taken by slices
-        # so that it is zero when every good was substituted out
-        last = (cum[-1:] + w[-1:] * wd[-1:]).sum(axis=0)
-        omega = beta / (1.0 + beta * last)
-        h = type_solve_t(wd) * np.sqrt(omega)
-        S = -(h @ h.T)
-        if chained:  # else the type terms lie on the diagonal, summed below
-            coef = g / (1.0 + g * (same_type @ dinv))
-            S -= same_type * ((dinv * coef) @ dinv.T)
-        # On the diagonal those terms cancel where d is tiny, so it is summed
-        # from the factors instead: (K_i^{-1})_kk = sum_j G_jk^2 / D_j with
-        # G = (L_T L_u)^{-1}.  Column k of L_T^{-1} is 1 at k and -aT_j / d_k
-        # at the later goods j of k's type; L_u^{-1} turns it into
-        # x_j - aw_j sig_j, where sig_j = sum_{l<j} wd_l x_l is constant
-        # between those goods.
-        tail = aw * aw / D
-        sig = wd.copy()
-        diag = 1.0 / D
-        for i, k in enumerate(later):
-            diag += sig * sig * (gap[i].T @ tail)
-            if not k.any():
-                break
-            j = chain[k, i + 1]
-            x = -aT[j] * dinv[k]
-            step = x - aw[j] * sig[k]
-            diag[k] += step * step / D[j]
-            sig[k] += wd[j] * x
-        S.flat[:: m + 1] = diag.sum(axis=1)
-
-        def solve(rhs, rhs_cap):
-            sol = solve_block(rhs)
-            dp = np.linalg.solve(S, sol.sum(axis=1) - rhs_cap)
-            sol -= solve_block(dp[:, None])
-            return sol, dp
-
-        def apply(sol, dp):
-            """lhs = d * sol + typed + beta * (U * sol).sum(axis=0) * U + dp,
-            where typed, sum_t gamma_it a_t a_t^T sol_i, is g_i * sol_i when
-            every type row holds one good."""
-            lhs = d * sol
-            t = np.multiply(U, sol)
-            s = t.sum(axis=0)
-            s *= beta
-            if chained:
-                lhs += A.T @ (gamma * (A @ sol))
-            else:
-                lhs += np.multiply(g, sol, out=t)
-            lhs += np.multiply(U, s, out=t)
-            lhs += dp[:, None]
-            return lhs, sol.sum(axis=1)
-
-        return solve, apply
-
-    return factor
-
-
-def _type_chains(A):
-    """For every good k, the goods of its type from k on, and the gaps.
-
-    ``chain[k, i]`` is the good i places after k in k's type (k itself at
-    i = 0; an untyped good is its own type) or m past the type's last good.
-    ``gap[i, j, k]`` is 1 when good j lies strictly between ``chain[k, i]``
-    and ``chain[k, i + 1]``.
-    """
-    m = A.shape[1]
-    size = int(A.sum(axis=1).max(initial=1))
-    chain = np.full((m, size + 1), m)
-    chain[:, 0] = np.arange(m)
-    for row in A:
-        goods = np.arange(m)[row > 0]
-        for p, k in enumerate(goods):
-            chain[k, 1 : len(goods) - p] = goods[p + 1 :]
-    j = np.arange(m)[None, :, None]
-    lo, hi = chain.T[:-1, None, :], chain.T[1:, None, :]
-    gap = ((j > lo) & (j < hi) & (lo < m)).astype(float)
-    return chain, gap
+    return np.add(y, np.multiply(dy, alpha, out=work)), alpha
 
 
 def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResiduals:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -338,12 +339,16 @@ def rebuilt(inst: MarketInstance) -> MarketInstance:
 def dense_newton(U, A):
     """Reference Newton systems by batched dense block inverses.
 
-    Same ``factor(beta, d, gamma)`` contract as
-    ``typedfisher.solver.structured_newton``, goods-major: U, d and every
-    right-hand side and solution are (m, n), gamma is (T, n).  Agent i's
-    block K_i = diag(d_i) + sum_t gamma_it a_t a_t^T + beta_i u_i u_i^T is
-    assembled as an m x m matrix and inverted, and the capacity rows
-    couple the blocks through the Schur matrix sum_i K_i^{-1}.
+    Same protocol as ``typedfisher.solver.structured_newton``, goods-major:
+    ``dense_newton(U, A)(extra)`` is one solve's system, with ``extra``
+    doubles for the caller in ``extra`` and three (m, n) arrays for the
+    refinement in ``spare``; its ``factor(beta, d, gamma)`` returns
+    ``(solve, apply)``, with ``apply(sol, dp, out)`` writing its product
+    into ``out``.  U, d and every right-hand side and solution are (m, n),
+    gamma is (T, n).  Agent i's block K_i = diag(d_i) + sum_t gamma_it a_t
+    a_t^T + beta_i u_i u_i^T is assembled as an m x m matrix and inverted,
+    and the capacity rows couple the blocks through the Schur matrix
+    sum_i K_i^{-1}.
     """
     m = U.shape[0]
     diag = np.arange(m)
@@ -362,12 +367,16 @@ def dense_newton(U, A):
             dp = np.linalg.solve(S, sol0.sum(axis=1) - rhs_cap)
             return sol0 - np.einsum("nab,b->an", Kinv, dp), dp
 
-        def apply(sol, dp):
-            return np.einsum("nab,bn->an", Kb, sol) + dp[:, None], sol.sum(axis=1)
+        def apply(sol, dp, out):
+            out[...] = np.einsum("nab,bn->an", Kb, sol) + dp[:, None]
+            return out, sol.sum(axis=1)
 
         return solve, apply
 
-    return factor
+    def system(extra):
+        return SimpleNamespace(factor=factor, spare=np.empty((3,) + U.shape), extra=np.empty(extra))
+
+    return system
 
 
 def duals_pinned_by_union_find(x, z, xi, r, A, rows) -> bool:

@@ -76,19 +76,26 @@ def captured_iterates(inst, monkeypatch):
     original = solver.structured_newton
 
     def recording(U, A):
-        factor = original(U, A)
+        newton = original(U, A)
 
-        def recording_factor(beta, d, gamma):
-            solve, apply = factor(beta, d, gamma)
+        def recording_system(extra):
+            system = newton(extra)
+            factor = system.factor
 
-            def first_solve(rhs, rhs_cap):
-                if not seen or seen[-1][0][3] is not d:
-                    seen.append(((U, A, beta, d, gamma), rhs.copy(), rhs_cap.copy()))
-                return solve(rhs, rhs_cap)
+            def recording_factor(beta, d, gamma):
+                solve, apply = factor(beta, d, gamma)
 
-            return first_solve, apply
+                def first_solve(rhs, rhs_cap):
+                    if not seen or seen[-1][0][3] is not d:
+                        seen.append(((U, A, beta, d, gamma), rhs.copy(), rhs_cap.copy()))
+                    return solve(rhs, rhs_cap)
 
-        return recording_factor
+                return first_solve, apply
+
+            system.factor = recording_factor
+            return system
+
+        return recording_system
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "structured_newton", recording)
@@ -107,8 +114,8 @@ def test_structured_direction_is_as_accurate_as_dense(name, monkeypatch):
         U, A, beta, d, gamma = iterate
         errors = {}
         for label, solve in (
-            ("dense", dense_newton(U, A)(beta, d, gamma)[0]),
-            ("structured", solver.structured_newton(U, A)(beta, d, gamma)[0]),
+            ("dense", dense_newton(U, A)(0).factor(beta, d, gamma)[0]),
+            ("structured", solver.structured_newton(U, A)(0).factor(beta, d, gamma)[0]),
         ):
             sol, dp = solve(rhs, rhs_cap)
             errors[label] = backward_error(iterate, rhs, rhs_cap, sol, dp)
@@ -150,8 +157,8 @@ def backward_error_bound(inst):
 def componentwise_backward_error(apply, rhs, rhs_cap, sol, dp):
     """max_k |res|_k / (|K| |sol| + |rhs|)_k over agent and capacity rows,
     and the residual's infinity norm."""
-    lhs, cap = apply(sol, dp)
-    lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp))
+    lhs, cap = apply(sol, dp, np.empty_like(sol))
+    lhs_abs, cap_abs = apply(np.abs(sol), np.abs(dp), np.empty_like(sol))
     res, res_cap = np.abs(rhs - lhs), np.abs(rhs_cap - cap)
     with np.errstate(invalid="ignore"):
         ratios = [res / (lhs_abs + np.abs(rhs)), res_cap / (cap_abs + np.abs(rhs_cap))]
@@ -161,22 +168,26 @@ def componentwise_backward_error(apply, rhs, rhs_cap, sol, dp):
 
 
 def recorded_directions(inst, monkeypatch):
-    """Every refined direction of a solve: its system, the right-hand side
-    of each ``solve`` call refinement made, and what ``refined_solve``
-    returned; and the solve's stats."""
+    """Every refined direction of a solve: the right-hand side of each
+    ``solve`` call refinement made, the componentwise backward error of
+    the first solve, that of what ``refined_solve`` returned with its
+    residual's infinity norm, and the residual it reported; and the
+    solve's stats.  The errors are measured at once, while the pair that
+    refinement used is valid, before the solve's next factor."""
     records = []
     original = solver.refined_solve
 
-    def recording(solve, apply, rhs, rhs_cap):
+    def recording(solve, apply, rhs, rhs_cap, work):
         calls = []
 
         def counted(b, b_cap):
             calls.append((b.copy(), b_cap.copy()))
             return solve(b, b_cap)
 
-        sol, dp, err = original(counted, apply, rhs, rhs_cap)
+        sol, dp, err = original(counted, apply, rhs, rhs_cap, work)
         first, _ = componentwise_backward_error(apply, rhs, rhs_cap, *solve(rhs, rhs_cap))
-        records.append((apply, rhs, rhs_cap, calls, first, sol, dp, err))
+        omega, last = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
+        records.append((calls, first, omega, last, err))
         return sol, dp, err
 
     with monkeypatch.context() as mp:
@@ -193,9 +204,8 @@ def test_refinement_stops_once_backward_stable(name, monkeypatch):
     # only the direction a step takes is refined, one per Newton step, and
     # the converged last iterate takes no step
     assert stats.success and len(records) == stats.iterations - 1 >= 5
-    for apply, rhs, rhs_cap, calls, first, sol, dp, err in records:
+    for calls, first, omega, last, err in records:
         bound = backward_error_bound(inst)
-        omega, last = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
         # refinement solves take the residual of the solution before them
         residuals = [max(np.abs(b).max(), np.abs(b_cap).max()) for b, b_cap in calls[1:]]
         residuals.append(last)
@@ -205,7 +215,7 @@ def test_refinement_stops_once_backward_stable(name, monkeypatch):
         # a direction that is backward stable after its first solve is not refined
         if first <= bound:
             assert len(calls) == 1
-    assert any(first <= backward_error_bound(inst) for *_, first, _, _, _ in records)
+    assert any(first <= backward_error_bound(inst) for _, first, *_ in records)
 
 
 @pytest.mark.parametrize("name", ["tight", "interleaved_types"])
@@ -214,25 +224,35 @@ def test_block_solve_returns_new_arrays(name, monkeypatch):
     # solves hand back their argument; what ``solve`` returns must still
     # be free to write into.  The kernels write their temporaries in place,
     # and must leave their arguments, the factor's inputs and the results
-    # of earlier calls bit for bit as they were
+    # of earlier calls bit for bit as they were.  One solve's system is
+    # refactored at each iterate in turn, as the solver does, and the
+    # results and inputs of every earlier iterate must outlive the refactor
     iterates = captured_iterates(ALL_MARKETS[name], monkeypatch)
+    U, A = iterates[0][0][:2]
+    system = solver.structured_newton(U, A)(0)
+    earlier = []
     for (U, A, beta, d, gamma), rhs, rhs_cap in iterates:
         assert (A.sum(axis=1).max() == 1) == (name == "tight")
         inputs = (U, beta, d, gamma, rhs, rhs_cap)
         kept = [a.copy() for a in inputs]
-        solve, apply = solver.structured_newton(U, A)(beta, d, gamma)
-        sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap)
+        solve, apply = system.factor(beta, d, gamma)
+        for arrays, copies in earlier:
+            for a, b in zip(arrays, copies):
+                assert np.array_equal(a, b)
+        sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap, system.spare)
         omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
         assert omega <= backward_error_bound(ALL_MARKETS[name])
         results = (sol, dp)
         kept_results = [a.copy() for a in results]
-        outs = (*solve(rhs, rhs_cap), *apply(sol, dp), *solve(sol, dp))
+        outs = (*solve(rhs, rhs_cap), *apply(sol, dp, np.empty_like(sol)), *solve(sol, dp))
         for a, b in zip(results, kept_results):
             assert np.array_equal(a, b)
         for out in outs:
             out[...] = np.nan
         for a, b in zip(results + inputs, kept_results + kept):
             assert np.array_equal(a, b)
+        earlier.append((results + inputs, kept_results + kept))
+    assert len(earlier) >= 2
 
 
 def test_refinement_stop_counts_goods_not_agents(monkeypatch):
@@ -243,8 +263,9 @@ def test_refinement_stop_counts_goods_not_agents(monkeypatch):
     n, m = inst.n_agents, inst.n_goods
     (U, A, beta, d, gamma), rhs, rhs_cap = captured_iterates(inst, monkeypatch)[-1]
     assert U.shape == (m, n)
-    solve, apply = solver.structured_newton(U, A)(beta, d, gamma)
-    sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap)
+    system = solver.structured_newton(U, A)(0)
+    solve, apply = system.factor(beta, d, gamma)
+    sol, dp, _ = solver.refined_solve(solve, apply, rhs, rhs_cap, system.spare)
     rough = sol * (1.0 + 64 * EPS)
     omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, rough, dp)
     assert (m + 1) * EPS < omega <= (n + 1) * EPS
@@ -254,7 +275,7 @@ def test_refinement_stop_counts_goods_not_agents(monkeypatch):
         calls.append(None)
         return (rough.copy(), dp.copy()) if len(calls) == 1 else solve(b, b_cap)
 
-    sol, dp, _ = solver.refined_solve(stand_in, apply, rhs, rhs_cap)
+    sol, dp, _ = solver.refined_solve(stand_in, apply, rhs, rhs_cap, system.spare)
     assert len(calls) > 1
     omega, _ = componentwise_backward_error(apply, rhs, rhs_cap, sol, dp)
     assert omega <= backward_error_bound(inst)

@@ -1,5 +1,6 @@
 import gc
 import pickle
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -208,6 +209,26 @@ def test_cold_start_is_interior(name):
     assert np.array_equal(p, np.zeros(kept))
 
 
+@pytest.mark.parametrize("n, m, size, count", [(2000, 7, 2, 3), (200, 60, 3, 18)])
+def test_solve_memory_stays_within_budget(n, m, size, count):
+    # a solve allocates its Newton storage once, pools it and drops it on
+    # return, so its traced peak, once the market's program is built, stays
+    # at 32 arrays of n x m doubles (31.4 and 31.0 for these two markets;
+    # 33.4 and 33.6 when every iterate allocated its own arrays)
+    types = tuple(tuple(range(t * size, (t + 1) * size)) for t in range(count))
+    inst = random_instance(1, n, m, types, capacity_range=(0.05 * n, 0.3 * n))
+    assert solve_sop1(inst)[2].success
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, _, stats = solve_sop1(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stats.success
+    assert peak <= 32 * n * m * 8
+
+
 def test_divergence_is_reported_as_such(monkeypatch):
     # from the sixth Newton step on, every direction moves the prices 1e6
     # off, so the residuals grow and the divergence guard ends the solve
@@ -217,22 +238,29 @@ def test_divergence_is_reported_as_such(monkeypatch):
     original = solver.structured_newton
 
     def kicked(U, A):
-        factor = original(U, A)
+        newton = original(U, A)
         calls = []
 
-        def kicked_factor(beta, d, gamma):
-            solve, apply = factor(beta, d, gamma)
-            calls.append(None)
-            if len(calls) < 6:
-                return solve, apply
+        def kicked_system(extra):
+            system = newton(extra)
+            factor = system.factor
 
-            def kicked_solve(rhs, rhs_cap):
-                sol, dp = solve(rhs, rhs_cap)
-                return sol, dp + 1e6
+            def kicked_factor(beta, d, gamma):
+                solve, apply = factor(beta, d, gamma)
+                calls.append(None)
+                if len(calls) < 6:
+                    return solve, apply
 
-            return kicked_solve, apply
+                def kicked_solve(rhs, rhs_cap):
+                    sol, dp = solve(rhs, rhs_cap)
+                    return sol, dp + 1e6
 
-        return kicked_factor
+                return kicked_solve, apply
+
+            system.factor = kicked_factor
+            return system
+
+        return kicked_system
 
     monkeypatch.setattr(solver, "structured_newton", kicked)
     x, duals, stats = solve_bpsop(rebuilt(inst), lam)
@@ -786,13 +814,14 @@ def test_fixed_point_result_pickles_with_its_path():
 
 def max_step(v, dv):
     """The step bound of v alone, as the solver takes it."""
-    return solver._least_step(v, dv)
+    return solver._least_step(v, dv, np.empty_like(v))
 
 
 def pair_step(v, dv, w, dw):
     """The step bound of the pair (v, w), as the solver takes it: on the
     two joined into one array."""
-    return solver._least_step(np.concatenate([v, w]), np.concatenate([dv, dw]))
+    y, dy = np.concatenate([v, w]), np.concatenate([dv, dw])
+    return solver._least_step(y, dy, np.empty_like(y))
 
 
 def test_max_step_to_the_boundary():
@@ -892,7 +921,7 @@ def test_neighborhood_step_matches_the_loop():
     for k, (v, dv, w, dw, alpha) in enumerate(cases):
         # the solver holds the pair (v, w) and its direction as one array each
         y, dy = np.concatenate([v, w]), np.concatenate([dv, dw])
-        y_new, a = solver._neighborhood_step(y, dy, alpha)
+        y_new, a = solver._neighborhood_step(y, dy, alpha, np.empty_like(y))
         v_ref, w_ref, a_ref = neighborhood_step_by_loop(v, dv, w, dw, alpha)
         assert a == a_ref
         assert np.array_equal(y_new[: len(v)], v_ref) and np.array_equal(y_new[len(v) :], w_ref)
