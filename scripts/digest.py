@@ -21,24 +21,30 @@ excess demand at each of its price vectors, or the agent and good that
 its UnboundedDemandError names.  A warm-start run solves a market at
 lam = 0 with an empty ``start``, then at a second lam from the first
 solve's ``stats.path``; its outputs are both solves', and its line also
-prints each solve's ``start`` and Newton count.  The last line is the
-SHA-256 of all the runs' digests, in order.
+prints each solve's ``start`` and Newton count.  Each solve run and each
+fixed-point run that converges is followed by an ``audit`` line: the
+floats of ``kkt_residuals`` at the run's lam and, at a fixed point, the
+``y`` and floats of ``kkt_crosscheck``'s report, or the error it raises.
+The last line is the SHA-256 of all the runs' and audits' digests, in
+order.
 
-The set is 147 runs: ``fixedpoint.run`` on the ``experiment`` market at
-seeds 1-20, on ``prop1`` and ``prop2`` and on the untyped 100 x 7 markets
-with capacities from (5, 14) at seeds 1-4; ``solve_sop1`` on the untyped
-1000 x 7 markets with capacities from (50, 300) at seeds 1-20 and on the
-200 x 60 markets of 18 three-good types at seeds 1-16; 30 markets of
-40 x 7 whose agents each join each type with probability 0.7, each
-solved by ``solve_sop1`` and run to its fixed point;
-``partly_joined_market``'s fixed point (from ``robustness.py``); the
-``price-scan`` benchmark's grid scans of ``prop1`` and ``prop2``; and
-``demand_all`` on 20 of those partly joined 40 x 7 markets with zero and
-repeated utilities, each at 8 seeded price vectors; and two warm-start
-runs: the ``experiment`` market at seed 1, warm at lam = 1e-3 U(0, 1)
-drawn with seed 0, and the untyped 1000 x 7 market at seed 1 with the
-default capacities, at the fixed point's next lam = q, where the warm
-solve falls back to a cold one.  It takes about 5 s on a 2-vCPU
+The set is 147 runs and 122 audits.  The runs are ``fixedpoint.run`` on
+the ``experiment`` market at seeds 1-20, on ``prop1`` and ``prop2`` and
+on the untyped 100 x 7 markets with capacities from (5, 14) at seeds
+1-4; ``solve_sop1`` on the untyped 1000 x 7 markets with capacities from
+(50, 300) at seeds 1-20 and on the 200 x 60 markets of 18 three-good
+types at seeds 1-16; 30 markets of 40 x 7 whose agents each join each
+type with probability 0.7, each solved by ``solve_sop1`` and run to its
+fixed point; ``partly_joined_market``'s fixed point (from
+``robustness.py``); the ``price-scan`` benchmark's grid scans of
+``prop1`` and ``prop2``; and ``demand_all`` on 20 of those partly joined
+40 x 7 markets with zero and repeated utilities, each at 8 seeded price
+vectors; and two warm-start runs: the ``experiment`` market at seed 1,
+warm at lam = 1e-3 U(0, 1) drawn with seed 0, and the untyped 1000 x 7
+market at seed 1 with the default capacities, at the fixed point's next
+lam = q, where the warm solve falls back to a cold one.  The audits
+follow the 66 solve runs and the 56 fixed-point runs that converge
+(``prop1`` ends ``oscillating``).  It takes about 5 s on a 2-vCPU
 machine.
 """
 
@@ -56,9 +62,12 @@ from robustness import TYPES, partly_joined_market  # noqa: E402
 from typedfisher import (  # noqa: E402
     CentralPath,
     MarketInstance,
+    NotAtFixedPointError,
     UnboundedDemandError,
     builtin_instance,
     demand_all,
+    kkt_crosscheck,
+    kkt_residuals,
     random_instance,
     solve_bpsop,
     solve_sop1,
@@ -168,7 +177,27 @@ def outputs(digest: Digest, x, duals, stats, lam) -> None:
         digest.scalar(v)
 
 
-def run_digest(kind: str, subject) -> str:
+def audit_digest(inst, lam, x, duals, fixed_point: bool) -> str:
+    """The digest of the KKT audits of a run's output (module docstring)."""
+    digest = Digest()
+    res = kkt_residuals(inst, lam, x, duals)
+    for v in (res.stationarity, res.complementarity, res.feasibility, res.dual_sign):
+        digest.scalar(v)
+    if fixed_point:
+        try:
+            rep = kkt_crosscheck(inst, lam, x, duals)
+        except NotAtFixedPointError as err:
+            digest.scalar(("not at a fixed point", str(err)))
+        else:
+            digest.array(rep.y)
+            for v in (rep.stationarity, rep.complementarity, rep.budget_residual,
+                      rep.sign_violation, rep.max_residual, rep.passed):
+                digest.scalar(v)
+    return digest.hexdigest()
+
+
+def run_digest(kind: str, subject):
+    """The run's digest and its audit's, or None where it has no audit."""
     digest = Digest()
     if kind == "scan":
         inst, (p_max, step, record_below) = subject
@@ -180,7 +209,7 @@ def run_digest(kind: str, subject) -> str:
         digest.scalar(len(scan.near_clearing))
         for p in scan.near_clearing:
             digest.array(p)
-        return digest.hexdigest()
+        return digest.hexdigest(), None
     if kind == "demand":
         inst, prices = subject
         for p in prices:
@@ -189,7 +218,7 @@ def run_digest(kind: str, subject) -> str:
                     digest.array(a)
             except UnboundedDemandError as err:
                 digest.scalar(("unbounded", err.agent, err.good))
-        return digest.hexdigest()
+        return digest.hexdigest(), None
     if kind == "warm_start":
         inst, second_lam = subject
         lam = np.zeros(inst.n_agents)
@@ -199,12 +228,13 @@ def run_digest(kind: str, subject) -> str:
         x, duals, second = solve_bpsop(inst, lam, start=first.path)
         outputs(digest, x, duals, second, lam)
         starts = " ".join(f"{stats.start} {stats.iterations}" for stats in (first, second))
-        return f"{starts:<20}{digest.hexdigest()}"
+        return f"{starts:<20}{digest.hexdigest()}", None
     inst = subject
     if kind == "solve":
+        lam = np.zeros(inst.n_agents)
         x, duals, stats = solve_sop1(inst)
-        outputs(digest, x, duals, stats, np.zeros(inst.n_agents))
-        return digest.hexdigest()
+        outputs(digest, x, duals, stats, lam)
+        return digest.hexdigest(), audit_digest(inst, lam, x, duals, fixed_point=False)
     res = fixedpoint.run(inst)
     outputs(digest, res.allocation, res.duals, res.solve_stats, res.lam)
     trace = res.trace
@@ -215,18 +245,25 @@ def run_digest(kind: str, subject) -> str:
         digest.scalar(residual)
         for v in (d.solver_status, d.solver_start, d.solver_iterations):
             digest.scalar(v)
-    return digest.hexdigest()
+    if trace.status != "converged":
+        return digest.hexdigest(), None
+    audit = audit_digest(inst, res.lam, res.allocation, res.duals, fixed_point=True)
+    return digest.hexdigest(), audit
 
 
 def main() -> None:
     total = hashlib.sha256()
-    count = 0
+    runs_done = audits = 0
     for name, kind, subject in runs():
-        h = run_digest(kind, subject)
-        total.update(h.encode())
-        count += 1
-        print(f"{kind:<12}{name:<34}{h}", flush=True)
-    print(f"{'all':<12}{f'{count} runs':<34}{total.hexdigest()}")
+        h, audit = run_digest(kind, subject)
+        runs_done += 1
+        audits += audit is not None
+        for label, line in ((kind, h), ("audit", audit)):
+            if line is not None:
+                total.update(line.encode())
+                print(f"{label:<12}{name:<34}{line}", flush=True)
+    summary = f"{runs_done} runs {audits} audits"
+    print(f"{'all':<12}{summary:<34}{total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ class FixedPointTrace:
     iterates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     duals_per_iter: list[DualSummary] = field(default_factory=list)
-    # converged | max_iter | solver_failure | oscillating | stalled
+    # converged | max_iter | solver_failure | oscillating
     status: str = "max_iter"
     failure_iteration: int | None = None
     # the per-agent multipliers s of each step taken, one (n,) array per
@@ -138,10 +138,10 @@ def run(
     ||lam - q(lam)|| <= eps at the returned lam; ``solver_failure``
     propagates a failed inner solve (with the iteration index);
     ``oscillating`` fires when the best residual has not improved by 0.1%
-    within STALL_WINDOW iterations while still above eps, and ``stalled``
-    in its place when the residual fell at every one of those iterations:
-    the run crawls toward a point it does not reach in reasonable time
-    rather than cycling.
+    within STALL_WINDOW iterations while still above eps, whether the run
+    cycles, crawls toward a point it does not reach in reasonable time, or
+    lets lam grow without bound, as on ``prop1``, which has no equilibrium
+    (lam_1 about 5.5e9 after 31 steps).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -191,8 +191,7 @@ def run(
             best = res
             best_iter = k
         if k - best_iter >= STALL_WINDOW:
-            window = np.diff(trace.residuals[-STALL_WINDOW - 1 :])
-            trace.status = "stalled" if np.all(window < 0) else "oscillating"
+            trace.status = "oscillating"
             break
         if k + 1 == max_iter:
             break

@@ -10,7 +10,9 @@ Solves, for perturbations lam >= 0 (the plain social program is lam = 0):
 and returns the allocation together with the dual variables the mechanism
 needs: capacity duals p (the candidate prices), type-constraint duals
 r[i, t], and nonnegativity duals s[i, j] <= 0, all satisfying stationarity
-and complementary slackness to the requested tolerance.
+and complementary slackness to the requested tolerance.  The audit of that
+first-order system at any candidate, ``kkt_residuals``, lives with the
+other independent checks in ``verify``.
 
 The Newton systems decouple: the objective Hessian is block diagonal per
 agent (rank one per block) and every type row touches a single agent, so
@@ -270,22 +272,6 @@ class _Program:
 
 # each market's reduced program, keyed weakly by the market (``_program``)
 _PROGRAMS = weakref.WeakKeyDictionary()
-
-
-@dataclass
-class KKTResiduals:
-    """Independent residuals of the first-order optimality system."""
-
-    stationarity: float
-    complementarity: float
-    feasibility: float
-    dual_sign: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.stationarity, self.complementarity, self.feasibility, self.dual_sign
-        )
 
 
 def solve_sop1(
@@ -685,46 +671,3 @@ def _neighborhood_step(y, dy, alpha, work):
         alpha *= 0.75
     return np.add(y, np.multiply(dy, alpha, out=work)), alpha
 
-
-def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResiduals:
-    """Residuals of the first-order system for any (x, duals) pair.
-
-    Recomputes everything from the instance; independent of how the
-    candidate solution was produced.  Raises ZeroUtilityError when some
-    agent's aggregate utility is nonpositive (the objective gradient is
-    then undefined).
-    """
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    U = inst.utilities
-    A = inst.incidence
-    c = inst.budgets + lam
-    yhat = np.einsum("ij,ij->i", U, x)
-    if np.any(yhat <= 0.0):
-        raise ZeroUtilityError(int(np.argmin(yhat)))
-
-    # a type's dual only exists for participating agents
-    r_eff = np.where(inst.participation, duals.r, 0.0)
-    type_sums = x @ A.T
-
-    margin = (c / yhat)[:, None] * U - duals.p[None, :] - r_eff @ A
-    stationarity = float(np.max(np.abs(margin - duals.s)))
-    comp_x = float(np.max(np.abs(x * margin)))
-    slack = np.where(inst.participation, 1.0 - type_sums, 0.0)
-    comp_r = float(np.max(np.abs(r_eff * slack), initial=0.0))
-    viol = np.where(inst.participation, type_sums - 1.0, 0.0)
-    feasibility = max(
-        float(np.max(np.abs(x.sum(axis=0) - inst.capacities))),
-        float(np.max(viol, initial=0.0)),
-        float(np.max(np.maximum(-x, 0.0))),
-    )
-    dual_sign = max(
-        float(np.max(np.maximum(duals.s, 0.0))),
-        float(np.max(-r_eff, initial=0.0)),
-    )
-    return KKTResiduals(
-        stationarity=stationarity,
-        complementarity=max(comp_x, comp_r),
-        feasibility=feasibility,
-        dual_sign=dual_sign,
-    )

@@ -6,9 +6,12 @@ three residual families vanish: every good sells exactly its capacity,
 every budget is spent exactly, and each agent's bundle attains the
 optimal utility at the posted prices (checked against the exact greedy
 demand oracle).  Further checks cover the budget-gap identity of the
-unperturbed social program, the cross-mapping from social-program duals
-to individual-problem duals at a fixed point, and a brute-force price
-grid scan used to certify non-existence on small markets.
+unperturbed social program, the first-order (KKT) system of the social
+program at any candidate (x, duals), the cross-mapping from social-program
+duals to individual-problem duals at a fixed point, and a brute-force price
+grid scan used to certify non-existence on small markets.  The two KKT
+audits share one check of their inputs and one kernel of the algebra both
+optimality systems hold (``_kkt_terms``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 # ``demand`` stays bound here, where the benchmark's tracer wraps it
 from .demand import _check_prices, demand, demand_all, demand_prices
 from .instances import MarketInstance
-from .solver import DualBundle, solve_sop1
+from .solver import DualBundle, ZeroUtilityError, solve_sop1
 
 FIXED_POINT_EPS = 1e-5  # kkt_crosscheck's limit on ||lam - sum_t r_it||
 MAX_GRID_POINTS = 10_000_000  # largest grid grid_nonexistence scans
@@ -78,11 +81,7 @@ def check_equilibrium(
         if not (np.isfinite(tol) and tol >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     p = _check_prices(p, inst.n_goods)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n_agents, inst.n_goods):
-        raise ValueError(f"allocation must have shape ({inst.n_agents}, {inst.n_goods})")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("allocation must be finite")
+    x = _allocation(inst, x)
 
     clearing = np.abs(x.sum(axis=0) - inst.capacities)
     budget = np.abs(x @ p - inst.budgets)
@@ -114,11 +113,61 @@ def check_equilibrium(
     )
 
 
+def _allocation(inst: MarketInstance, x) -> np.ndarray:
+    """x as a float array, once it is a finite (n, m) allocation."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (inst.n_agents, inst.n_goods):
+        raise ValueError(f"allocation must have shape ({inst.n_agents}, {inst.n_goods})")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("allocation must be finite")
+    return x
+
+
 def _utilities(inst: MarketInstance, x: np.ndarray) -> np.ndarray:
     """Each agent's utility u_i @ x_i, rounded as that one product is;
     an overflowing utility is inf."""
     with np.errstate(over="ignore"):
         return np.matmul(inst.utilities[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+@dataclass
+class KKTResiduals:
+    """Independent residuals of the social program's first-order system."""
+
+    stationarity: float
+    complementarity: float
+    feasibility: float
+    dual_sign: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.stationarity, self.complementarity, self.feasibility, self.dual_sign)
+
+
+def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResiduals:
+    """Residuals of the social program's first-order system at perturbations
+    ``lam`` for any (x, duals) pair.
+
+    Recomputes everything from the instance; independent of how the
+    candidate solution was produced.  lam must be a finite (n,) array, x a
+    finite (n, m) allocation and the duals' p, r and s of shapes (m,),
+    (n, T) and (n, m), else ValueError.  Raises ZeroUtilityError when some
+    agent's aggregate utility is nonpositive (the objective gradient is
+    then undefined).
+    """
+    lam, x = _kkt_inputs(inst, lam, x, duals)
+    _, margin, slack, comp, sign = _kkt_terms(inst, lam, x, duals, own=False)
+    return KKTResiduals(
+        stationarity=float(np.max(np.abs(margin - duals.s))),
+        complementarity=comp,
+        # a type row's excess, sum_{j in t} x_ij - 1, is -slack exactly
+        feasibility=max(
+            float(np.max(np.abs(x.sum(axis=0) - inst.capacities))),
+            float(np.max(-slack, initial=0.0)),
+            float(np.max(np.maximum(-x, 0.0))),
+        ),
+        dual_sign=max(float(np.max(np.maximum(duals.s, 0.0))), sign),
+    )
 
 
 @dataclass
@@ -169,49 +218,30 @@ class CrossCheckReport:
 
 
 def kkt_crosscheck(
-    inst: MarketInstance,
-    lam,
-    x,
-    duals: DualBundle,
-    tol: float = 1e-6,
+    inst: MarketInstance, lam, x, duals: DualBundle, tol: float = 1e-6
 ) -> CrossCheckReport:
     """Verify that scaled social duals solve each agent's own problem.
 
     At a fixed point the scalings y_i = (u_i . x_i)/(w_i + lam_i) and
     r~_it = y_i r_it turn the social stationarity system into each
     individual problem's system; this check rebuilds those duals and
-    measures every residual.  Refuses (NotAtFixedPointError) when
-    ||lam - sum_t r_it|| > FIXED_POINT_EPS, since the construction is only valid
-    at a fixed point.
+    measures every residual.  Its inputs must be as ``kkt_residuals``
+    asks, else ValueError.  Refuses (NotAtFixedPointError) when
+    ||lam - sum_t r_it|| > FIXED_POINT_EPS, since the construction is only
+    valid at a fixed point.
     """
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    q = duals.r.sum(axis=1)
-    drift = float(np.linalg.norm(lam - q))
+    lam, x = _kkt_inputs(inst, lam, x, duals)
+    drift = float(np.linalg.norm(lam - duals.r.sum(axis=1)))
     if drift > FIXED_POINT_EPS:
         raise NotAtFixedPointError(
             f"perturbations are {drift:g} from the dual sums "
             f"(limit {FIXED_POINT_EPS:g})"
         )
 
-    U = inst.utilities
-    A = inst.incidence
-    yhat = np.einsum("ij,ij->i", U, x)
-    y = yhat / (inst.budgets + lam)
-    r_tilde = y[:, None] * np.where(inst.participation, duals.r, 0.0)
-
-    margin = U - y[:, None] * duals.p[None, :] - r_tilde @ A
+    y, margin, _, comp, sign = _kkt_terms(inst, lam, x, duals, own=True)
     stationarity = float(np.max(np.maximum(margin, 0.0)))
-    slack = np.where(inst.participation, 1.0 - x @ A.T, 0.0)
-    comp = max(
-        float(np.max(np.abs(x * margin))),
-        float(np.max(np.abs(r_tilde * slack), initial=0.0)),
-    )
     budget_residual = float(np.max(np.abs(x @ duals.p - inst.budgets)))
-    sign = max(
-        float(np.max(np.maximum(-y, 0.0))),
-        float(np.max(-r_tilde, initial=0.0)),
-    )
+    sign = max(float(np.max(np.maximum(-y, 0.0))), sign)
     worst = max(stationarity, comp, budget_residual, sign)
     return CrossCheckReport(
         y=y,
@@ -222,6 +252,54 @@ def kkt_crosscheck(
         max_residual=worst,
         passed=worst <= tol,
     )
+
+
+def _kkt_inputs(inst: MarketInstance, lam, x, duals: DualBundle):
+    """lam and x as float arrays, once the inputs of a KKT audit are as
+    ``kkt_residuals`` asks."""
+    n, m = inst.n_agents, inst.n_goods
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,) or not np.all(np.isfinite(lam)):
+        raise ValueError(f"lam must be a finite array of length {n}")
+    x = _allocation(inst, x)
+    for name, shape in (("p", (m,)), ("r", (n, inst.n_types)), ("s", (n, m))):
+        if np.shape(getattr(duals, name)) != shape:
+            raise ValueError(f"duals.{name} must have shape {shape}")
+    return lam, x
+
+
+def _kkt_terms(inst: MarketInstance, lam, x, duals: DualBundle, own: bool):
+    """The algebra both KKT audits share, at checked inputs:
+    ``(y, margin, slack, comp, sign)``.
+
+    With c = w + lam and yhat_i = u_i . x_i, the margin is the social
+    program's (c_i / yhat_i) u_ij - p_j - sum_t r_it A_tj and y is None; with
+    ``own``, it is agent i's own problem's u_ij - y_i p_j - sum_t r~_it A_tj,
+    with budget duals y_i = yhat_i / c_i and type duals r~ = y r.  The type
+    duals (r or r~) and slack, each type row's 1 - sum_{j in t} x_ij, are zero
+    off the participating pairs.  comp is the largest |x * margin| or
+    |duals * slack|, sign the largest negative type dual.  The social margin
+    divides by yhat, so there a nonpositive yhat raises ZeroUtilityError.
+    """
+    U, A, part = inst.utilities, inst.incidence, inst.participation
+    c = inst.budgets + lam
+    yhat = np.einsum("ij,ij->i", U, x)
+    r = np.where(part, duals.r, 0.0)
+    if own:
+        y = yhat / c
+        r = y[:, None] * r
+        margin = U - y[:, None] * duals.p[None, :] - r @ A
+    else:
+        if np.any(yhat <= 0.0):
+            raise ZeroUtilityError(int(np.argmin(yhat)))
+        y = None
+        margin = (c / yhat)[:, None] * U - duals.p[None, :] - r @ A
+    slack = np.where(part, 1.0 - x @ A.T, 0.0)
+    comp = max(
+        float(np.max(np.abs(x * margin))),
+        float(np.max(np.abs(r * slack), initial=0.0)),
+    )
+    return y, margin, slack, comp, float(np.max(-r, initial=0.0))
 
 
 @dataclass

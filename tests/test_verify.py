@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from typedfisher import (
+    KKTResiduals,
     MarketInstance,
     UnboundedDemandError,
     builtin_instance,
@@ -13,11 +15,12 @@ from typedfisher import (
     existence_condition,
     grid_nonexistence,
     kkt_crosscheck,
+    kkt_residuals,
     random_instance,
     solve_sop1,
     sop1_budget_gap,
 )
-from typedfisher import verify
+from typedfisher import solver, verify
 from typedfisher.fixedpoint import run
 from typedfisher.verify import NotAtFixedPointError
 
@@ -203,6 +206,73 @@ def test_crosscheck_at_three_buyer_fixed_point():
     res = run(inst, eps=1e-7)
     rep = kkt_crosscheck(inst, res.lam, res.allocation, res.duals, tol=1e-5)
     assert rep.passed
+
+
+def test_audits_live_in_verify():
+    assert kkt_residuals is verify.kkt_residuals
+    assert KKTResiduals is verify.KKTResiduals
+    assert not hasattr(solver, "kkt_residuals") and not hasattr(solver, "KKTResiduals")
+
+
+AUDITS = [kkt_residuals, kkt_crosscheck]
+
+
+@pytest.fixture(scope="module")
+def prop2_fixed_point():
+    inst = builtin_instance("prop2")
+    res = run(inst)
+    assert res.trace.status == "converged"
+    assert kkt_crosscheck(inst, res.lam, res.allocation, res.duals).passed
+    assert kkt_residuals(inst, res.lam, res.allocation, res.duals).max_residual <= 1e-6
+    return inst, res.lam, res.allocation, res.duals
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+@pytest.mark.parametrize("lam", [[0.0], [0.5], np.zeros((3, 1))])
+def test_audits_refuse_lam_of_the_wrong_shape(prop2_fixed_point, audit, lam):
+    # one lam used to be broadcast over the three agents
+    inst, _, x, duals = prop2_fixed_point
+    with pytest.raises(ValueError, match="^lam must be a finite array of length 3$"):
+        audit(inst, lam, x, duals)
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_audits_refuse_non_finite_lam(prop2_fixed_point, audit, bad):
+    inst, lam, x, duals = prop2_fixed_point
+    lam = lam.copy()
+    lam[1] = bad
+    with pytest.raises(ValueError, match="^lam must be a finite array of length 3$"):
+        audit(inst, lam, x, duals)
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_audits_refuse_non_finite_allocation(prop2_fixed_point, audit, bad):
+    # a NaN used to give NaN residuals, and a crosscheck that failed without an error
+    inst, lam, x, duals = prop2_fixed_point
+    x = x.copy()
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="^allocation must be finite$"):
+        audit(inst, lam, x, duals)
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+def test_audits_refuse_allocation_of_the_wrong_shape(prop2_fixed_point, audit):
+    inst, lam, x, duals = prop2_fixed_point
+    with pytest.raises(ValueError, match=r"^allocation must have shape \(3, 3\)$"):
+        audit(inst, lam, x[:, :2], duals)
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+@pytest.mark.parametrize("name", ["p", "r", "s"])
+def test_audits_refuse_duals_of_the_wrong_shape(prop2_fixed_point, audit, name):
+    # the first row (the first price) alone used to be broadcast
+    inst, lam, x, duals = prop2_fixed_point
+    bad = replace(duals, **{name: getattr(duals, name)[:1]})
+    shape = {"p": (3,), "r": (3, inst.n_types), "s": (3, 3)}[name]
+    with pytest.raises(ValueError, match=f"^duals.{name} must have shape {re.escape(str(shape))}$"):
+        audit(inst, lam, x, bad)
 
 
 def test_grid_scan_single_good():
