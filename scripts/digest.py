@@ -18,7 +18,11 @@ iterate lam and its residual, and each inner solve's status, start and
 Newton count.  Wall times are left out.  A grid scan's are every field
 of its ``GridScanResult``; a demand run's are ``demand_all``'s X and
 excess demand at each of its price vectors, or the agent and good that
-its UnboundedDemandError names.  A warm-start run solves a market at
+its UnboundedDemandError names.  A per-agent run's are, for every agent,
+``demand_prices``' X, spend and unbounded at all its price vectors as one
+array, then at each vector the scalar ``demand``'s x, spend and every
+ledger row's floats, ``type_id``, ``lo`` and ``hi``, or the agent and good
+that its UnboundedDemandError names.  A warm-start run solves a market at
 lam = 0 with an empty ``start``, then at a second lam from the first
 solve's ``stats.path``; its outputs are both solves', and its line also
 prints each solve's ``start`` and Newton count.  Each solve run and each
@@ -28,7 +32,7 @@ floats of ``kkt_residuals`` at the run's lam and, at a fixed point, the
 The last line is the SHA-256 of all the runs' and audits' digests, in
 order.
 
-The set is 147 runs and 122 audits.  The runs are ``fixedpoint.run`` on
+The set is 167 runs and 122 audits.  The runs are ``fixedpoint.run`` on
 the ``experiment`` market at seeds 1-20, on ``prop1`` and ``prop2`` and
 on the untyped 100 x 7 markets with capacities from (5, 14) at seeds
 1-4; ``solve_sop1`` on the untyped 1000 x 7 markets with capacities from
@@ -39,13 +43,14 @@ fixed point; ``partly_joined_market``'s fixed point (from
 ``robustness.py``); the ``price-scan`` benchmark's grid scans of
 ``prop1`` and ``prop2``; and ``demand_all`` on 20 of those partly joined
 40 x 7 markets with zero and repeated utilities, each at 8 seeded price
-vectors; and two warm-start runs: the ``experiment`` market at seed 1,
-warm at lam = 1e-3 U(0, 1) drawn with seed 0, and the untyped 1000 x 7
-market at seed 1 with the default capacities, at the fixed point's next
-lam = q, where the warm solve falls back to a cold one.  The audits
-follow the 66 solve runs and the 56 fixed-point runs that converge
-(``prop1`` ends ``oscillating``).  It takes about 5 s on a 2-vCPU
-machine.
+vectors, then per-agent runs of ``demand_prices`` and ``demand`` on the
+same markets and vectors; and two warm-start runs: the ``experiment``
+market at seed 1, warm at lam = 1e-3 U(0, 1) drawn with seed 0, and the
+untyped 1000 x 7 market at seed 1 with the default capacities, at the
+fixed point's next lam = q, where the warm solve falls back to a cold
+one.  The audits follow the 66 solve runs and the 56 fixed-point runs
+that converge (``prop1`` ends ``oscillating``).  It takes about 6 s on a
+2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ from typedfisher import (  # noqa: E402
     NotAtFixedPointError,
     UnboundedDemandError,
     builtin_instance,
+    demand,
     demand_all,
+    demand_prices,
     kkt_crosscheck,
     kkt_residuals,
     random_instance,
@@ -118,9 +125,9 @@ def seeded_prices(seed: int, m: int) -> np.ndarray:
 def runs():
     """(name, kind, subject) of every run, in printed order.  The subject
     of kind ``fixed_point`` or ``solve`` is a market, of ``scan`` a market
-    and its grid, of ``demand`` a market and its price vectors, of
-    ``warm_start`` a market and the second lam as a function of the first
-    solve's duals."""
+    and its grid, of ``demand`` and ``per_agent`` a market and its price
+    vectors, of ``warm_start`` a market and the second lam as a function
+    of the first solve's duals."""
     for seed in range(1, 21):
         yield f"experiment seed {seed}", "fixed_point", builtin_instance("experiment", seed)
     for name in ("prop1", "prop2"):
@@ -144,6 +151,9 @@ def runs():
         yield name, "scan", (builtin_instance(name), grid)
     for seed in range(1, 21):
         yield f"zeros and repeats 40x7 seed {seed}", "demand", (
+            demand_market(seed), seeded_prices(seed, 7))
+    for seed in range(1, 21):
+        yield f"zeros and repeats 40x7 seed {seed}", "per_agent", (
             demand_market(seed), seeded_prices(seed, 7))
     lam = 1e-3 * np.random.default_rng(0).uniform(0.0, 1.0, 200)
     yield "experiment seed 1", "warm_start", (builtin_instance("experiment", 1), lambda _: lam)
@@ -218,6 +228,23 @@ def run_digest(kind: str, subject):
                     digest.array(a)
             except UnboundedDemandError as err:
                 digest.scalar(("unbounded", err.agent, err.good))
+        return digest.hexdigest(), None
+    if kind == "per_agent":
+        inst, prices = subject
+        for i in range(inst.n_agents):
+            for a in demand_prices(inst, i, prices):
+                digest.array(a)
+            for p in prices:
+                try:
+                    d = demand(inst, i, p)
+                except UnboundedDemandError as err:
+                    digest.scalar(("unbounded", err.agent, err.good))
+                    continue
+                digest.array(d.x)
+                digest.scalar(d.spend)
+                for row in d.ledger:
+                    for v in (row.slope, row.units, row.cost, row.type_id, row.lo, row.hi):
+                        digest.scalar(v)
         return digest.hexdigest(), None
     if kind == "warm_start":
         inst, second_lam = subject

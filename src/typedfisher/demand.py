@@ -23,6 +23,7 @@ one stable sort on the slope alone orders every row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,14 @@ def _check_prices(p, m: int, ndim: int = 1) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _check_agent(inst: MarketInstance, agent) -> int:
+    """``agent`` as an int in 0..n-1: TypeError when it is no integer,
+    IndexError when it is out of range."""
+    if not 0 <= (i := operator.index(agent)) < inst.n_agents:
+        raise IndexError(f"agent index {i} outside 0..{inst.n_agents - 1}")
+    return i
+
+
 def agent_products(
     inst: MarketInstance, agent: int, p: np.ndarray
 ) -> list[VirtualProduct]:
@@ -87,19 +96,17 @@ def agent_products(
     increasing, so the global order respects each frontier's own order.
     """
     products: list[VirtualProduct] = []
-    for t in inst.participating_types(agent):
+    for t in np.flatnonzero(inst.participation[agent]).tolist():
         products.extend(
             build_frontier(inst.utilities[agent], p, inst.types[t], type_id=t)
         )
-    for j in inst.unbounded_goods(agent):
+    for j in np.flatnonzero(_free_goods(inst)[agent]).tolist():
         u_ij, p_j = float(inst.utilities[agent, j]), float(p[j])
-        if u_ij > 0.0:
-            products.append(
-                VirtualProduct(
-                    type_id=None, lo=None, hi=j, delta_u=u_ij, delta_p=p_j,
-                    slope=p_j / u_ij, unbounded=True,
-                )
+        products.append(
+            VirtualProduct(
+                type_id=None, lo=None, hi=j, delta_u=u_ij, delta_p=p_j, slope=p_j / u_ij
             )
+        )
     rank = len(inst.types)
     products.sort(
         key=lambda pr: (pr.slope, rank if pr.type_id is None else pr.type_id, pr.hi)
@@ -113,13 +120,12 @@ def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
     Raises UnboundedDemandError when a cap-free positively valued good is
     priced at zero; demand is then infinite for any budget.
     """
-    if not 0 <= agent < inst.n_agents:
-        raise IndexError(f"agent index {agent} outside 0..{inst.n_agents - 1}")
+    agent = _check_agent(inst, agent)
     p = _check_prices(p, inst.n_goods)
 
     products = agent_products(inst, agent, p)
     for pr in products:
-        if pr.unbounded and pr.delta_p == 0.0:
+        if pr.type_id is None and pr.delta_p == 0.0:
             raise UnboundedDemandError(agent, pr.hi)
 
     x = np.zeros(inst.n_goods)
@@ -127,7 +133,7 @@ def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
     budget = w
     ledger: list[Purchase] = []
     for pr in products:
-        if not pr.unbounded and pr.delta_p <= budget:
+        if pr.type_id is not None and pr.delta_p <= budget:
             # full unit: move this type's position from lo to hi
             if pr.lo is not None:
                 x[pr.lo] -= 1.0
@@ -136,7 +142,7 @@ def demand(inst: MarketInstance, agent: int, p) -> DemandResult:
             ledger.append(Purchase(pr.slope, pr.type_id, pr.lo, pr.hi, 1.0, pr.delta_p))
             continue
         # the rest of the budget buys a fraction of a bounded product, or
-        # any quantity of an unbounded one (whose lo is None)
+        # any quantity of an unbounded one (whose type_id is None)
         if budget > 0.0:
             frac = budget / pr.delta_p
             if pr.lo is not None:
@@ -212,26 +218,29 @@ def demand_prices(
     ``unbounded[k]`` is True exactly where that call raises
     UnboundedDemandError (``X[k]`` and ``spend[k]`` are zero there).
     """
-    if not 0 <= agent < inst.n_agents:
-        raise IndexError(f"agent index {agent} outside 0..{inst.n_agents - 1}")
+    agent = _check_agent(inst, agent)
     P = _check_prices(P, inst.n_goods, ndim=2)
     u = inst.utilities[agent]
-    slots = [
-        _segments(*_hulls(u, P, inst.types[t])) for t in inst.participating_types(agent)
-    ]
-    free = [j for j in inst.unbounded_goods(agent) if u[j] > 0.0]
+    joined = np.flatnonzero(inst.participation[agent])
+    slots = [_segments(*_hulls(u, P, inst.types[t])) for t in joined]
+    free = np.flatnonzero(_free_goods(inst)[agent])
     shape = (len(P), len(free))
     slots.append((
         P[:, free] / u[free], np.zeros(shape, dtype=bool), np.full(shape, -1),
-        np.broadcast_to(np.array(free, dtype=int), shape), P[:, free],
-        np.ones(shape, dtype=bool),
+        np.broadcast_to(free, shape), P[:, free], np.ones(shape, dtype=bool),
     ))
     unbounded = np.any(P[:, free] == 0.0, axis=1)
     return _buy(inst.n_goods, slots, float(inst.budgets[agent]), unbounded)
 
 
 def _free_goods(inst: MarketInstance) -> np.ndarray:
-    """(n, m) mask of the valued goods each agent may buy without a type cap."""
+    """(n, m) mask of the valued goods each agent may buy without a type cap.
+
+    The one record of that rule, which every demand path reads: a good is
+    cap-free for an agent that values it when it lies in no type the agent
+    joins, untyped goods included.  Only these goods make demand
+    unbounded, at price zero.
+    """
     return (inst.participation @ inst.incidence == 0) & (inst.utilities > 0.0)
 
 

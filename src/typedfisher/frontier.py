@@ -26,9 +26,9 @@ class VirtualProduct:
 
     ``lo`` is the good at the low-utility endpoint (None for the hull
     origin); ``hi`` the good at the high endpoint.  ``slope`` is cost per
-    unit utility; bang-per-buck is its reciprocal.  Unbounded products
-    (goods without a type cap for this agent) may be bought in any
-    quantity; bounded ones cap at one unit.
+    unit utility; bang-per-buck is its reciprocal.  A ``type_id`` of None
+    marks a cap-free product (a good without a type cap for this agent),
+    which may be bought in any quantity; typed ones cap at one unit.
     """
 
     type_id: int | None
@@ -37,7 +37,6 @@ class VirtualProduct:
     delta_u: float
     delta_p: float
     slope: float
-    unbounded: bool = False
 
 
 def build_frontier(

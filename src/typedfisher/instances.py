@@ -122,17 +122,6 @@ class MarketInstance:
     def untyped_goods(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(~self.incidence.any(axis=0)).tolist())
 
-    def unbounded_goods(self, agent: int) -> tuple[int, ...]:
-        """Goods agent may purchase without a type cap.
-
-        Untyped goods, plus goods of types the agent does not participate in.
-        """
-        capped = self.participation[agent] @ self.incidence
-        return tuple(np.flatnonzero(capped == 0).tolist())
-
-    def participating_types(self, agent: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.participation[agent]).tolist())
-
     @cached_property
     def _validation(self) -> ValidationReport:
         """The report of ``validate_instance``, built on its first call."""
@@ -167,15 +156,16 @@ def validate_instance(inst: MarketInstance) -> ValidationReport:
     The checks run once per instance, which is immutable; every call
     returns a new report with its own lists.
 
-    Errors make the instance unusable for solving (overlapping types,
-    nonpositive budgets or capacities, an agent valuing nothing, or a type
-    that every agent joins with aggregate capacity above n, which makes
-    clearing impossible; an agent that ignores a type holds its goods
-    without a cap).  The tolerance is ``tight_types``' one, so no type is
-    both tight and infeasible.  Warnings flag legal but noteworthy
-    structure: a missing untyped good (equilibrium existence is then not
-    guaranteed), exactly tight type capacity, goods nobody values, and
-    agents that value goods of types they ignore.
+    Errors make the instance unusable for solving (overlapping types, a
+    type listing a good twice, nonpositive budgets or capacities, an agent
+    valuing nothing, or a type that every agent joins with aggregate
+    capacity above n, which makes clearing impossible; an agent that
+    ignores a type holds its goods without a cap).  The tolerance is
+    ``tight_types``' one, so no type is both tight and infeasible.
+    Warnings flag legal but noteworthy structure: a missing untyped good
+    (equilibrium existence is then not guaranteed), exactly tight type
+    capacity, goods nobody values, and agents that value goods of types
+    they ignore.
     """
     rep = inst._validation
     return ValidationReport(list(rep.errors), list(rep.warnings))
@@ -186,7 +176,7 @@ def _validate(inst: MarketInstance) -> ValidationReport:
     rep = ValidationReport()
     m = inst.n_goods
 
-    seen: set[int] = set()
+    owner: dict[int, int] = {}  # each good's first type
     out_of_range: set[int] = set()
     for t, goods in enumerate(inst.types):
         for j in goods:
@@ -195,10 +185,12 @@ def _validate(inst: MarketInstance) -> ValidationReport:
                 rep.errors.append(
                     f"type {t + 1} references good {j + 1} outside 1..{m}"
                 )
-            elif j in seen:
-                rep.errors.append(f"types overlap at good {j + 1}")
+            elif j not in owner:
+                owner[j] = t
+            elif owner[j] == t:
+                rep.errors.append(f"type {t + 1} lists good {j + 1} twice")
             else:
-                seen.add(j)
+                rep.errors.append(f"types overlap at good {j + 1}")
 
     positive = inst.utilities > 0
     bad_budget = inst.budgets <= 0

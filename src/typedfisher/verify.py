@@ -149,7 +149,8 @@ def kkt_residuals(inst: MarketInstance, lam, x, duals: DualBundle) -> KKTResidua
     ``lam`` for any (x, duals) pair.
 
     Recomputes everything from the instance; independent of how the
-    candidate solution was produced.  lam must be a finite (n,) array, x a
+    candidate solution was produced.  lam must be a finite, nonnegative
+    (n,) array (entries down to -1e-12 pass, as in the solver), x a
     finite (n, m) allocation and the duals' p, r and s of shapes (m,),
     (n, T) and (n, m), else ValueError.  Raises ZeroUtilityError when some
     agent's aggregate utility is nonpositive (the objective gradient is
@@ -261,6 +262,8 @@ def _kkt_inputs(inst: MarketInstance, lam, x, duals: DualBundle):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n,) or not np.all(np.isfinite(lam)):
         raise ValueError(f"lam must be a finite array of length {n}")
+    if np.any(lam < -1e-12):  # the solver's rule
+        raise ValueError("lam must be nonnegative")
     x = _allocation(inst, x)
     for name, shape in (("p", (m,)), ("r", (n, inst.n_types)), ("s", (n, m))):
         if np.shape(getattr(duals, name)) != shape:

@@ -214,13 +214,16 @@ def brute_force_demand(
     u = inst.utilities[agent]
     w = float(inst.budgets[agent])
 
+    # the caps come from the types and the participation mask alone
+    joined = [t for t in range(len(inst.types)) if inst.participation[agent, t]]
+    capped = {j for t in joined for j in inst.types[t]}
     active = [j for j in range(inst.n_goods) if u[j] > 0.0]
-    for j in inst.unbounded_goods(agent):
-        if u[j] > 0.0 and p[j] == 0.0:
+    for j in active:
+        if j not in capped and p[j] == 0.0:
             raise UnboundedDemandError(agent, j)
 
     type_rows: list[list[int]] = []
-    for t in inst.participating_types(agent):
+    for t in joined:
         goods = [j for j in inst.types[t] if j in active]
         if goods:
             type_rows.append(goods)
@@ -228,7 +231,7 @@ def brute_force_demand(
     if grid_step is None:
         x_active = _vertex_enumeration(p, u, w, active, type_rows)
     else:
-        x_active = _grid_search(p, u, w, active, type_rows, inst, agent, grid_step)
+        x_active = _grid_search(p, u, w, active, type_rows, capped, grid_step)
 
     x = np.zeros(inst.n_goods)
     x[active] = x_active
@@ -286,17 +289,16 @@ def _vertex_enumeration(p, u, w, active, type_rows) -> np.ndarray:
     return np.maximum(best_x, 0.0)
 
 
-def _grid_search(p, u, w, active, type_rows, inst, agent, step) -> np.ndarray:
+def _grid_search(p, u, w, active, type_rows, capped, step) -> np.ndarray:
     if step <= 0:
         raise ValueError("grid_step must be positive")
     k = len(active)
     if k == 0:
         return np.zeros(0)
-    unbounded = set(inst.unbounded_goods(agent))
     axes = []
     total = 1
     for j in active:
-        hi = w / p[j] if j in unbounded else 1.0
+        hi = 1.0 if j in capped else w / p[j]
         axis = np.arange(0.0, hi + step / 2, step)
         total *= len(axis)
         if total > 10_000_000:

@@ -13,7 +13,7 @@ from typedfisher import (
     demand_all,
     demand_prices,
 )
-from typedfisher.demand import _buy, _buy_order, _demand_agents
+from typedfisher.demand import _buy, _buy_order, _demand_agents, _free_goods
 
 from helpers import (
     brute_force_demand,
@@ -121,6 +121,19 @@ def test_invalid_agent_index():
         demand(builtin_instance("prop2"), 3, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda inst, agent: demand(inst, agent, [1.0, 1.0, 1.0]).x,
+    lambda inst, agent: demand_prices(inst, agent, [[1.0, 1.0, 1.0]])[0],
+], ids=["demand", "demand_prices"])
+def test_agent_index_must_be_an_integer(oracle):
+    # 1.0 used to pass the range check and fail inside numpy, "1" in the comparison
+    inst = builtin_instance("prop2")
+    assert np.array_equal(oracle(inst, np.int64(1)), oracle(inst, 1))
+    for bad in (1.0, np.float64(1.0), "1"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            oracle(inst, bad)
+
+
 def test_negative_price_rejected():
     with pytest.raises(ValueError):
         demand(builtin_instance("prop2"), 0, [-1.0, 1.0, 1.0])
@@ -219,7 +232,7 @@ def test_budget_accounting(inst, data):
     d = demand(inst, 0, p)
     assert d.spend == pytest.approx(float(p @ d.x), rel=1e-9, abs=1e-9)
     assert d.spend <= inst.budgets[0] + 1e-9
-    if any(inst.utilities[0, j] > 0 for j in inst.unbounded_goods(0)):
+    if _free_goods(inst)[0].any():
         # a priced cap-free product absorbs whatever budget remains
         assert d.budget_exhausted
     else:

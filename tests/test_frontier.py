@@ -89,7 +89,7 @@ def untyped_products(u, p):
 
 def test_untyped_rate_worked_example():
     (pr,) = untyped_products([5.0], [1.7])
-    assert pr.unbounded and pr.type_id is None and pr.hi == 0
+    assert pr.type_id is None and pr.hi == 0
     assert pr.slope == pytest.approx(0.34, abs=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_untyped_rate_zero_utility_excluded():
 
 def test_untyped_rate_free_good_flagged():
     (pr,) = untyped_products([1.0], [0.0])
-    assert pr.unbounded and pr.slope == 0.0 and pr.delta_p == 0.0
+    assert pr.type_id is None and pr.slope == 0.0 and pr.delta_p == 0.0
 
 
 # --- properties ---------------------------------------------------------------

@@ -20,6 +20,7 @@ from typedfisher import (
     solve_sop1,
     validate_instance,
 )
+from typedfisher.demand import _free_goods
 
 from helpers import rebuilt, small_markets
 
@@ -204,6 +205,10 @@ def test_agent_valuing_nothing_is_error():
          "non-finite entries"),
         (dict(utilities=[[1.0, 2.0]], budgets=[np.inf], capacities=[1.0, 1.0]),
          "non-finite entries"),
+        # a good listed twice in one type used to be reported as an overlap
+        (dict(utilities=[[1.0, 1.0, 1.0]], budgets=[1.0], capacities=[0.5, 0.5, 1.0],
+              types=((0, 1, 0),)),
+         "type 1 lists good 1 twice"),
     ],
 )
 def test_validation_error_messages(kwargs, message):
@@ -298,11 +303,10 @@ def test_layout_matches_pair_loops():
         assert inst.incidence.sum() == sum(len(goods) for goods in inst.types)
         typed = {j for goods in inst.types for j in goods}
         assert inst.untyped_goods == tuple(j for j in range(inst.n_goods) if j not in typed)
+        free = _free_goods(inst)
         for i in range(inst.n_agents):
-            assert inst.unbounded_goods(i) == _unbounded_goods(inst, i)
-            assert inst.participating_types(i) == tuple(
-                t for t in range(inst.n_types) if inst.participation[i, t]
-            )
+            valued = [j for j in _unbounded_goods(inst, i) if inst.utilities[i, j] > 0.0]
+            assert np.flatnonzero(free[i]).tolist() == valued
     assert mixed.tight_types == (0,)
 
 

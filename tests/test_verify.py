@@ -17,6 +17,7 @@ from typedfisher import (
     kkt_crosscheck,
     kkt_residuals,
     random_instance,
+    solve_bpsop,
     solve_sop1,
     sop1_budget_gap,
 )
@@ -244,6 +245,16 @@ def test_audits_refuse_non_finite_lam(prop2_fixed_point, audit, bad):
     lam[1] = bad
     with pytest.raises(ValueError, match="^lam must be a finite array of length 3$"):
         audit(inst, lam, x, duals)
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+def test_audits_refuse_negative_lam(prop2_fixed_point, audit):
+    # the solver refuses lam below -1e-12; an audit used to check c = w + lam there
+    inst, lam, x, duals = prop2_fixed_point
+    with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+        audit(inst, np.array([-0.5, 0.0, 0.0]), x, duals)
+    with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
+        solve_bpsop(inst, [-0.5, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("audit", AUDITS)
