@@ -32,7 +32,7 @@ floats of ``kkt_residuals`` at the run's lam and, at a fixed point, the
 The last line is the SHA-256 of all the runs' and audits' digests, in
 order.
 
-The set is 167 runs and 122 audits.  The runs are ``fixedpoint.run`` on
+The set is 168 runs and 122 audits.  The runs are ``fixedpoint.run`` on
 the ``experiment`` market at seeds 1-20, on ``prop1`` and ``prop2`` and
 on the untyped 100 x 7 markets with capacities from (5, 14) at seeds
 1-4; ``solve_sop1`` on the untyped 1000 x 7 markets with capacities from
@@ -44,13 +44,15 @@ fixed point; ``partly_joined_market``'s fixed point (from
 ``prop1`` and ``prop2``; and ``demand_all`` on 20 of those partly joined
 40 x 7 markets with zero and repeated utilities, each at 8 seeded price
 vectors, then per-agent runs of ``demand_prices`` and ``demand`` on the
-same markets and vectors; and two warm-start runs: the ``experiment``
-market at seed 1, warm at lam = 1e-3 U(0, 1) drawn with seed 0, and the
-untyped 1000 x 7 market at seed 1 with the default capacities, at the
-fixed point's next lam = q, where the warm solve falls back to a cold
-one.  The audits follow the 66 solve runs and the 56 fixed-point runs
-that converge (``prop1`` ends ``oscillating``).  It takes about 6 s on a
-2-vCPU machine.
+same markets and vectors, and one on ``six_good_type_market`` at 320
+seeded price vectors, so that the buy order of many slots, with zero
+and repeated utilities, is compared; and two warm-start runs: the
+``experiment`` market at seed 1, warm at lam = 1e-3 U(0, 1) drawn with
+seed 0, and the untyped 1000 x 7 market at seed 1 with the default
+capacities, at the fixed point's next lam = q, where the warm solve
+falls back to a cold one.  The audits follow the 66 solve runs and the
+56 fixed-point runs that converge (``prop1`` ends ``oscillating``).  It
+takes about 6 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -122,6 +124,20 @@ def seeded_prices(seed: int, m: int) -> np.ndarray:
     ])
 
 
+def six_good_type_market() -> MarketInstance:
+    """20 x 9: a type of six goods, one of two and an untyped good, each
+    agent joining each type with probability 0.7, and utilities drawn
+    from {0, 1, 2, 3}, so that zeros and repeats are common."""
+    rng = np.random.default_rng(400)
+    return MarketInstance(
+        utilities=rng.integers(0, 4, (20, 9)).astype(float),
+        budgets=rng.uniform(1.0, 5.0, 20),
+        capacities=np.ones(9),
+        types=((0, 1, 2, 3, 4, 5), (6, 7)),
+        participation=rng.random((20, 2)) < 0.7,
+    )
+
+
 def runs():
     """(name, kind, subject) of every run, in printed order.  The subject
     of kind ``fixed_point`` or ``solve`` is a market, of ``scan`` a market
@@ -155,6 +171,8 @@ def runs():
     for seed in range(1, 21):
         yield f"zeros and repeats 40x7 seed {seed}", "per_agent", (
             demand_market(seed), seeded_prices(seed, 7))
+    yield "six-good type 20x9", "per_agent", (
+        six_good_type_market(), np.concatenate([seeded_prices(seed, 9) for seed in range(40)]))
     lam = 1e-3 * np.random.default_rng(0).uniform(0.0, 1.0, 200)
     yield "experiment seed 1", "warm_start", (builtin_instance("experiment", 1), lambda _: lam)
     yield "untyped 1000x7 default seed 1", "warm_start", (

@@ -11,14 +11,17 @@ frontier vertex.
 
 ``demand_prices`` runs the same greedy for one agent at many price rows
 at once, and ``demand_all`` for every agent at one price vector.  Both
-build each type's hulls as arrays with one row per (agent, prices) pair
-and share one masked purchase loop, with the same float operations in
-the same order, so each row equals the scalar ``demand`` exactly.  The
-loop's columns are the products in a fixed layout: each participating
-type by ascending id, its hull segments by strictly increasing slope,
-then the cap-free goods by ascending index.  Among equal slopes that
-layout already is ``agent_products``' (type rank, high good) order, so
-one stable sort on the slope alone orders every row.
+build each type's hulls as arrays and share one masked purchase loop,
+with the same float operations in the same order, so each returned row
+equals the scalar ``demand`` exactly.  Inside, the arrays are
+slot-major: one row per hull vertex or product slot and one column per
+(agent, prices) pair, so each array operation runs along a contiguous
+row of all the pairs, not over thousands of rows a few slots wide.  The
+slots are the products in a fixed layout: each participating type by
+ascending id, its hull segments by strictly increasing slope, then the
+cap-free goods by ascending index.  Among equal slopes that layout
+already is ``agent_products``' (type rank, high good) order, so one
+stable sort of each column on the slope alone orders every pair.
 """
 
 from __future__ import annotations
@@ -66,16 +69,17 @@ class DemandResult:
 
 
 def _check_prices(p, m: int, ndim: int = 1) -> np.ndarray:
-    """A price vector (``ndim=1``) or a stack of price rows (``ndim=2``)."""
+    """A price vector (``ndim=1``) or (m, K) price columns (``ndim=2``),
+    returned C-contiguous."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != ndim or p.shape[-1:] != (m,):
+    if p.ndim != ndim or p.shape[:1] != (m,):
         what = "price vector" if ndim == 1 else "each price row"
         raise ValueError(f"{what} must have length {m}")
     if not np.all(np.isfinite(p)):
         raise ValueError("prices must be finite")
     if np.any(p < -1e-9):
         raise ValueError(f"negative price {p.min():g}")
-    return np.maximum(p, 0.0)
+    return np.maximum(p, 0.0, order="C")
 
 
 def _check_agent(inst: MarketInstance, agent) -> int:
@@ -100,7 +104,7 @@ def agent_products(
         products.extend(
             build_frontier(inst.utilities[agent], p, inst.types[t], type_id=t)
         )
-    for j in np.flatnonzero(_free_goods(inst)[agent]).tolist():
+    for j in np.flatnonzero(_free_goods(inst, agent)).tolist():
         u_ij, p_j = float(inst.utilities[agent, j]), float(p[j])
         products.append(
             VirtualProduct(
@@ -177,7 +181,7 @@ def demand_all(inst: MarketInstance, p) -> tuple[np.ndarray, np.ndarray]:
     X, _, unbounded = _demand_agents(inst, p)
     if unbounded.any():
         i = int(np.argmax(unbounded))
-        raise UnboundedDemandError(i, int(np.argmax(_free_goods(inst)[i] & (p == 0.0))))
+        raise UnboundedDemandError(i, int(np.argmax(_free_goods(inst, i) & (p == 0.0))))
     return X, X.sum(axis=0) - inst.capacities
 
 
@@ -196,18 +200,16 @@ def _demand_agents(inst: MarketInstance, p) -> tuple[np.ndarray, np.ndarray, np.
         _segments(*_agent_hulls(U, p, goods, part))
         for goods, part in zip(inst.types, inst.participation.T)
     ]
-    free = _free_goods(inst)
-    shape = U.shape
+    free = _free_goods(inst).T
+    shape = free.shape
     slots.append((
-        np.divide(p, U, out=np.zeros(shape), where=free), np.zeros(shape, dtype=bool),
-        np.full(shape, -1), np.broadcast_to(np.arange(inst.n_goods), shape),
-        np.broadcast_to(p, shape), free,
+        np.divide(p[:, None], U.T, out=np.zeros(shape), where=free), np.zeros(shape, dtype=bool),
+        np.full(shape, -1), np.broadcast_to(np.arange(inst.n_goods)[:, None], shape),
+        np.broadcast_to(p[:, None], shape), free,
     ))
-    return _buy(inst.n_goods, slots, inst.budgets, np.any(free & (p == 0.0), axis=1))
+    return _buy(inst.n_goods, slots, inst.budgets, np.any(free & (p[:, None] == 0.0), axis=0))
 
 
-# float overflow gives inf silently, as Python float arithmetic does in demand
-@np.errstate(over="ignore", invalid="ignore")
 def demand_prices(
     inst: MarketInstance, agent: int, P
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,194 +221,207 @@ def demand_prices(
     UnboundedDemandError (``X[k]`` and ``spend[k]`` are zero there).
     """
     agent = _check_agent(inst, agent)
-    P = _check_prices(P, inst.n_goods, ndim=2)
+    P = _check_prices(np.asarray(P, dtype=float).T, inst.n_goods, ndim=2)
+    return _demand_prices(inst, agent, P)
+
+
+# float overflow gives inf silently, as Python float arithmetic does in demand
+@np.errstate(over="ignore", invalid="ignore")
+def _demand_prices(inst: MarketInstance, agent: int, P) -> tuple[np.ndarray, ...]:
+    """``demand_prices`` at the checked (m, K) price columns ``P``."""
     u = inst.utilities[agent]
     joined = np.flatnonzero(inst.participation[agent])
     slots = [_segments(*_hulls(u, P, inst.types[t])) for t in joined]
-    free = np.flatnonzero(_free_goods(inst)[agent])
-    shape = (len(P), len(free))
+    free = np.flatnonzero(_free_goods(inst, agent))
+    price, shape = P[free], (len(free), P.shape[1])
     slots.append((
-        P[:, free] / u[free], np.zeros(shape, dtype=bool), np.full(shape, -1),
-        np.broadcast_to(free, shape), P[:, free], np.ones(shape, dtype=bool),
+        price / u[free, None], np.zeros(shape, dtype=bool), np.full(shape, -1),
+        np.broadcast_to(free[:, None], shape), price, np.ones(shape, dtype=bool),
     ))
-    unbounded = np.any(P[:, free] == 0.0, axis=1)
+    unbounded = np.any(price == 0.0, axis=0)
     return _buy(inst.n_goods, slots, float(inst.budgets[agent]), unbounded)
 
 
-def _free_goods(inst: MarketInstance) -> np.ndarray:
-    """(n, m) mask of the valued goods each agent may buy without a type cap.
+def _free_goods(inst: MarketInstance, agents=slice(None)) -> np.ndarray:
+    """Mask of the valued goods that the ``agents`` rows (all by default,
+    or one agent's row) may buy without a type cap.
 
     The one record of that rule, which every demand path reads: a good is
     cap-free for an agent that values it when it lies in no type the agent
     joins, untyped goods included.  Only these goods make demand
     unbounded, at price zero.
     """
-    return (inst.participation @ inst.incidence == 0) & (inst.utilities > 0.0)
+    return (inst.participation[agents] @ inst.incidence == 0) & (inst.utilities[agents] > 0.0)
 
 
 def _segments(hu, hp, hj, size) -> tuple[np.ndarray, ...]:
-    """One type's frontier products as slot columns, one row per hull.
+    """One type's frontier products as slots, one column per hull.
 
-    Returns ``(slope, capped, lo, hi, cost, valid)`` from the vertices that
-    ``_hulls`` or ``_agent_hulls`` returns; a row's segments past its
-    vertex count are not valid.  A row's valid slopes strictly increase:
-    ``_push`` pops every vertex after which the slope, computed with the
-    float operations used here, would not rise.
+    Returns ``(slope, capped, lo, hi, cost, valid)`` as (D, R) arrays from
+    the (D + 1, R) vertices that ``_hulls`` or ``_agent_hulls`` returns; a
+    column's segments past its vertex count are not valid.  A column's
+    valid slopes strictly increase: ``_push`` pops every vertex after
+    which the slope, computed with the float operations used here, would
+    not rise.
     """
-    dp = np.diff(hp, axis=1)
-    ok = np.arange(1, hu.shape[1]) < size[:, None]
-    slope = np.divide(dp, np.diff(hu, axis=1), out=np.zeros_like(dp), where=ok)
-    return slope, np.ones(dp.shape, dtype=bool), hj[:, :-1], hj[:, 1:], dp, ok
+    dp = hp[1:] - hp[:-1]
+    ok = np.arange(1, len(hu))[:, None] < size
+    slope = np.divide(dp, hu[1:] - hu[:-1], out=np.zeros_like(dp), where=ok)
+    return slope, np.ones(dp.shape, dtype=bool), hj[:-1], hj[1:], dp, ok
 
 
 def _buy(m: int, slots, w, unbounded) -> tuple[np.ndarray, ...]:
-    """``demand``'s greedy purchase, one row per (agent, prices) pair.
+    """``demand``'s greedy purchase, one column per (agent, prices) pair.
 
-    ``slots`` lists every product as column blocks ``(slope, capped, lo,
-    hi, cost, valid)``, lo -1 marking the hull origin, in a fixed layout:
-    each participating type by ascending id, its segments by strictly
-    increasing slope, then the cap-free products (``capped`` False) by
-    ascending good.  Among equal slopes that layout already is
-    agent_products' (type rank, hi) order, so ``_buy_order``'s stable sort
-    on the slope alone puts each row's valid slots in that order, ahead of
-    the invalid ones, which the loop never reads.  ``m`` is the number of
-    goods; ``w`` is the budget of every row, or of each; rows in
-    ``unbounded`` buy nothing.  Each step of the scalar path runs as a
-    masked array operation over the rows, with the same float operations
-    in the same order.  Returns ``(X, spend, unbounded)`` as
-    ``demand_prices`` does.
+    ``slots`` lists every product as blocks of slot rows ``(slope, capped,
+    lo, hi, cost, valid)``, each (slots, R), lo -1 marking the hull
+    origin, in a fixed layout: each participating type by ascending id,
+    its segments by strictly increasing slope, then the cap-free products
+    (``capped`` False) by ascending good.  Among equal slopes that layout
+    already is agent_products' (type rank, hi) order, so ``_buy_order``'s
+    stable sort on the slope alone puts each column's valid slots in that
+    order, ahead of the invalid ones, which the loop never reads.  ``m``
+    is the number of goods; ``w`` is the budget of every column, or of
+    each; columns in ``unbounded`` buy nothing.  Each step of the scalar
+    path runs as masked operations along whole slot rows, with the same
+    float operations in the same order.
+
+    X is written once, from the slots bought in nonzero units alone: a
+    good is the high end of at most one of them and the low end of at
+    most one, bought later, so its units in minus its units out is the
+    scalar path's ``(0 + in) - out``, and a fraction that underflows to
+    zero changes nothing there either.  Slots past a hull's vertex count
+    may name goods of popped vertices, so the unbought ones are never
+    written.  Returns ``(X, spend, unbounded)`` as ``demand_prices``
+    does, X as (R, m).
     """
-    slope, capped, lo, hi, cost, valid = (np.concatenate(c, axis=1) for c in zip(*slots))
+    slope, capped, lo, hi, cost, valid = (np.concatenate(c) for c in zip(*slots))
+    R = len(unbounded)
     order = _buy_order(slope, valid)
-    flat = _flat(order, order.shape[1])
-    capped, lo, hi, cost, valid = (a.ravel()[flat] for a in (capped, lo, hi, cost, valid))
+    flat = order * R + np.arange(R)
+    capped, cost, valid = (a.ravel()[flat] for a in (capped, cost, valid))
 
-    rows = np.arange(len(unbounded))
-    X = np.zeros((len(unbounded), m))
-    budget = np.full(len(unbounded), w)
+    budget = np.full(R, w)
+    units = np.zeros(flat.shape)
     active = ~unbounded
-    for s in range(flat.shape[1]):
-        active &= valid[:, s]
+    for s in range(len(flat)):
+        active &= valid[s]
         if not active.any():
             break
-        full = active & capped[:, s] & (cost[:, s] <= budget)
+        full = active & capped[s] & (cost[s] <= budget)
         part = active & ~full & (budget > 0.0)
-        r = rows[full]
-        _move(X, r, lo[r, s], hi[r, s], np.ones(len(r)))
-        budget[r] -= cost[r, s]
-        r = rows[part]
-        _move(X, r, lo[r, s], hi[r, s], budget[r] / cost[r, s])
-        budget[r] = 0.0
+        np.subtract(budget, cost[s], out=budget, where=full)
+        units[s] = full
+        np.divide(budget, cost[s], out=units[s], where=part)
+        budget[part] = 0.0
         active = full
 
+    b = np.flatnonzero(units)
+    at, units, r = flat.ravel()[b], units.ravel()[b], b % R
+    X = np.zeros((R, m))
+    x = X.reshape(-1)
+    x[r * m + hi.ravel()[at]] = units
+    lo = lo.ravel()[at]
+    has_lo = lo >= 0
+    x[r[has_lo] * m + lo[has_lo]] -= units[has_lo]
     X = np.maximum(X, 0.0)  # clip float dust, as the scalar path does
     return X, w - budget, unbounded
 
 
 def _buy_order(slope: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Each row's slots in buy order: a stable sort on the slope, with the
-    invalid slots as NaN, which sorts after every number, +inf included."""
-    return np.argsort(np.where(valid, slope, np.nan), axis=1, kind="stable")
-
-
-def _flat(index: np.ndarray, width: int) -> np.ndarray:
-    """Flat indices of the column ``index[k]`` of each row k of a C-ordered
-    array with ``width`` columns."""
-    return index + np.arange(len(index))[:, None] * width
-
-
-def _move(X, r, lo, hi, units) -> None:
-    """Shift ``units`` of row r's position from good lo (-1: none) to hi."""
-    has_lo = lo >= 0
-    X[r[has_lo], lo[has_lo]] -= units[has_lo]
-    X[r, hi] += units
+    """Each column's slots in buy order: a stable sort on the slope, with
+    the invalid slots as NaN, which sorts after every number, +inf
+    included."""
+    return np.argsort(np.where(valid, slope, np.nan), axis=0, kind="stable")
 
 
 def _hulls(u: np.ndarray, P: np.ndarray, type_goods) -> tuple[np.ndarray, ...]:
-    """``build_frontier``'s hull vertices for one type at every price row.
+    """``build_frontier``'s hull vertices for one type at every price column.
 
-    Returns utilities, prices and goods of the vertices as (K, D + 1)
-    arrays, the origin first (good -1), and each row's vertex count.  D is
-    the number of distinct positive utilities in the type; they keep their
-    order at every price, so the per-utility dedup is an argmin over fixed
-    groups of goods and the chain visits the levels in a fixed order.  As
-    in ``build_frontier``, the chain itself drops equal-price points, so
-    every row appends each level's point.
+    ``P`` holds the (m, K) price columns.  Returns utilities, prices and
+    goods of the vertices as (D + 1, K) arrays, the origin first (good
+    -1), and each column's vertex count.  D is the number of distinct
+    positive utilities in the type; they keep their order at every price,
+    so the per-utility dedup is a running minimum over fixed groups of
+    goods and the chain visits the levels in a fixed order.  As in
+    ``build_frontier``, the chain itself drops equal-price points, so
+    every column appends each level's point.
     """
     goods = [j for j in sorted(int(j) for j in type_goods) if u[j] > 0.0]
     levels = sorted({float(u[j]) for j in goods})
-    K, D = len(P), len(levels)
-    # per utility the cheapest good, lowest index on a price tie
-    good = np.empty((K, D), dtype=int)
-    for g, level in enumerate(levels):
-        group = np.array([j for j in goods if u[j] == level])
-        good[:, g] = group[np.argmin(P[:, group], axis=1)] if len(group) > 1 else group[0]
-    price = P.ravel()[_flat(good, P.shape[1])]
-
-    hull = (np.zeros((K, D + 1)), np.zeros((K, D + 1)), np.full((K, D + 1), -1))
+    K, D = P.shape[1], len(levels)
+    hull = (np.zeros((D + 1, K)), np.zeros((D + 1, K)), np.full((D + 1, K), -1))
     size = np.ones(K, dtype=int)
-    rows = np.arange(K)
-    for g, level in enumerate(levels):
-        _push(hull, size, rows, level, price[:, g], good[:, g])
+    cols = np.arange(K)
+    for level in levels:
+        # per utility the cheapest good, the lowest index on a price tie
+        first, *rest = (j for j in goods if u[j] == level)
+        good, price = np.full(K, first), P[first]
+        for j in rest:
+            cheaper = P[j] < price
+            good[cheaper] = j
+            price = np.where(cheaper, P[j], price)
+        _push(hull, size, cols, level, price, good)
     return (*hull, size)
 
 
 def _agent_hulls(U: np.ndarray, p: np.ndarray, type_goods, part) -> tuple[np.ndarray, ...]:
     """``build_frontier``'s hull vertices for one type at one price vector,
-    one row per agent.
+    one column per agent.
 
-    Same return as ``_hulls``, with D the type's size; rows outside the
-    mask ``part`` keep only the origin.  Each row's goods are ordered by
-    (u, p, j): the goods, ascending, are stable-sorted once by price, which
-    every row shares, then each row stable-sorted by u.  Zero utilities
-    are skipped, and so is every good but the first of a run of equal
-    utilities, which is the cheapest, the lowest index on a price tie: the
-    chain then sees the points that ``build_frontier``'s dedup keeps, in
-    its order.
+    Same return as ``_hulls``, with D the type's size; columns outside the
+    mask ``part`` keep only the origin.  Each column's goods are ordered
+    by (u, p, j): the goods, ascending, are stable-sorted once by price,
+    which every column shares, then each column stable-sorted by u.  Zero
+    utilities are skipped, and so is every good but the first of a run of
+    equal utilities, which is the cheapest, the lowest index on a price
+    tie: the chain then sees the points that ``build_frontier``'s dedup
+    keeps, in its order.
     """
     goods = np.array(sorted(int(j) for j in type_goods), dtype=int)
     goods = goods[np.argsort(p[goods], kind="stable")]
-    u = U[:, goods]
-    order = np.argsort(u, axis=1, kind="stable")
-    u = u.ravel()[_flat(order, len(goods))]
+    u = U[:, goods].T
+    order = np.argsort(u, axis=0, kind="stable")
+    u = np.take_along_axis(u, order, axis=0)
     q, j = p[goods][order], goods[order]
-    keep = (u > 0.0) & part[:, None]
-    keep[:, 1:] &= u[:, 1:] != u[:, :-1]
+    keep = (u > 0.0) & part
+    keep[1:] &= u[1:] != u[:-1]
 
-    n, D = u.shape
-    hull = (np.zeros((n, D + 1)), np.zeros((n, D + 1)), np.full((n, D + 1), -1))
+    D, n = u.shape
+    hull = (np.zeros((D + 1, n)), np.zeros((D + 1, n)), np.full((D + 1, n), -1))
     size = np.ones(n, dtype=int)
     for k in range(D):
-        r = np.flatnonzero(keep[:, k])
-        _push(hull, size, r, u[r, k], q[r, k], j[r, k])
+        r = np.flatnonzero(keep[k])
+        _push(hull, size, r, u[k, r], q[k, r], j[k, r])
     return (*hull, size)
 
 
-def _push(hull, size, rows, level, q, good) -> None:
-    """Append the point (level, q, good) to the hull of each listed row.
+def _push(hull, size, cols, level, q, good) -> None:
+    """Append the point (level, q, good) to the hull of each listed column.
 
-    First pops, row by row, the vertices the point hides, with
+    First pops, column by column, the vertices the point hides, with
     ``build_frontier``'s test and its float operations in its order.
-    ``level`` is one utility for every row or one per row.
+    ``level`` is one utility for every column or one per column.
     """
-    # flat views of the C-contiguous hull arrays, and each row's origin in them
+    # flat views of the C-contiguous (vertex, column) hull arrays
     hu, hp, hj = (h.reshape(-1) for h in hull)
-    at = rows * hull[0].shape[1]
-    s = size[rows]
+    width = hull[0].shape[1]
+    s = size[cols]
     pop = s >= 2
     while pop.any():
-        a, b = at + np.maximum(s - 2, 0), at + s - 1
+        a, b = np.maximum(s - 2, 0) * width + cols, (s - 1) * width + cols
         au, ap = hu[a], hp[a]
         bu, bp = hu[b], hp[b]
-        # rows with a single vertex divide by zero here but are already out
-        # of ``pop``, and an overflowing slope is inf, as in the scalar path
+        # columns with a single vertex divide by zero here but are already
+        # out of ``pop``, and an overflowing slope is inf, as in the scalar path
         with np.errstate(all="ignore"):
             pop &= ((bu - au) * (q - ap) - (bp - ap) * (level - au) <= 0.0) | (
                 (q - bp) / (level - bu) <= (bp - ap) / (bu - au)
             )
         s -= pop
         pop &= s >= 2
-    hu[at + s] = level
-    hp[at + s] = q
-    hj[at + s] = good
-    size[rows] = s + 1
+    at = s * width + cols
+    hu[at] = level
+    hp[at] = q
+    hj[at] = good
+    size[cols] = s + 1

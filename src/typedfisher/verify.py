@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ``demand`` stays bound here, where the benchmark's tracer wraps it
-from .demand import _check_prices, demand, demand_all, demand_prices
+from .demand import _check_prices, _demand_prices, demand, demand_all
 from .instances import MarketInstance
 from .solver import DualBundle, ZeroUtilityError, solve_sop1
 
 FIXED_POINT_EPS = 1e-5  # kkt_crosscheck's limit on ||lam - sum_t r_it||
 MAX_GRID_POINTS = 10_000_000  # largest grid grid_nonexistence scans
-SCAN_CHUNK = 65_536  # grid prices per demand_prices call
+SCAN_CHUNK = 65_536  # grid prices per batched demand call
 
 
 @dataclass
@@ -330,7 +330,8 @@ def grid_nonexistence(
     zero faces) are skipped and counted.  With ``record_below`` set, every
     grid price whose residual falls below it is kept (up to 1000, in
     lexicographic order), which is how non-uniqueness shows up in a scan.
-    Demand comes from ``demand_prices``, SCAN_CHUNK grid prices at a time.
+    Demand comes from ``demand_prices``' batched greedy, one call per
+    agent for SCAN_CHUNK grid prices at a time, checked once per chunk.
     """
     m = inst.n_goods
     if m > 3:
@@ -351,26 +352,29 @@ def grid_nonexistence(
     for start in range(0, size, SCAN_CHUNK):
         # flat indices in itertools.product order: the last coordinate runs fastest
         flat = np.arange(start, min(start + SCAN_CHUNK, size))
-        P = axis[np.stack(np.unravel_index(flat, (len(axis),) * m), axis=1)]
-        total = np.zeros((len(P), m))
-        spends = np.empty((len(P), inst.n_agents))
-        skip = np.zeros(len(P), dtype=bool)
+        # the chunk's (m, K) price columns, checked once for every agent
+        P = _check_prices(axis[np.stack(np.unravel_index(flat, (len(axis),) * m))], m, ndim=2)
+        total = np.zeros(P.shape)
+        spends = np.empty((inst.n_agents, len(flat)))
+        skip = np.zeros(len(flat), dtype=bool)
         for i in range(inst.n_agents):
-            X, spends[:, i], unbounded = demand_prices(inst, i, P)
-            total += X
+            X, spends[i], unbounded = _demand_prices(inst, i, P)
+            total += X.T
             skip |= unbounded
-        P = P[~skip]
+        # reduce along the short good and agent axes first: dropping the
+        # skipped points from the residuals is cheaper than from each array
+        kept = np.flatnonzero(~skip)
         res = np.maximum(
-            np.max(np.abs(total[~skip] - inst.capacities), axis=1),
-            np.max(np.abs(spends[~skip] - inst.budgets), axis=1),
-        )
-        evaluated += len(P)
-        skipped += int(skip.sum())
-        if len(P) and res.min() < best:
+            np.max(np.abs(total - inst.capacities[:, None]), axis=0),
+            np.max(np.abs(spends - inst.budgets[:, None]), axis=0),
+        )[kept]
+        evaluated += len(kept)
+        skipped += len(flat) - len(kept)
+        if len(kept) and res.min() < best:
             k = int(np.argmin(res))
-            best, argmin = float(res[k]), P[k].copy()
+            best, argmin = float(res[k]), P[:, kept[k]].copy()
         if record_below is not None:
-            near.extend(P[res <= record_below][: 1000 - len(near)])
+            near.extend(P.T[kept[res <= record_below][: 1000 - len(near)]])
     return GridScanResult(
         min_residual=best,
         argmin_price=argmin,

@@ -232,7 +232,7 @@ def test_budget_accounting(inst, data):
     d = demand(inst, 0, p)
     assert d.spend == pytest.approx(float(p @ d.x), rel=1e-9, abs=1e-9)
     assert d.spend <= inst.budgets[0] + 1e-9
-    if _free_goods(inst)[0].any():
+    if _free_goods(inst, 0).any():
         # a priced cap-free product absorbs whatever budget remains
         assert d.budget_exhausted
     else:
@@ -449,16 +449,16 @@ SLOPES = np.array([0.0, 0.5, 1.0, 2.0, np.inf])
 
 
 def random_slots(rng, R):
-    """Random slot blocks in ``_buy``'s layout over R rows, each column's
-    type rank, and the number of goods.
+    """Random slot blocks in ``_buy``'s slot-major layout over R columns,
+    each slot's type rank, and the number of goods.
 
     Up to two types of 1-3 goods each take strictly increasing slopes from
-    SLOPES on a valid prefix of each row (none where the agent skips the
-    type) and any slope past it; up to two cap-free goods take slopes from
-    SLOPES with repeats and a valid mask with gaps.  So equal slopes fall
-    across types, between a type and a cap-free good and between two
+    SLOPES on a valid prefix of each column (none where the agent skips
+    the type) and any slope past it; up to two cap-free goods take slopes
+    from SLOPES with repeats and a valid mask with gaps.  So equal slopes
+    fall across types, between a type and a cap-free good and between two
     cap-free goods, +inf recurs, invalid slots sit between valid ones, and
-    some layouts have no column at all.
+    some layouts have no slot at all.
     """
     n_types, n_free = rng.integers(0, 3, 2)
     blocks, ranks, m = [], [], 0
@@ -466,25 +466,25 @@ def random_slots(rng, R):
         D = int(rng.integers(1, 4))
         goods = np.arange(m, m + D)
         m += D
-        slope = np.sort([rng.choice(SLOPES, D, replace=False) for _ in range(R)], axis=1)
-        valid = np.arange(D) < rng.integers(0, D + 1, (R, 1))
-        slope = np.where(valid, slope, rng.choice(SLOPES, (R, D)))
-        hj = np.hstack([np.full((R, 1), -1), [rng.permutation(goods) for _ in range(R)]])
-        blocks.append((slope, np.ones((R, D), dtype=bool), hj[:, :-1], hj[:, 1:],
-                       rng.uniform(0.1, 3.0, (R, D)), valid))
-        ranks.append(np.full((R, D), t))
-    shape = (R, n_free)
+        slope = np.sort([rng.choice(SLOPES, D, replace=False) for _ in range(R)], axis=1).T
+        valid = np.arange(D)[:, None] < rng.integers(0, D + 1, R)
+        slope = np.where(valid, slope, rng.choice(SLOPES, (D, R)))
+        hj = np.vstack([np.full(R, -1), np.transpose([rng.permutation(goods) for _ in range(R)])])
+        blocks.append((slope, np.ones((D, R), dtype=bool), hj[:-1], hj[1:],
+                       rng.uniform(0.1, 3.0, (D, R)), valid))
+        ranks.append(np.full((D, R), t))
+    shape = (n_free, R)
     blocks.append((rng.choice(SLOPES, shape), np.zeros(shape, dtype=bool), np.full(shape, -1),
-                   np.broadcast_to(np.arange(m, m + n_free), shape),
+                   np.broadcast_to(np.arange(m, m + n_free)[:, None], shape),
                    rng.uniform(0.1, 3.0, shape), rng.random(shape) < 0.7))
     ranks.append(np.full(shape, n_types))
-    return blocks, np.concatenate(ranks, axis=1), m + n_free
+    return blocks, np.concatenate(ranks), m + n_free
 
 
 def slot_ties(slope, capped, valid) -> Counter:
-    """Which of random_slots' cases the layout holds, row by row."""
-    seen = Counter({"no column": slope.shape[1] == 0})
-    for s, c, v in zip(slope, capped, valid):
+    """Which of random_slots' cases the layout holds, column by column."""
+    seen = Counter({"no slot": len(slope) == 0})
+    for s, c, v in zip(slope.T, capped.T, valid.T):
         typed, free = s[v & c], s[v & ~c]
         seen["tie across types"] += len(np.unique(typed)) < len(typed)
         seen["tie of a type and a cap-free good"] += len(np.intersect1d(typed, free)) > 0
@@ -500,16 +500,16 @@ def test_slope_sort_buys_in_the_four_key_order():
     for _ in range(400):
         R = int(rng.integers(1, 8))
         blocks, rank, m = random_slots(rng, R)
-        columns = [np.concatenate(c, axis=1) for c in zip(*blocks)]
-        slope, capped, lo, hi, cost, valid = columns
+        slots = [np.concatenate(c) for c in zip(*blocks)]
+        slope, capped, lo, hi, cost, valid = slots
         seen += slot_ties(slope, capped, valid)
         got, want = _buy_order(slope, valid), buy_order_by_lexsort(slope, rank, hi, valid)
-        for r, n in enumerate(valid.sum(axis=1)):
-            assert np.array_equal(got[r, :n], want[r, :n]), (slope[r], valid[r])
-        # a row already in the reference order stays as it is under the
+        for r, n in enumerate(valid.sum(axis=0)):
+            assert np.array_equal(got[:n, r], want[:n, r]), (slope[:, r], valid[:, r])
+        # a column already in the reference order stays as it is under the
         # stable sort, so the second call buys in the four-key order
         w, unbounded = rng.uniform(0.0, 4.0, R), rng.random(R) < 0.1
-        ordered = [tuple(np.take_along_axis(a, want, axis=1) for a in columns)]
+        ordered = [tuple(np.take_along_axis(a, want, axis=0) for a in slots)]
         for a, b in zip(_buy(m, blocks, w, unbounded), _buy(m, ordered, w, unbounded)):
             assert np.array_equal(a, b)
     assert len(seen) == 6 and all(seen.values()), seen

@@ -296,7 +296,14 @@ def test_layout_matches_pair_loops():
         participation=np.column_stack([np.ones(5, bool), rng.random((5, 2)) < 0.6]),
     )
     untyped = random_instance(seed=2, n=4, m=3)
-    for inst in [builtin_instance(name) for name in BUILTIN_NAMES] + [mixed, untyped]:
+    zeros = MarketInstance(  # partial participation and zero utilities
+        utilities=rng.integers(0, 3, (6, 8)).astype(float),
+        budgets=np.ones(6),
+        capacities=np.ones(8),
+        types=((0, 1, 2), (4, 5)),
+        participation=rng.random((6, 2)) < 0.5,
+    )
+    for inst in [builtin_instance(name) for name in BUILTIN_NAMES] + [mixed, untyped, zeros]:
         assert inst.tight_types == _tight_types(inst)
         for t, goods in enumerate(inst.types):
             assert np.flatnonzero(inst.incidence[t]).tolist() == list(goods)
@@ -307,6 +314,8 @@ def test_layout_matches_pair_loops():
         for i in range(inst.n_agents):
             valued = [j for j in _unbounded_goods(inst, i) if inst.utilities[i, j] > 0.0]
             assert np.flatnonzero(free[i]).tolist() == valued
+            # one agent's row, as the per-agent demand paths read it
+            assert np.array_equal(_free_goods(inst, i), free[i])
     assert mixed.tight_types == (0,)
 
 
